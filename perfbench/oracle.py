@@ -1,0 +1,73 @@
+"""Independent reference evaluator, a copy of ``tests/oracle.py`` so that the
+benchmark's known answers never depend on the program under test.
+
+It is kept deliberately separate from the package evaluator: isinstance
+dispatch instead of match, plain dict environments, table lookups through an
+explicitly enumerated point-to-bit map instead of index arithmetic.  Only the data contracts are
+shared (AST nodes, the structure's bit layout, the defaults policy:
+first individual, least table).
+"""
+
+from henkin.syntax import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
+
+
+def _points(size, arity):
+    if arity == 0:
+        return [()]
+    shorter = _points(size, arity - 1)
+    return [p + (i,) for p in shorter for i in range(size)]
+
+
+def _table_map(table):
+    return dict(zip(_points(table.size, table.arity), table.bits))
+
+
+def _lookup(structure, env, var):
+    if var in env:
+        return env[var]
+    if var.is_individual:
+        return 0
+    return min(structure.domains[var.arity])
+
+
+def naive_eval(structure, env, formula):
+    """Truth value by direct recursion; env maps variables to indices/tables."""
+    if isinstance(formula, Eq):
+        left = _lookup(structure, env, formula.left)
+        right = _lookup(structure, env, formula.right)
+        return left == right
+    if isinstance(formula, Atom):
+        table = _lookup(structure, env, formula.predicate)
+        point = tuple(_lookup(structure, env, a) for a in formula.args)
+        return _table_map(table)[point]
+    if isinstance(formula, Not):
+        return not naive_eval(structure, env, formula.body)
+    if isinstance(formula, And):
+        return naive_eval(structure, env, formula.left) and naive_eval(
+            structure, env, formula.right
+        )
+    if isinstance(formula, Or):
+        return naive_eval(structure, env, formula.left) or naive_eval(
+            structure, env, formula.right
+        )
+    if isinstance(formula, Implies):
+        return (not naive_eval(structure, env, formula.left)) or naive_eval(
+            structure, env, formula.right
+        )
+    if isinstance(formula, Iff):
+        return naive_eval(structure, env, formula.left) == naive_eval(
+            structure, env, formula.right
+        )
+    if isinstance(formula, (Forall, Exists)):
+        var = formula.var
+        if var.is_individual:
+            values = list(range(len(structure.individuals)))
+        else:
+            values = list(structure.domains[var.arity])
+        results = []
+        for value in values:
+            child = dict(env)
+            child[var] = value
+            results.append(naive_eval(structure, child, formula.body))
+        return all(results) if isinstance(formula, Forall) else any(results)
+    raise TypeError(f"oracle cannot evaluate {type(formula).__name__}")
