@@ -1,17 +1,9 @@
 """Tour of the formula language: parsing, printing, binding discipline,
-unique existence, and schema templates."""
+unique existence, the depth bound, and derivations."""
 
-from henkin import (
-    Slot,
-    exists_unique,
-    format_formula,
-    ind,
-    instantiate_schema,
-    parse,
-    pred,
-)
+from henkin import exists_unique, format_formula, ind, parse
 from henkin.parser import ParseError
-from henkin.syntax import Exists, Forall, derivation
+from henkin.syntax import MAX_DEPTH, derivation
 
 # Individual variables are x0, x1, ...; an n-ary predicate variable is
 # written A<i>^<n>.  Application juxtaposes: "A0^2 x1 x2".
@@ -39,14 +31,13 @@ pair = exists_unique((ind(1), ind(2)), parse("A0^2 x1 x2"))
 print("tuple version:")
 print("  ", format_formula(pair))
 
-# Templates carry slots with a declared signature; instantiation renames
-# template binders away from the payload and checks the signature.
-dvar = pred(0, 1)
-template = Forall(ind(1), Exists(dvar, Slot("H", frozenset({ind(1), dvar}))))
-payload = parse("all x2 . (A0^1 x2 <-> x2 = x1)")
+# Formulas nest at most MAX_DEPTH deep; deeper input is a parse error,
+# never a crash.
 print()
-print("template:      ", format_formula(template))
-print("instantiated:  ", format_formula(instantiate_schema(template, {"H": payload})))
+try:
+    parse("~(" * (MAX_DEPTH + 1) + "x1 = x1" + ")" * (MAX_DEPTH + 1))
+except ParseError as exc:
+    print("too deep:", exc)
 
 # Every accepted tree reconstructs its grammar derivation; rule 1 covers
 # atoms, 2 connectives, 3 and 4 the two quantifier sorts.

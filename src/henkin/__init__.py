@@ -13,13 +13,11 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    Slot,
     Var,
     exists_unique,
     format_formula,
     free_vars,
     ind,
-    instantiate_schema,
     pred,
 )
 from .parser import ParseError, parse, parse_var

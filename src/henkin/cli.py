@@ -5,9 +5,12 @@ human summary to stderr.  Exit codes are a stable contract:
 
 * 0 - true / holds / witness found / sweep clean
 * 1 - false / fails / inconclusive
-* 2 - error (I/O, syntax, arity, bad input)
+* 2 - error (bad arguments, I/O, syntax, arity, out-of-range numbers, any
+  other failure); the report's ``result`` holds only ``error``
 * 3 - a resource cap was exceeded; the report is partial
 
+Every input ends in one of these codes with one JSON report, including
+malformed command lines (``--help`` alone prints usage text and exits 0).
 Reports are deterministic given identical inputs and caps, except for the
 ``timing_s`` field.  ``HENKIN_CAP_TABLES`` overrides the default table cap.
 """
@@ -24,19 +27,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import fraenkel, groups, schemas
-from .evaluate import EvalError, saturate_with_report
-from .parser import ParseError, parse
+from .evaluate import saturate_with_report
+from .parser import parse
 from .structures import (
     Assignment,
     CapExceeded,
     DEFAULT_TABLE_CAP,
-    StructureError,
     assignment_from_dict,
     assignment_to_dict,
     load_structure,
     structure_to_dict,
 )
-from .syntax import FormulaError, depth as formula_depth, format_formula
+from .syntax import depth as formula_depth, format_formula
 
 
 @dataclass
@@ -82,11 +84,19 @@ def _load_json(path: str | Path) -> dict:
         return json.load(fh)
 
 
+def _cap(text: str) -> int:
+    """A resource cap: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"caps must be >= 0, got {value}")
+    return value
+
+
 def _table_cap(args) -> int:
     if args.cap_tables is not None:
         return args.cap_tables
     env = os.environ.get("HENKIN_CAP_TABLES")
-    return int(env) if env else DEFAULT_TABLE_CAP
+    return _cap(env) if env else DEFAULT_TABLE_CAP
 
 
 def _emit(report: RunReport, summary: str, started: float) -> None:
@@ -296,8 +306,20 @@ def _cmd_fraenkel_choice(args, report: RunReport, started: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """Malformed command line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on a malformed command line instead of exiting, so the error
+    is reported like any other."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="henkin",
         description="Second-order Henkin-semantics workbench",
     )
@@ -305,11 +327,11 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="cmd", required=True)
 
     def common_caps(p):
-        p.add_argument("--cap-tables", type=int, default=None)
-        p.add_argument("--cap-group", type=int, default=groups.DEFAULT_GROUP_CAP)
-        p.add_argument("--cap-preds", type=int, default=fraenkel.DEFAULT_PRED_CAP)
-        p.add_argument("--cap-assignments", type=int, default=1_000_000)
-        p.add_argument("--cap-formulas", type=int, default=200_000)
+        p.add_argument("--cap-tables", type=_cap, default=None)
+        p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
+        p.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+        p.add_argument("--cap-assignments", type=_cap, default=1_000_000)
+        p.add_argument("--cap-formulas", type=_cap, default=200_000)
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     group = p.add_mutually_exclusive_group(required=True)
@@ -384,12 +406,10 @@ _FRAENKEL_HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
+    report = RunReport(command=" ".join(["henkin", *argv]))
     try:
         args = _build_argparser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    report = RunReport(command=" ".join(["henkin", *argv]), seed=args.seed)
-    try:
+        report.seed = args.seed
         if args.cmd == "fraenkel":
             handler = _FRAENKEL_HANDLERS[args.fraenkel_cmd]
         else:
@@ -400,20 +420,14 @@ def main(argv: list[str] | None = None) -> int:
         report.result = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
         _emit(report, f"cap exceeded: {exc}", started)
         return 3
-    except (
-        ParseError,
-        FormulaError,
-        StructureError,
-        EvalError,
-        fraenkel.FraenkelError,
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except Exception as exc:
+        # the exit-code contract: no failure may leak out as a traceback
         report.result = {"error": f"{type(exc).__name__}: {exc}"}
         _emit(report, f"error: {exc}", started)
         return 2
+    except SystemExit:
+        # --help printed the usage text
+        return 0
 
 
 if __name__ == "__main__":

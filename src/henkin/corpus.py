@@ -140,11 +140,6 @@ def random_formula(
     return go(max_depth)
 
 
-def random_formulas(seed: int, count: int, max_depth: int, ind_vars, pred_vars, **kw) -> list[Formula]:
-    rng = random.Random(seed)
-    return [random_formula(rng, max_depth, ind_vars, pred_vars, **kw) for _ in range(count)]
-
-
 def default_vocabulary(max_arity: int = 2) -> tuple[list[Var], list[Var]]:
     """Three individual variables and two predicate variables per arity."""
     ind_vars = [ind(i) for i in (1, 2, 3)]

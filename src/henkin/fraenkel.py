@@ -607,6 +607,8 @@ def wellorder_counterexample_sweep(
     is an atom renaming away.  Every predicate must fail, each failure
     confirmed by the two-fresh-atom swap argument.
     """
+    if max_support < 0:
+        raise FraenkelError(f"support bound must be >= 0, got {max_support}")
     buckets: list[SweepBucket] = []
     total = 0
     found = 0

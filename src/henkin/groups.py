@@ -291,25 +291,6 @@ def structure_closed_under(structure: Structure, perm: Permutation) -> bool:
     )
 
 
-def close_structure_under(structure: Structure, perms: Iterable[Permutation]) -> Structure:
-    """Smallest superstructure closed under the given permutations."""
-    perms = tuple(perms)
-    domains = {n: set(ts) for n, ts in structure.domains.items()}
-    changed = True
-    while changed:
-        changed = False
-        for n, tables in domains.items():
-            new = {
-                act_on_predicate(p, t)
-                for p in perms
-                for t in tables
-            } - tables
-            if new:
-                tables |= new
-                changed = True
-    return structure.with_domains({n: frozenset(ts) for n, ts in domains.items()})
-
-
 # ---------------------------------------------------------------------------
 # Filters of subgroups.
 # ---------------------------------------------------------------------------
@@ -434,6 +415,8 @@ def build_permutation_model(
     labels = tuple(labels)
     if group.degree != len(labels):
         raise StructureError("group degree does not match the universe")
+    if max_arity < 1:
+        raise StructureError(f"a model needs max arity >= 1, got {max_arity}")
     domains: dict[int, frozenset[Table]] = {}
     for n in range(1, max_arity + 1):
         if isinstance(filt, PrincipalNormal):
@@ -451,26 +434,6 @@ def build_permutation_model(
             domains[n] = frozenset(tables)
         else:
             domains[n] = frozenset(all_tables(len(labels), n, cap=table_cap))
-    return Structure(labels, domains)
-
-
-def build_permutation_model_bruteforce(
-    labels: Sequence[str],
-    group: Group,
-    filt: Filter,
-    max_arity: int,
-    *,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> Structure:
-    """Reference builder: filter every table by its symmetry subgroup."""
-    labels = tuple(labels)
-    domains = {}
-    for n in range(1, max_arity + 1):
-        domains[n] = frozenset(
-            t
-            for t in all_tables(len(labels), n, cap=table_cap)
-            if filter_contains(filt, group, symmetry_subgroup(group, t))
-        )
     return Structure(labels, domains)
 
 

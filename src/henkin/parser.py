@@ -16,6 +16,10 @@ Grammar, loosest binding first::
 Variables are ``x<digits>`` and ``A<digits>^<arity>``.  A quantifier body
 extends as far right as possible.  ``ex!!`` is an abbreviation expanded at
 parse time into existence plus a two-copy equality clause.
+
+Input that nests parentheses and quantifiers more than ``2 * MAX_DEPTH``
+deep, or that builds a formula deeper than ``MAX_DEPTH``, is a
+:class:`ParseError`; the reader never recurses further than that.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .syntax import (
     Formula,
     FormulaError,
     Iff,
+    MAX_DEPTH,
     Implies,
     Not,
     And,
@@ -38,6 +43,14 @@ from .syntax import (
     Var,
     exists_unique,
 )
+
+
+# connective token -> node class, precedence (higher binds tighter)
+_BINARY = {"iff": (Iff, 1), "implies": (Implies, 2), "or": (Or, 3), "and": (And, 4)}
+
+# The printer nests at most one pair of parentheses plus one quantifier per
+# node, so every formula within MAX_DEPTH re-parses under this bound.
+_MAX_NESTING = 2 * MAX_DEPTH
 
 
 class ParseError(Exception):
@@ -103,6 +116,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -118,42 +132,58 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return self.advance()
 
+    def build(self, tok: Token, cls, *args) -> Formula:
+        """Construct a node; a construction error is reported at ``tok``."""
+        try:
+            return cls(*args)
+        except FormulaError as exc:
+            raise ParseError(str(exc), tok.pos) from exc
+
+    def enter(self, tok: Token) -> None:
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(
+                f"more than {_MAX_NESTING} nested parentheses and quantifiers", tok.pos
+            )
+
     def formula(self) -> Formula:
-        left = self.implies()
-        if self.peek().kind == "iff":
-            self.advance()
-            return Iff(left, self.formula())
-        return left
+        """Unary operands joined by binary connectives, grouped by precedence
+        with an operator stack, so long chains take no recursion."""
+        operands = [self.unary()]
+        pending: list[Token] = []
 
-    def implies(self) -> Formula:
-        left = self.or_()
-        if self.peek().kind == "implies":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
+        def reduce() -> None:
+            right = operands.pop()
+            tok = pending.pop()
+            operands.append(self.build(tok, _BINARY[tok.kind][0], operands.pop(), right))
 
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek().kind == "or":
-            self.advance()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "and":
-            self.advance()
-            f = And(f, self.unary())
-        return f
+        while self.peek().kind in _BINARY:
+            tok = self.advance()
+            prec = _BINARY[tok.kind][1]
+            # first build what binds tighter; & and | also build their own
+            # kind first (left-associative), the arrows do not (right)
+            while pending and (
+                _BINARY[pending[-1].kind][1] > prec
+                or (pending[-1].kind == tok.kind and tok.kind in ("and", "or"))
+            ):
+                reduce()
+            pending.append(tok)
+            operands.append(self.unary())
+        while pending:
+            reduce()
+        return operands[0]
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind in ("all", "ex", "exbang"):
-            return self.quantifier()
-        return self.primary()
+        nots = []
+        while self.peek().kind == "not":
+            nots.append(self.advance())
+        if self.peek().kind in ("all", "ex", "exbang"):
+            f = self.quantifier()
+        else:
+            f = self.primary()
+        for tok in reversed(nots):
+            f = self.build(tok, Not, f)
+        return f
 
     def quantifier(self) -> Formula:
         kw = self.advance()
@@ -164,46 +194,32 @@ class _Parser:
             raise ParseError("ex!! binds an individual variable", vtok.pos)
         var = _var_of(self.advance())
         self.expect("dot", "'.' after the quantified variable")
+        self.enter(kw)
         body = self.formula()
-        try:
-            if kw.kind == "all":
-                return Forall(var, body)
-            if kw.kind == "ex":
-                return Exists(var, body)
-            return exists_unique((var,), body)
-        except FormulaError as exc:
-            raise ParseError(str(exc), kw.pos) from exc
+        self.nesting -= 1
+        if kw.kind == "all":
+            return self.build(kw, Forall, var, body)
+        if kw.kind == "ex":
+            return self.build(kw, Exists, var, body)
+        return self.build(kw, exists_unique, (var,), body)
 
     def primary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "lpar":
-            self.advance()
+            self.enter(self.advance())
             f = self.formula()
             self.expect("rpar", "')'")
+            self.nesting -= 1
             return f
         if tok.kind == "indvar":
             left = _var_of(self.advance())
             self.expect("eq", "'=' after an individual variable")
-            rtok = self.peek()
-            if rtok.kind not in ("indvar", "predvar"):
-                raise ParseError("expected a variable after '='", rtok.pos)
-            right = _var_of(self.advance())
-            try:
-                return Eq(left, right)
-            except FormulaError as exc:
-                raise ParseError(str(exc), rtok.pos) from exc
+            return self.equality(left)
         if tok.kind == "predvar":
             head = _var_of(self.advance())
             if self.peek().kind == "eq":
                 self.advance()
-                rtok = self.peek()
-                if rtok.kind not in ("indvar", "predvar"):
-                    raise ParseError("expected a variable after '='", rtok.pos)
-                right = _var_of(self.advance())
-                try:
-                    return Eq(head, right)
-                except FormulaError as exc:
-                    raise ParseError(str(exc), rtok.pos) from exc
+                return self.equality(head)
             args = []
             for k in range(head.arity):
                 atok = self.peek()
@@ -215,6 +231,12 @@ class _Parser:
                 args.append(_var_of(self.advance()))
             return Atom(head, tuple(args))
         raise ParseError("expected a formula", tok.pos)
+
+    def equality(self, left: Var) -> Formula:
+        rtok = self.peek()
+        if rtok.kind not in ("indvar", "predvar"):
+            raise ParseError("expected a variable after '='", rtok.pos)
+        return self.build(rtok, Eq, left, _var_of(self.advance()))
 
 
 def parse(text: str) -> Formula:

@@ -45,6 +45,7 @@ from .syntax import (
     ind,
     lower_predicate_application,
     pred,
+    substitute,
 )
 
 CHOICE = "choice"
@@ -192,11 +193,9 @@ def _build_choice_star(m: int, payload: Formula) -> Formula:
     top = _max_pred_index(payload, m)
     c1, c2, dvar = pred(top + 1, m), pred(top + 2, m), pred(top + 3, m)
 
-    from .syntax import substitute_pred_var
-
     nonempty = Forall(cvar, Implies(payload, exists_many(ys, Atom(cvar, ys))))
-    h1 = substitute_pred_var(payload, cvar, c1)
-    h2 = substitute_pred_var(payload, cvar, c2)
+    h1 = substitute(payload, cvar, c1)
+    h2 = substitute(payload, cvar, c2)
     overlap = exists_many(ys, And(Atom(c1, ys), Atom(c2, ys)))
     pairwise = Forall(
         c1,

@@ -78,8 +78,8 @@ class Table:
 
     @classmethod
     def from_bitstring(cls, size: int, arity: int, s: str) -> "Table":
-        if set(s) - {"0", "1"}:
-            raise StructureError(f"bitstring may contain only 0 and 1: {s!r}")
+        if not isinstance(s, str) or set(s) - {"0", "1"}:
+            raise StructureError(f"bitstring must be a string of 0 and 1: {s!r}")
         return cls(size, arity, tuple(c == "1" for c in s))
 
     def bitstring(self) -> str:
@@ -221,28 +221,12 @@ class Assignment:
         vals.update(pairs)
         return Assignment(vals)
 
-    def restricted(self, keep: Iterable[Var]) -> "Assignment":
-        keep = set(keep)
-        return Assignment({v: x for v, x in self.values.items() if v in keep})
-
     def variables(self) -> tuple[Var, ...]:
         return tuple(sorted(self.values))
 
 
 def empty_assignment() -> Assignment:
     return Assignment({})
-
-
-def assignment_in_structure(assignment: Assignment, structure: Structure) -> bool:
-    """Whether every assigned value lies in the structure's domains."""
-    for var, value in assignment.values.items():
-        if var.is_individual:
-            if not 0 <= value < structure.size:  # type: ignore[operator]
-                return False
-        else:
-            if var.arity not in structure.domains or value not in structure.domains[var.arity]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,26 @@ application ``A x1 ... xn``, equality at either sort, the connectives
 Quantifier construction enforces the grammar's side condition: the bound
 variable must not be bound again anywhere in the body.  Violations are
 rejected rather than silently repaired; :func:`rename_bound_away` is the
-explicit repair used by schema instantiation.
+explicit repair used by schema construction.
+
+Every node records its depth, and construction rejects a formula deeper than
+:data:`MAX_DEPTH`.  The bound keeps every recursive walk over a formula (the
+traversals here, the parser, both evaluators, dataclass equality and
+hashing) well inside Python's default recursion limit, so the walks need no
+explicit stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
+
+MAX_DEPTH = 100
+
+# writes the caches of a frozen node; bound once, as construction is hot
+_setattr = object.__setattr__
 
 
 class FormulaError(Exception):
@@ -84,9 +97,12 @@ def pred(index: int, arity: int) -> Var:
 class Formula:
     """Base class; use the concrete node classes below."""
 
-    def _finish(self, free: frozenset, bound: frozenset) -> None:
-        object.__setattr__(self, "_free", free)
-        object.__setattr__(self, "_bound", bound)
+    def _finish(self, free: frozenset, bound: frozenset, depth: int) -> None:
+        if depth > MAX_DEPTH:
+            raise FormulaError(f"formula depth {depth} exceeds the bound {MAX_DEPTH}")
+        _setattr(self, "_free", free)
+        _setattr(self, "_bound", bound)
+        _setattr(self, "_depth", depth)
 
     @property
     def free_vars(self) -> frozenset[Var]:
@@ -119,7 +135,7 @@ class Atom(Formula):
         for a in self.args:
             if not a.is_individual:
                 raise ArityError(f"application argument {a} must be an individual variable")
-        self._finish(frozenset((self.predicate, *self.args)), frozenset())
+        self._finish(frozenset((self.predicate, *self.args)), frozenset(), 0)
 
 
 @dataclass(frozen=True)
@@ -137,7 +153,7 @@ class Eq(Formula):
             raise ArityError(
                 f"equality needs both sides of the same sort: {self.left} vs {self.right}"
             )
-        self._finish(frozenset((self.left, self.right)), frozenset())
+        self._finish(frozenset((self.left, self.right)), frozenset(), 0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +162,7 @@ class Not(Formula):
 
     def __post_init__(self) -> None:
         _check_formula(self.body)
-        self._finish(self.body.free_vars, self.body.bound_vars)
+        self._finish(self.body.free_vars, self.body.bound_vars, self.body._depth + 1)
 
 
 @dataclass(frozen=True)
@@ -157,9 +173,11 @@ class _Binary(Formula):
     def __post_init__(self) -> None:
         _check_formula(self.left)
         _check_formula(self.right)
+        left, right = self.left._depth, self.right._depth
         self._finish(
             self.left.free_vars | self.right.free_vars,
             self.left.bound_vars | self.right.bound_vars,
+            (left if left > right else right) + 1,
         )
 
 
@@ -194,7 +212,11 @@ class _Quantifier(Formula):
             raise CaptureError(
                 f"{self.var} is already bound inside the body and cannot be quantified again"
             )
-        self._finish(self.body.free_vars - {self.var}, self.body.bound_vars | {self.var})
+        self._finish(
+            self.body.free_vars - {self.var},
+            self.body.bound_vars | {self.var},
+            self.body._depth + 1,
+        )
 
 
 @dataclass(frozen=True)
@@ -207,24 +229,6 @@ class Exists(_Quantifier):
     pass
 
 
-@dataclass(frozen=True)
-class Slot(Formula):
-    """Placeholder leaf in a schema template.
-
-    ``signature`` lists the variables a payload may use free.
-    """
-
-    name: str
-    signature: frozenset[Var]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signature", frozenset(self.signature))
-        self._finish(self.signature, frozenset())
-
-
-BINARY_NODES = (And, Or, Implies, Iff)
-
-
 def _check_formula(f) -> None:
     if not isinstance(f, Formula):
         raise FormulaError(f"expected a Formula, got {type(f).__name__}")
@@ -234,37 +238,48 @@ def free_vars(f: Formula) -> frozenset[Var]:
     return f.free_vars
 
 
-def bound_vars(f: Formula) -> frozenset[Var]:
-    return f.bound_vars
-
-
 def all_vars(f: Formula) -> frozenset[Var]:
     return f.free_vars | f.bound_vars
 
 
 def depth(f: Formula) -> int:
-    """AST depth; atomic formulas have depth 0."""
-    match f:
-        case Atom() | Eq() | Slot():
-            return 0
-        case Not(b) | Forall(_, b) | Exists(_, b):
-            return 1 + depth(b)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return 1 + max(depth(l), depth(r))
-    raise FormulaError(f"unknown node {type(f).__name__}")
+    """AST depth, recorded at construction; atomic formulas have depth 0."""
+    return f._depth  # type: ignore[attr-defined]
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
+# ---------------------------------------------------------------------------
+# Traversal.  Every walk goes through these three helpers; recursion depth
+# is bounded by MAX_DEPTH.
+# ---------------------------------------------------------------------------
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas, left to right."""
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, (Not, _Quantifier)):
+        return (f.body,)
+    return ()
+
+
+def _rebuild(f: Formula, kids: list[Formula]) -> Formula:
+    """A node of the same kind as ``f`` over new immediate subformulas."""
+    if isinstance(f, _Quantifier):
+        return type(f)(f.var, *kids)
+    if isinstance(f, (Not, _Binary)):
+        return type(f)(*kids)
+    return f
+
+
+def fold(f: Formula, fn: Callable[[Formula, list], T]) -> T:
+    """Post-order fold: ``fn(node, results for its children)``."""
+    kids = _children(f)
+    return fn(f, [fold(k, fn) for k in kids] if kids else [])
+
+
+def subformulas(f: Formula) -> list[Formula]:
     """All subformulas, the formula itself included, in post-order."""
-    match f:
-        case Atom() | Eq() | Slot():
-            pass
-        case Not(b) | Forall(_, b) | Exists(_, b):
-            yield from subformulas(b)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            yield from subformulas(l)
-            yield from subformulas(r)
-    yield f
+    return fold(f, lambda g, kids: [h for kid in kids for h in kid] + [g])
 
 
 def individual_quantifier_count(f: Formula) -> int:
@@ -272,7 +287,7 @@ def individual_quantifier_count(f: Formula) -> int:
     return sum(
         1
         for g in subformulas(f)
-        if isinstance(g, (Forall, Exists)) and g.var.is_individual
+        if isinstance(g, _Quantifier) and g.var.is_individual
     )
 
 
@@ -286,41 +301,43 @@ def individual_quantifier_count(f: Formula) -> int:
 # under re-parsing.
 # ---------------------------------------------------------------------------
 
-_PREC_IFF, _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4, 5
+_PREC_UNARY = 5
+# operator, precedence, associates to the left
+_BINARY_SYNTAX = {
+    And: ("&", 4, True),
+    Or: ("|", 3, True),
+    Implies: ("->", 2, False),
+    Iff: ("<->", 1, False),
+}
 
 
 def format_formula(f: Formula) -> str:
     """Render a formula in the surface syntax; inverse of ``parse``."""
-    return _fmt(f, 0)
+    return fold(f, _fmt)[0]
 
 
-def _fmt(f: Formula, level: int) -> str:
-    match f:
-        case Atom(p, args):
-            s, prec = " ".join(str(v) for v in (p, *args)), _PREC_UNARY + 1
-        case Eq(l, r):
-            s, prec = f"{l} = {r}", _PREC_UNARY + 1
-        case Slot(name, _):
-            s, prec = f"?{name}", _PREC_UNARY + 1
-        case Not(b):
-            s, prec = f"~({_fmt(b, 0)})", _PREC_UNARY
-        case And(l, r):
-            s, prec = f"{_fmt(l, _PREC_AND)} & {_fmt(r, _PREC_AND + 1)}", _PREC_AND
-        case Or(l, r):
-            s, prec = f"{_fmt(l, _PREC_OR)} | {_fmt(r, _PREC_OR + 1)}", _PREC_OR
-        case Implies(l, r):
-            s, prec = f"{_fmt(l, _PREC_IMPLIES + 1)} -> {_fmt(r, _PREC_IMPLIES)}", _PREC_IMPLIES
-        case Iff(l, r):
-            s, prec = f"{_fmt(l, _PREC_IFF + 1)} <-> {_fmt(r, _PREC_IFF)}", _PREC_IFF
-        case Forall(v, b) | Exists(v, b):
-            kw = "all" if isinstance(f, Forall) else "ex"
-            body = _fmt(b, 0)
-            if isinstance(b, BINARY_NODES):
-                body = f"({body})"
-            s, prec = f"{kw} {v} . {body}", 0
-        case _:
-            raise FormulaError(f"unknown node {type(f).__name__}")
-    return f"({s})" if prec < level else s
+def _fmt(f: Formula, kids: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text of ``f`` and its precedence, from its children's."""
+    if isinstance(f, Atom):
+        return " ".join(str(v) for v in (f.predicate, *f.args)), _PREC_UNARY + 1
+    if isinstance(f, Eq):
+        return f"{f.left} = {f.right}", _PREC_UNARY + 1
+    if isinstance(f, Not):
+        return f"~({kids[0][0]})", _PREC_UNARY
+    if isinstance(f, _Quantifier):
+        kw = "all" if isinstance(f, Forall) else "ex"
+        body = kids[0][0]
+        if isinstance(f.body, _Binary):
+            body = f"({body})"
+        return f"{kw} {f.var} . {body}", 0
+    op, prec, left_assoc = _BINARY_SYNTAX[type(f)]
+    (left, left_prec), (right, right_prec) = kids
+    # the operand on the associating side may share the operator's precedence
+    if left_prec < (prec if left_assoc else prec + 1):
+        left = f"({left})"
+    if right_prec < (prec + 1 if left_assoc else prec):
+        right = f"({right})"
+    return f"{left} {op} {right}", prec
 
 
 # ---------------------------------------------------------------------------
@@ -328,65 +345,44 @@ def _fmt(f: Formula, level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def substitute_ind(f: Formula, var: Var, replacement: Var) -> Formula:
-    """Replace free occurrences of individual ``var`` by individual ``replacement``."""
-    if not (var.is_individual and replacement.is_individual):
-        raise FormulaError("substitute_ind works on individual variables")
-    if var == replacement or var not in f.free_vars:
-        return f
-    match f:
-        case Atom(p, args):
-            return Atom(p, tuple(replacement if a == var else a for a in args))
-        case Eq(l, r):
-            return Eq(replacement if l == var else l, replacement if r == var else r)
-        case Not(b):
-            return Not(substitute_ind(b, var, replacement))
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return type(f)(
-                substitute_ind(l, var, replacement), substitute_ind(r, var, replacement)
-            )
-        case Forall(v, b) | Exists(v, b):
-            if v == replacement:
-                raise CaptureError(
-                    f"substituting {replacement} for {var} would be captured by "
-                    f"the quantifier on {v}"
-                )
-            return type(f)(v, substitute_ind(b, var, replacement))
-        case Slot():
-            raise FormulaError("cannot substitute inside a schema slot")
-    raise FormulaError(f"unknown node {type(f).__name__}")
+def _rewrite(
+    f: Formula, var: Var, leaf: Callable[[Formula], Formula], capture: frozenset[Var]
+) -> Formula:
+    """Replace each atomic formula in which ``var`` occurs free by ``leaf`` of it.
+
+    Raises :class:`CaptureError` when such an occurrence lies under a
+    quantifier on a variable in ``capture``.
+    """
+
+    def go(g: Formula) -> Formula:
+        if var not in g.free_vars:
+            return g
+        kids = _children(g)
+        if not kids:
+            return leaf(g)
+        if isinstance(g, _Quantifier) and g.var in capture:
+            raise CaptureError(f"rewriting {var} under the quantifier on {g.var} would capture it")
+        return _rebuild(g, [go(k) for k in kids])
+
+    return go(f)
 
 
-def substitute_pred_var(f: Formula, var: Var, replacement: Var) -> Formula:
-    """Replace free occurrences of predicate ``var`` by predicate ``replacement``."""
-    if not (var.is_predicate and replacement.is_predicate):
-        raise FormulaError("substitute_pred_var works on predicate variables")
+def substitute(f: Formula, var: Var, replacement: Var) -> Formula:
+    """Replace free occurrences of ``var`` by ``replacement`` of the same sort."""
     if var.arity != replacement.arity:
-        raise ArityError(f"{var} and {replacement} differ in arity")
-    if var == replacement or var not in f.free_vars:
+        raise ArityError(f"{var} and {replacement} differ in sort or arity")
+    if var == replacement:
         return f
-    match f:
-        case Atom(p, args):
-            return Atom(replacement if p == var else p, args)
-        case Eq(l, r):
-            return Eq(replacement if l == var else l, replacement if r == var else r)
-        case Not(b):
-            return Not(substitute_pred_var(b, var, replacement))
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return type(f)(
-                substitute_pred_var(l, var, replacement),
-                substitute_pred_var(r, var, replacement),
-            )
-        case Forall(v, b) | Exists(v, b):
-            if v == replacement:
-                raise CaptureError(
-                    f"substituting {replacement} for {var} would be captured by "
-                    f"the quantifier on {v}"
-                )
-            return type(f)(v, substitute_pred_var(b, var, replacement))
-        case Slot():
-            raise FormulaError("cannot substitute inside a schema slot")
-    raise FormulaError(f"unknown node {type(f).__name__}")
+
+    def swap(v: Var) -> Var:
+        return replacement if v == var else v
+
+    def leaf(g: Formula) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(swap(g.predicate), tuple(swap(a) for a in g.args))
+        return Eq(swap(g.left), swap(g.right))
+
+    return _rewrite(f, var, leaf, frozenset((replacement,)))
 
 
 def lower_predicate_application(
@@ -401,39 +397,14 @@ def lower_predicate_application(
         raise FormulaError("lowering rewrites predicate variables")
     if target.arity != var.arity + len(prefix):
         raise ArityError("target arity must be the prefix length plus the source arity")
-    if var not in f.free_vars:
-        return f
-    match f:
-        case Atom(p, args):
-            if p == var:
-                return Atom(target, tuple(prefix) + args)
-            return f
-        case Eq(l, r):
-            if var in (l, r):
-                raise LoweringError(f"{var} occurs in a predicate equality; cannot lower")
-            return f
-        case Not(b):
-            return Not(lower_predicate_application(b, var, target, prefix))
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return type(f)(
-                lower_predicate_application(l, var, target, prefix),
-                lower_predicate_application(r, var, target, prefix),
-            )
-        case Forall(v, b) | Exists(v, b):
-            if v == target or v in prefix:
-                raise CaptureError(
-                    f"lowering {var} under a quantifier on {v} would capture the rewrite"
-                )
-            return type(f)(v, lower_predicate_application(b, var, target, prefix))
-        case Slot():
-            raise FormulaError("cannot lower inside a schema slot")
-    raise FormulaError(f"unknown node {type(f).__name__}")
+    prefix = tuple(prefix)
 
+    def leaf(g: Formula) -> Formula:
+        if isinstance(g, Eq):
+            raise LoweringError(f"{var} occurs in a predicate equality; cannot lower")
+        return Atom(target, prefix + g.args)
 
-def _substitute_var(f: Formula, var: Var, replacement: Var) -> Formula:
-    if var.is_individual:
-        return substitute_ind(f, var, replacement)
-    return substitute_pred_var(f, var, replacement)
+    return _rewrite(f, var, leaf, frozenset((target, *prefix)))
 
 
 def rename_bound_away(f: Formula, forbidden: Iterable[Var]) -> Formula:
@@ -449,27 +420,14 @@ def rename_bound_away(f: Formula, forbidden: Iterable[Var]) -> Formula:
     for v in all_vars(f) | forbidden:
         taken[v.arity] = max(taken.get(v.arity, -1), v.index)
 
-    def fresh(arity: int) -> Var:
-        taken[arity] = taken.get(arity, -1) + 1
-        return Var(taken[arity], arity)
+    def rename(g: Formula, kids: list[Formula]) -> Formula:
+        if isinstance(g, _Quantifier) and g.var in forbidden:
+            taken[g.var.arity] += 1
+            fresh = Var(taken[g.var.arity], g.var.arity)
+            return type(g)(fresh, substitute(kids[0], g.var, fresh))
+        return _rebuild(g, kids)
 
-    def rec(g: Formula) -> Formula:
-        match g:
-            case Atom() | Eq() | Slot():
-                return g
-            case Not(b):
-                return Not(rec(b))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                return type(g)(rec(l), rec(r))
-            case Forall(v, b) | Exists(v, b):
-                body = rec(b)
-                if v in forbidden:
-                    v2 = fresh(v.arity)
-                    return type(g)(v2, _substitute_var(body, v, v2))
-                return type(g)(v, body)
-        raise FormulaError(f"unknown node {type(g).__name__}")
-
-    return rec(f)
+    return fold(f, rename)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +443,6 @@ def conj(parts: Iterable[Formula]) -> Formula:
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
-    return out
-
-
-def disj(parts: Iterable[Formula]) -> Formula:
-    """Left-folded disjunction of a nonempty sequence."""
-    parts = list(parts)
-    if not parts:
-        raise FormulaError("disjunction of nothing")
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
     return out
 
 
@@ -534,7 +481,7 @@ def exists_unique(vs: Iterable[Var], body: Formula) -> Formula:
     def copy_with(replacements: tuple[Var, ...]) -> Formula:
         out = body
         for old, new in zip(vs, replacements):
-            out = substitute_ind(out, old, new)
+            out = substitute(out, old, new)
         return out
 
     same = conj([Eq(a, b) for a, b in zip(first, second)])
@@ -542,66 +489,6 @@ def exists_unique(vs: Iterable[Var], body: Formula) -> Formula:
         first + second, Implies(And(copy_with(first), copy_with(second)), same)
     )
     return And(exists_many(vs, body), uniqueness)
-
-
-# ---------------------------------------------------------------------------
-# Schema templates.
-# ---------------------------------------------------------------------------
-
-
-def slots_of(template: Formula) -> dict[str, frozenset[Var]]:
-    """The slot names of a template with their declared signatures."""
-    out: dict[str, frozenset[Var]] = {}
-    for g in subformulas(template):
-        if isinstance(g, Slot):
-            if g.name in out and out[g.name] != g.signature:
-                raise SignatureError(f"slot {g.name!r} declared with two signatures")
-            out[g.name] = g.signature
-    return out
-
-
-def instantiate_schema(template: Formula, payloads: Mapping[str, Formula]) -> Formula:
-    """Fill every slot of ``template`` with its payload.
-
-    Each payload's free variables must stay inside the slot's declared
-    signature.  Bound variables of the template are renamed away from the
-    payloads' variables first, so the only capture the result can still
-    report is a payload binding one of its own signature variables, which
-    no renaming of the template can repair.
-    """
-    declared = slots_of(template)
-    for name in declared:
-        if name not in payloads:
-            raise SignatureError(f"no payload for slot {name!r}")
-    for name in payloads:
-        if name not in declared:
-            raise SignatureError(f"template has no slot named {name!r}")
-    protected: set[Var] = set()
-    payload_vars: set[Var] = set()
-    for name, sig in declared.items():
-        h = payloads[name]
-        if not h.free_vars <= sig:
-            extra = ", ".join(sorted(str(v) for v in h.free_vars - sig))
-            raise SignatureError(f"payload for slot {name!r} has stray free variables: {extra}")
-        protected |= sig
-        payload_vars |= all_vars(h)
-    body = rename_bound_away(template, payload_vars - protected)
-
-    def rec(g: Formula) -> Formula:
-        match g:
-            case Slot(name, _):
-                return payloads[name]
-            case Atom() | Eq():
-                return g
-            case Not(b):
-                return Not(rec(b))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                return type(g)(rec(l), rec(r))
-            case Forall(v, b) | Exists(v, b):
-                return type(g)(v, rec(b))
-        raise FormulaError(f"unknown node {type(g).__name__}")
-
-    return rec(body)
 
 
 # ---------------------------------------------------------------------------
@@ -616,45 +503,30 @@ def instantiate_schema(template: Formula, payloads: Mapping[str, Formula]) -> Fo
 
 def derivation(f: Formula) -> list[tuple[int, Formula]]:
     """Post-order list of (rule number, node) pairs deriving the formula."""
-
-    def scan_bound(g: Formula) -> set[Var]:
-        match g:
-            case Atom() | Eq():
-                return set()
-            case Not(b):
-                return scan_bound(b)
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                return scan_bound(l) | scan_bound(r)
-            case Forall(v, b) | Exists(v, b):
-                return {v} | scan_bound(b)
-        raise FormulaError(f"{type(g).__name__} is not derivable")
-
     steps: list[tuple[int, Formula]] = []
 
-    def rec(g: Formula) -> None:
-        match g:
-            case Atom(p, args):
-                if len(args) != p.arity or not p.is_predicate:
-                    raise ArityError(f"bad application {g}")
-                steps.append((1, g))
-            case Eq(l, r):
-                if l.arity != r.arity:
-                    raise ArityError(f"bad equality {g}")
-                steps.append((1, g))
-            case Not(b):
-                rec(b)
-                steps.append((2, g))
-            case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-                rec(l)
-                rec(r)
-                steps.append((2, g))
-            case Forall(v, b) | Exists(v, b):
-                rec(b)
-                if v in scan_bound(b):
-                    raise CaptureError(f"{v} does not occur only free under its quantifier")
-                steps.append((3 if v.is_individual else 4, g))
-            case _:
-                raise FormulaError(f"{type(g).__name__} is not derivable")
+    def step(g: Formula, kids: list[set[Var]]) -> set[Var]:
+        """Record the rule for ``g``; return the variables bound inside it."""
+        bound = set().union(*kids)
+        if isinstance(g, Atom):
+            if len(g.args) != g.predicate.arity or not g.predicate.is_predicate:
+                raise ArityError(f"bad application {g}")
+            rule = 1
+        elif isinstance(g, Eq):
+            if g.left.arity != g.right.arity:
+                raise ArityError(f"bad equality {g}")
+            rule = 1
+        elif isinstance(g, (Not, _Binary)):
+            rule = 2
+        elif isinstance(g, _Quantifier):
+            if g.var in bound:
+                raise CaptureError(f"{g.var} does not occur only free under its quantifier")
+            bound.add(g.var)
+            rule = 3 if g.var.is_individual else 4
+        else:
+            raise FormulaError(f"{type(g).__name__} is not derivable")
+        steps.append((rule, g))
+        return bound
 
-    rec(f)
+    fold(f, step)
     return steps

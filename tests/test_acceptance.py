@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from oracle import naive_eval
+from oracle import close_structure_under, naive_eval
 
 from henkin.corpus import (
     comprehension_corpus,
@@ -33,7 +33,6 @@ from henkin.groups import (
     PrincipalNormal,
     check_transport,
     check_stabilizer_bound,
-    close_structure_under,
 )
 from henkin.parser import parse
 from henkin.schemas import AC, CHOICE, CHOICE_H, SchemaId, check_schema

@@ -1,9 +1,14 @@
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from henkin.cli import main
+from henkin.corpus import default_vocabulary, random_formula
 from henkin.structures import save_structure, standard_structure, Structure, Table
+from henkin.syntax import format_formula
 
 
 @pytest.fixture()
@@ -292,3 +297,236 @@ class TestReportDeterminism:
     def test_seed_echoed(self, capsys):
         code, report, _ = run(capsys, "--seed", "7", "parse", "--text", "x1 = x1")
         assert code == 0 and report["seed"] == 7
+
+
+def write(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+def small_structure_file(directory):
+    path = directory / "small.json"
+    save_structure(standard_structure(("a", "b"), 2), path)
+    return str(path)
+
+
+MALFORMED = {
+    "nested-not": lambda d: ["parse", "--text", "~(" * 150 + "x1 = x1" + ")" * 150],
+    "chained-quantifiers": lambda d: [
+        "parse", "--text", "".join(f"all x{i} . " for i in range(1, 201)) + "x1 = x1"
+    ],
+    "bare-nots": lambda d: ["parse", "--text", "~" * 2000 + "x1 = x1"],
+    "redundant-parentheses": lambda d: ["parse", "--text", "(" * 2000 + "x1 = x1" + ")" * 2000],
+    "and-chain": lambda d: ["parse", "--text", " & ".join(["x1 = x1"] * 1500)],
+    "implies-chain": lambda d: ["parse", "--text", " -> ".join(["x1 = x1"] * 1500)],
+    "iff-chain": lambda d: ["parse", "--text", " <-> ".join(["x1 = x1"] * 1500)],
+    "wide-conjunction-file": lambda d: [
+        "eval", "--structure", small_structure_file(d),
+        "--formula", write(d, "wide.fml", " & ".join(["x1 = x1"] * 1500) + "\n"),
+    ],
+    "non-integer-flag": lambda d: ["check", "--n", "abc"],
+    "unknown-command": lambda d: ["bogus"],
+    "no-arguments": lambda d: [],
+    "non-string-bitstring": lambda d: [
+        "eval",
+        "--structure",
+        write(d, "bits.json", json.dumps({"individuals": ["a"], "domains": {"1": [10]}})),
+        "--formula", write(d, "f.fml", "x1 = x1\n"),
+    ],
+    "invalid-json": lambda d: [
+        "eval", "--structure", write(d, "bad.json", '{"individuals": ["a", "b"], "domains": '),
+        "--formula", write(d, "f.fml", "x1 = x1\n"),
+    ],
+    "negative-support": lambda d: ["fraenkel", "sweep", "--max-support", "-1"],
+    "negative-cap": lambda d: [
+        "check", "--structure", small_structure_file(d), "--schema", "ac",
+        "--cap-assignments", "-5",
+    ],
+    "zero-max-arity": lambda d: [
+        "build-model", "--max-arity", "0",
+        "--structure", write(d, "spec.json", json.dumps({"individuals": ["a", "b"]})),
+    ],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exit_2_with_one_stable_error_report(self, capsys, tmp_path, name):
+        argv = MALFORMED[name](tmp_path)
+        outputs = []
+        for _ in range(2):
+            assert main(list(argv)) == 2
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert set(report["result"]) == {"error"}
+            report.pop("timing_s")
+            outputs.append(report)
+        assert outputs[0] == outputs[1]
+
+    def test_help_still_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
+
+# Random command lines: every command with its options mostly well formed,
+# values drawn from small numbers and from files written per example.
+
+FORMULA_ALPHABET = list("x012A^~&|<->=(). ") + ["all ", "ex ", "ex!! "]
+
+
+def random_formula_text(seed):
+    return format_formula(random_formula(random.Random(seed), 3, *default_vocabulary(2)))
+
+
+formula_texts = st.one_of(
+    st.lists(st.sampled_from(FORMULA_ALPHABET), min_size=1, max_size=30).map("".join),
+    st.sampled_from(["all x2 . (A0^1 x2 <-> x2 = x1)", "all x1 . ex A0^1 . A0^1 x1"]),
+    st.integers(0, 10**6).map(random_formula_text),
+    st.integers(0, 10**6).map(random_formula_text),
+)
+bitstrings = st.one_of(
+    st.text("01", min_size=2, max_size=4), st.text("012", max_size=5), st.integers(0, 11)
+)
+labels = st.lists(st.sampled_from(["a", "b", "1", "2", ""]), min_size=1, max_size=2)
+symbolic_docs = st.fixed_dictionaries({
+    "arity": st.integers(0, 2),
+    "support": st.lists(st.sampled_from(["p", "q"]), max_size=2),
+    "accepted": st.lists(st.sampled_from(["f1", "p", "f1,f1", "p,q"]), max_size=2),
+})
+json_docs = st.one_of(
+    # structures, model specs, assignments and bindings, each possibly ill-formed
+    st.fixed_dictionaries({
+        "individuals": labels,
+        "domains": st.dictionaries(
+            st.sampled_from(["1", "2", "0"]), st.lists(bitstrings, max_size=4), max_size=2
+        ),
+    }),
+    st.fixed_dictionaries({
+        "individuals": labels,
+        "group": st.fixed_dictionaries({
+            "generators": st.lists(st.sampled_from(["(1 2)", "(a b)", "(1 3)"]), max_size=2)
+        }),
+        "filter": st.fixed_dictionaries({
+            "kind": st.sampled_from(["all", "finite-supports", "principal-normal", "bogus"]),
+            "generators": st.lists(st.sampled_from(["(1 2)", "(a b)"]), max_size=1),
+        }),
+    }),
+    st.fixed_dictionaries({
+        "individuals": st.dictionaries(
+            st.sampled_from(["x1", "x2", "A0^1"]), st.sampled_from(["a", "b", "p", "f1"])
+        ),
+        "predicates": st.dictionaries(
+            st.sampled_from(["A0^1", "A0^2", "x1"]), bitstrings | symbolic_docs
+        ),
+    }),
+    st.recursive(
+        st.none() | st.integers() | st.text(max_size=4),
+        lambda c: st.lists(c, max_size=3),
+        max_leaves=5,
+    ),
+)
+
+
+@st.composite
+def structure_docs(draw):
+    """Well-formed structures over one or two points."""
+    size = draw(st.integers(1, 2))
+    domains = {}
+    for n in (1, 2):
+        tables = st.text("01", min_size=size**n, max_size=size**n)
+        domains[str(n)] = draw(st.lists(tables, min_size=1, max_size=4, unique=True))
+    return {"individuals": ["a", "b"][:size], "domains": domains}
+
+
+def files_mostly(name):
+    return st.sampled_from([name] * 8 + ["bad.json", "missing.json"])
+
+
+numbers = st.integers(-2, 2).map(str)
+COMMANDS = [
+    # command, required options, optional options
+    (["parse"], ["--text"], []),
+    (["parse"], ["--formula"], []),
+    (["eval"], ["--structure", "--formula"], ["--assignment"]),
+    (["check"], ["--structure", "--schema"], ["--n", "--m", "--h", "--reflexive"]),
+    (["saturate"], ["--structure"], ["--depth"]),
+    (["build-model"], ["--structure"], ["--max-arity", "--cap-tables", "--cap-group"]),
+    (["fraenkel", "sweep"], [], ["--max-support", "--reflexive"]),
+    (["fraenkel", "eval"], ["--formula"], ["--bind", "--strat"]),
+    (["fraenkel", "choice"], ["--h"], ["--n", "--m", "--strat"]),
+]
+OPTION_VALUES = {
+    "--text": formula_texts,
+    "--schema": st.sampled_from([
+        "ac", "ac-star", "wo1", "lo", "wo", "choice", "choice-h", "choice-star",
+        "comprehension", "bogus",
+    ]),
+    "--reflexive": st.none(),
+    "--structure": files_mostly("s.json"),
+    "--formula": files_mostly("f.fml"),
+    "--h": files_mostly("f.fml"),
+    "--assignment": files_mostly("a.json"),
+    "--bind": files_mostly("a.json"),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """Files to write, and a command line that names them."""
+    files = {
+        "f.fml": draw(formula_texts),
+        "s.json": json.dumps(draw(structure_docs() | json_docs)),
+        "a.json": json.dumps(draw(json_docs)),
+        "bad.json": draw(st.text(max_size=20)),
+    }
+    command, required, optional = draw(st.sampled_from(COMMANDS))
+    mostly = st.sampled_from([True] * 9 + [False])
+    chosen = [o for o in required if draw(mostly)] + [o for o in optional if draw(st.booleans())]
+    if not draw(mostly):
+        chosen.append(draw(st.sampled_from(["--bogus", "--seed", "--n", "--cap-preds"])))
+    # small caps first, so the drawn options can still override them
+    argv = command + ["--cap-preds", "2000", "--cap-assignments", "5000", "--cap-formulas", "500"]
+    for option in chosen:
+        argv.append(option)
+        value = draw(OPTION_VALUES.get(option, numbers))
+        if value is not None:
+            argv.append(value)
+    if draw(st.booleans()):
+        argv = ["--seed", draw(numbers)] + argv
+    return files, argv
+
+
+def false_verdict(result):
+    return (
+        result.get("truth") is False
+        or result.get("holds") is False
+        or result.get("status") == "inconclusive"
+        or result.get("linear_orders_found", 0) > 0
+    )
+
+
+FALSE_EVAL = (
+    {"f.fml": "~(x1 = x1)", "s.json": json.dumps({"individuals": ["a"], "domains": {"1": ["0"]}})},
+    ["eval", "--structure", "s.json", "--formula", "f.fml"],
+)
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(command_lines())
+@example(FALSE_EVAL)
+def test_every_command_line_keeps_the_exit_contract(tmp_path, monkeypatch, capsys, case):
+    files, argv = case
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2, 3)
+    assert isinstance(report, dict) and isinstance(report["result"], dict)
+    if code == 1:
+        assert false_verdict(report["result"])
+    if code == 2:
+        assert "error" in report["result"]

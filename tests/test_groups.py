@@ -17,10 +17,8 @@ from henkin.groups import (
     act_on_assignment,
     act_on_predicate,
     build_permutation_model,
-    build_permutation_model_bruteforce,
     check_transport,
     check_stabilizer_bound,
-    close_structure_under,
     cycles_string,
     filter_contains,
     filter_degenerate,
@@ -30,6 +28,7 @@ from henkin.groups import (
     symmetry_subgroup,
 )
 from henkin.parser import parse
+from oracle import build_permutation_model_bruteforce, close_structure_under
 from henkin.structures import Assignment, StructureError, Table, equality_table, standard_structure
 from henkin.syntax import free_vars, ind, pred
 

@@ -1,6 +1,13 @@
-import pytest
+import random
 
+import pytest
+from oracle import naive_eval
+
+from henkin.evaluate import evaluate
+from henkin.parser import ParseError, parse
+from henkin.structures import Assignment, standard_structure
 from henkin.syntax import (
+    MAX_DEPTH,
     And,
     ArityError,
     Atom,
@@ -8,24 +15,21 @@ from henkin.syntax import (
     Eq,
     Exists,
     Forall,
+    FormulaError,
     Iff,
     Implies,
     Not,
     Or,
-    SignatureError,
-    Slot,
     all_vars,
     depth,
     derivation,
     exists_unique,
     format_formula,
     ind,
-    instantiate_schema,
     lower_predicate_application,
     pred,
     rename_bound_away,
-    substitute_ind,
-    substitute_pred_var,
+    substitute,
 )
 
 x0, x1, x2, x3 = ind(0), ind(1), ind(2), ind(3)
@@ -112,18 +116,24 @@ class TestPrinting:
 class TestSubstitution:
     def test_free_occurrences_only(self):
         f = And(Eq(x1, x2), Forall(x1, Eq(x1, x1)))
-        g = substitute_ind(f, x1, x3)
+        g = substitute(f, x1, x3)
         assert g == And(Eq(x3, x2), Forall(x1, Eq(x1, x1)))
 
     def test_capture_detected(self):
         f = Forall(x2, Eq(x1, x2))
         with pytest.raises(CaptureError):
-            substitute_ind(f, x1, x2)
+            substitute(f, x1, x2)
 
     def test_predicate_rename(self):
         f = Forall(x1, Iff(Atom(A, (x1,)), Atom(B, (x1,))))
-        g = substitute_pred_var(f, A, pred(2, 1))
+        g = substitute(f, A, pred(2, 1))
         assert g.free_vars == frozenset({pred(2, 1), B})
+
+    def test_sorts_must_match(self):
+        with pytest.raises(ArityError):
+            substitute(Atom(A, (x1,)), x1, A)
+        with pytest.raises(ArityError):
+            substitute(Atom(A, (x1,)), A, R)
 
 
 class TestRenameBoundAway:
@@ -164,39 +174,6 @@ class TestExistsUnique:
         assert evaluate(s, Assignment({A: both}), f) is False
 
 
-class TestSchemaInstantiation:
-    def choice_template(self):
-        """all x1 . ex D . ?H with the payload allowed {x1, D}."""
-        dvar = pred(0, 1)
-        slot = Slot("H", frozenset({x1, dvar}))
-        return Forall(x1, Exists(dvar, slot))
-
-    def test_fills_slot(self):
-        dvar = pred(0, 1)
-        payload = Iff(Atom(dvar, (x1,)), Eq(x1, x1))
-        out = instantiate_schema(self.choice_template(), {"H": payload})
-        assert out == Forall(x1, Exists(dvar, payload))
-
-    def test_signature_violation(self):
-        payload = Eq(x2, x2)
-        with pytest.raises(SignatureError):
-            instantiate_schema(self.choice_template(), {"H": payload})
-
-    def test_template_bound_variables_renamed(self):
-        dvar = pred(0, 1)
-        template = Forall(x2, Exists(dvar, Slot("H", frozenset({x1, dvar}))))
-        # payload binds x2 internally; the template's x2 must move away
-        payload = And(Atom(dvar, (x1,)), Forall(x2, Eq(x2, x2)))
-        out = instantiate_schema(template, {"H": payload})
-        assert isinstance(out, Forall) and out.var != x2
-
-    def test_free_vars_stay_inside_signatures(self):
-        dvar = pred(0, 1)
-        payload = Iff(Atom(dvar, (x1,)), Eq(x1, x1))
-        out = instantiate_schema(self.choice_template(), {"H": payload})
-        assert out.free_vars <= frozenset({x1, dvar})
-
-
 class TestLowering:
     def test_rewrites_applications(self):
         dvar = pred(0, 1)
@@ -212,6 +189,13 @@ class TestLowering:
         with pytest.raises(LoweringError):
             lower_predicate_application(Eq(dvar, B), dvar, pred(1, 2), (x1,))
 
+    def test_prefix_capture_detected(self):
+        dvar = pred(0, 1)
+        with pytest.raises(CaptureError):
+            lower_predicate_application(
+                Forall(x1, Atom(dvar, (x2,))), dvar, pred(1, 2), (x1,)
+            )
+
 
 class TestDerivation:
     def test_rules_assigned(self):
@@ -220,10 +204,6 @@ class TestDerivation:
         rules = [r for r, _ in steps]
         assert rules == [1, 1, 2, 4, 3]
         assert steps[-1][1] == f
-
-    def test_slot_not_derivable(self):
-        with pytest.raises(Exception):
-            derivation(Slot("H", frozenset()))
 
     def test_every_accepted_ast_is_derivable(self):
         import random
@@ -242,3 +222,75 @@ class TestDerivation:
 def test_all_vars_counts_vacuous_binder():
     f = Forall(x1, Eq(x2, x2))
     assert x1 in all_vars(f)
+
+
+def deep_formula(seed: int, target: int):
+    """A formula of exactly the target depth along one spine whose nodes mix
+    negation, both quantifiers over both sorts, and all four binary
+    connectives.  Each binary node's other child is an atom over variables
+    bound above it, so the quantifiers are not vacuous."""
+    rng = random.Random(seed)
+    kinds = [
+        rng.choice(["not", "all", "ex", "and", "or", "implies", "iff"]) for _ in range(target)
+    ]
+    bound = []  # (position from the top, variable)
+    for j, kind in enumerate(kinds):
+        if kind in ("all", "ex"):
+            is_pred = rng.random() < 0.1 and sum(v.is_predicate for _, v in bound) < 3
+            bound.append((j, pred(j + 1, 1) if is_pred else ind(j + 1)))
+
+    def leaf(j: int):
+        inds = [x0] + [v for k, v in bound if k < j and v.is_individual]
+        preds = [A] + [v for k, v in bound if k < j and v.is_predicate]
+        if rng.random() < 0.5:
+            return Eq(rng.choice(inds), rng.choice(inds))
+        return Atom(rng.choice(preds), (rng.choice(inds),))
+
+    nodes = {"and": And, "or": Or, "implies": Implies, "iff": Iff}
+    binders = dict(bound)
+    f = leaf(target)
+    for j in reversed(range(target)):
+        kind = kinds[j]
+        if kind == "not":
+            f = Not(f)
+        elif kind in ("all", "ex"):
+            f = (Forall if kind == "all" else Exists)(binders[j], f)
+        elif rng.random() < 0.5:
+            f = nodes[kind](f, leaf(j))
+        else:
+            f = nodes[kind](leaf(j), f)
+    return f
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_max_depth_round_trips_and_evaluates(self, seed):
+        f = deep_formula(seed, MAX_DEPTH)
+        assert depth(f) == MAX_DEPTH
+        g = parse(format_formula(f))
+        assert g == f and hash(g) == hash(f)
+        # one individual keeps the quantifiers cheap; the oracle recurses too
+        point = standard_structure(("a",), 1)
+        assert evaluate(point, Assignment({}), f) == naive_eval(point, {}, f)
+        assert derivation(f)[-1] == (derivation(f)[-1][0], f)
+        renamed = rename_bound_away(f, f.bound_vars)
+        assert depth(renamed) == MAX_DEPTH and not renamed.bound_vars & f.bound_vars
+
+    def test_deepest_printed_nesting_reparses(self):
+        # a quantifier as the left operand of & and a conjunction as a
+        # quantifier body both take parentheses: one and a half nesting
+        # levels of text per level of depth
+        f = Atom(A, (x0,))
+        for j in range(MAX_DEPTH):
+            f = Forall(ind(j + 1), f) if j % 2 == 0 else And(f, Eq(x0, x0))
+        text = format_formula(f)
+        assert text.count("(") + text.count("all") > MAX_DEPTH
+        assert parse(text) == f
+
+    def test_one_deeper_is_rejected_at_construction(self):
+        f = deep_formula(0, MAX_DEPTH)
+        for build in (Not, lambda g: And(g, Eq(x1, x1)), lambda g: Forall(pred(0, 3), g)):
+            with pytest.raises(FormulaError, match="exceeds the bound"):
+                build(f)
+        with pytest.raises(ParseError, match="exceeds the bound"):
+            parse(f"~({format_formula(f)})")
