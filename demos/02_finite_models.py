@@ -51,7 +51,7 @@ print("gap structure satisfies the instance:", outcome.holds)
 print("missing table:", outcome.table.bitstring())
 
 # Saturation closes the domains under depth-bounded definability, re-run
-# until nothing new appears for two rounds.
+# until a round adds nothing.
 filled = saturate(gap, 1)
 print("after saturation:", sorted(t.bitstring() for t in filled.domains[1]))
 print("standard is a fixpoint:", saturate(std, 1) == std)

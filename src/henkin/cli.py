@@ -24,10 +24,11 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import fraenkel, groups, schemas
-from .evaluate import saturate_with_report
+from .evaluate import evaluate, saturate_with_report
 from .parser import parse
 from .structures import (
     Assignment,
@@ -35,6 +36,7 @@ from .structures import (
     DEFAULT_TABLE_CAP,
     assignment_from_dict,
     assignment_to_dict,
+    json_shape,
     load_structure,
     structure_to_dict,
 )
@@ -135,8 +137,6 @@ def _cmd_eval(args, report: RunReport, started: float) -> int:
     if args.assignment:
         report.inputs[str(args.assignment)] = _digest(args.assignment)
         assignment = assignment_from_dict(_load_json(args.assignment), structure)
-    from .evaluate import evaluate
-
     truth = evaluate(structure, assignment, formula)
     report.result = {"truth": truth}
     _emit(report, f"evaluates {'true' if truth else 'false'}", started)
@@ -244,11 +244,12 @@ def _cmd_fraenkel_sweep(args, report: RunReport, started: float) -> int:
 def _load_binding(path: str | Path) -> dict:
     from .parser import parse_var
 
-    data = _load_json(path)
+    shape = partial(json_shape, error=fraenkel.FraenkelError)
+    data = shape(_load_json(path), "binding document")
     binding = {}
-    for name, atom in data.get("individuals", {}).items():
+    for name, atom in shape(data.get("individuals", {}), "individuals").items():
         binding[parse_var(name)] = atom
-    for name, doc in data.get("predicates", {}).items():
+    for name, doc in shape(data.get("predicates", {}), "predicates").items():
         binding[parse_var(name)] = fraenkel.symbolic_from_dict(doc)
     return binding
 
@@ -312,7 +313,11 @@ class UsageError(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises on a malformed command line instead of exiting, so the error
-    is reported like any other."""
+    is reported like any other.  Flags must be spelled out: an abbreviation
+    such as ``--h`` would otherwise select ``--help`` and print usage text."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise UsageError(f"{self.prog}: {message}")

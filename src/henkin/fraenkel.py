@@ -23,20 +23,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from .evaluate import compile_formula
 from .structures import CapExceeded, Table
-from .syntax import (
-    And,
-    Atom,
-    Eq,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Var,
-)
+from .syntax import Eq, Exists, Forall, Formula, Var, subformulas
 
 
 class FraenkelError(Exception):
@@ -90,9 +79,6 @@ class EqType:
     @property
     def arity(self) -> int:
         return len(self.entries)
-
-    def sort_key(self):
-        return tuple(("a", e, 0) if isinstance(e, str) else ("f", "", e) for e in self.entries)
 
     def __str__(self) -> str:
         return type_string(self)
@@ -310,72 +296,71 @@ class SymbolicVerdict:
     support_bound: int
 
 
-class _EvalContext:
-    def __init__(self, support_bound: int, pred_cap: int):
-        self.support_bound = support_bound
-        self.pred_cap = pred_cap
-        self.enumerated = 0
-        self.stratified = False
-
-
-def _binding_atoms(env: Mapping[Var, object]) -> set[str]:
+def _atom_pool(values: Iterable[object], fresh: int) -> list[str]:
+    """The sorted atoms of the bound values (atom names and predicate
+    supports; ``None`` is a variable out of scope), then ``fresh`` new ones."""
     atoms: set[str] = set()
-    for value in env.values():
+    for value in values:
         if isinstance(value, str):
             atoms.add(value)
-        else:
-            atoms.update(value.support)  # type: ignore[union-attr]
-    return atoms
+        elif value is not None:
+            atoms.update(value.support)  # type: ignore[attr-defined]
+    base = sorted(atoms)
+    return base + list(fresh_atoms(fresh, avoid=base))
 
 
-def _candidate_predicates(arity: int, pool: Sequence[str], ctx: _EvalContext):
+def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
     """All symbolic predicates of the arity whose support is a subset of the
-    pool of size at most the stratum, every accepted set enumerated."""
-    for size in range(min(ctx.support_bound, len(pool)) + 1):
+    pool of size at most the bound, every accepted set enumerated."""
+    for size in range(min(support_bound, len(pool)) + 1):
         for sup in combinations(pool, size):
             sup = tuple(sorted(sup))
             types = enumerate_types(arity, sup)
             for mask in range(2 ** len(types)):
-                ctx.enumerated += 1
-                if ctx.enumerated > ctx.pred_cap:
-                    raise CapExceeded("enumerated symbolic predicates", ctx.enumerated, ctx.pred_cap)
                 accepted = frozenset(t for k, t in enumerate(types) if mask >> k & 1)
                 yield SymbolicPredicate(arity, sup, accepted)
 
 
-def _sym_eval(formula: Formula, env: dict[Var, object], ctx: _EvalContext) -> bool:
-    match formula:
-        case Eq(l, r):
-            lv, rv = env[l], env[r]
-            if l.is_individual:
-                return lv == rv
-            return symbolic_equal(lv, rv)  # type: ignore[arg-type]
-        case Atom(p, args):
-            sigma = env[p]
-            return denotes(sigma, tuple(env[a] for a in args))  # type: ignore[arg-type]
-        case Not(b):
-            return not _sym_eval(b, env, ctx)
-        case And(l, r):
-            return _sym_eval(l, env, ctx) and _sym_eval(r, env, ctx)
-        case Or(l, r):
-            return _sym_eval(l, env, ctx) or _sym_eval(r, env, ctx)
-        case Implies(l, r):
-            return (not _sym_eval(l, env, ctx)) or _sym_eval(r, env, ctx)
-        case Iff(l, r):
-            return _sym_eval(l, env, ctx) == _sym_eval(r, env, ctx)
-        case Forall(v, b) | Exists(v, b):
-            combine = all if isinstance(formula, Forall) else any
-            base = sorted(_binding_atoms(env))
-            if v.is_individual:
-                pool = base + list(fresh_atoms(1, avoid=base))
-                return combine(_sym_eval(b, {**env, v: a}, ctx) for a in pool)
-            ctx.stratified = True
-            pool = base + list(fresh_atoms(ctx.support_bound, avoid=base))
-            return combine(
-                _sym_eval(b, {**env, v: sigma}, ctx)
-                for sigma in _candidate_predicates(v.arity, pool, ctx)
-            )
-    raise FraenkelError(f"cannot evaluate node {type(formula).__name__}")
+class _SymbolicRun:
+    """A formula compiled over the atom universe, called with the values of
+    its parameters.  Individuals are atom names, predicates
+    ``SymbolicPredicate``s.  A quantifier ranges over the sorted atoms of
+    every binding in scope plus fresh atoms: one for an individual,
+    ``support_bound`` for a predicate, whose candidates each call counts
+    against ``pred_cap``; reaching a predicate quantifier marks the call
+    stratified."""
+
+    pred_eq = staticmethod(symbolic_equal)
+
+    def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
+        self.support_bound = support_bound
+        self.pred_cap = pred_cap
+        self.run = compile_formula(formula, self, params)
+
+    def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
+        self.enumerated, self.stratified = 0, False
+        truth = self.run(values)
+        return SymbolicVerdict(truth, self.stratified, self.support_bound)
+
+    @staticmethod
+    def atom(p: int, args: tuple[int, ...]):
+        return lambda env: denotes(env[p], [env[a] for a in args])
+
+    def pool(self, var: Var):
+        if var.is_individual:
+            return lambda env: _atom_pool(env, 1)
+
+        def predicates(env: list):
+            self.stratified = True
+            pool = _atom_pool(env, self.support_bound)
+            for sigma in _candidate_predicates(var.arity, pool, self.support_bound):
+                self.enumerated += 1
+                if self.enumerated > self.pred_cap:
+                    what = "enumerated symbolic predicates"
+                    raise CapExceeded(what, self.enumerated, self.pred_cap)
+                yield sigma
+
+        return predicates
 
 
 def symbolic_evaluate(
@@ -391,9 +376,9 @@ def symbolic_evaluate(
     current bindings plus one fresh atom per quantifier suffice.  Predicate
     quantifiers range over symbolic predicates with support size at most
     ``support_bound`` drawn from the binding atoms plus fresh ones; any such
-    quantifier marks the verdict stratified.
+    quantifier marks the verdict stratified.  Every binding entry counts
+    toward the atoms, whether or not the formula mentions its variable.
     """
-    env: dict[Var, object] = {}
     for var, value in binding.items():
         if var.is_individual:
             if not isinstance(value, str):
@@ -402,16 +387,14 @@ def symbolic_evaluate(
         else:
             if not isinstance(value, SymbolicPredicate) or value.arity != var.arity:
                 raise FraenkelError(f"{var} needs a symbolic predicate of arity {var.arity}")
-        env[var] = value
-    missing = formula.free_vars - set(env)
+    missing = formula.free_vars - set(binding)
     if missing:
         names = ", ".join(sorted(map(str, missing)))
         raise FraenkelError(f"binding does not cover free variables: {names}")
     if support_bound < 0:
         raise FraenkelError("support bound must be >= 0")
-    ctx = _EvalContext(support_bound, pred_cap)
-    truth = _sym_eval(formula, env, ctx)
-    return SymbolicVerdict(truth, ctx.stratified, support_bound)
+    run = _SymbolicRun(formula, tuple(binding), support_bound, pred_cap)
+    return run(tuple(binding.values()))
 
 
 def truncate_predicate(sigma: SymbolicPredicate, atoms: Sequence[str]) -> Table:
@@ -432,15 +415,13 @@ def evaluation_pool(formula: Formula, binding: Mapping[Var, object]) -> tuple[st
     arity n with supports inside the pool always differ on a tuple using at
     most n fresh atoms, so the pool carries that many.
     """
-    atoms = sorted(_binding_atoms(dict(binding)))
-    from .syntax import individual_quantifier_count, subformulas
-
-    count = individual_quantifier_count(formula)
-    for g in subformulas(formula):
-        if isinstance(g, Eq) and g.left.is_predicate:
-            count = max(count, g.left.arity)
-    if not atoms:
-        count = max(count, 1)
+    atoms = _atom_pool(binding.values(), 0)
+    subs = subformulas(formula)
+    count = max(
+        sum(isinstance(g, (Forall, Exists)) and g.var.is_individual for g in subs),
+        *(g.left.arity for g in subs if isinstance(g, Eq) and g.left.is_predicate),
+        0 if atoms else 1,
+    )
     return tuple(atoms) + fresh_atoms(count, avoid=atoms)
 
 
@@ -563,19 +544,6 @@ def is_linear_order(sigma: SymbolicPredicate, *, strict: bool = True) -> OrderVe
     return OrderVerdict(False, result[0], result[1])
 
 
-def swap_witness(sigma: SymbolicPredicate) -> tuple[str, str, str]:
-    """Two fresh atoms plus the axiom their swap kills.
-
-    The two orientations of a fresh pair share an equality type, so the
-    predicate either accepts both (antisymmetry fails) or neither (totality
-    fails); the swap fixing the support exchanges the orientations.
-    """
-    a, b = fresh_atoms(2, avoid=sigma.support)
-    both = denotes(sigma, (a, b))
-    assert both == denotes(sigma, (b, a))
-    return a, b, ("antisymmetry" if both else "totality")
-
-
 @dataclass
 class SweepBucket:
     support_size: int
@@ -692,29 +660,14 @@ def check_choice_instance_sigma0(
     antecedent, svar, matrix = choice_h_parts(n, m, payload)
     if not symbolic_evaluate(antecedent, {}, support_bound, pred_cap=pred_cap).truth:
         return ChoiceInstanceReport("vacuous", None, support_bound, 0, False)
-    pool = fresh_atoms(support_bound)
+    verify = _SymbolicRun(matrix, (svar,), support_bound, pred_cap)
     tried = 0
-    for size in range(support_bound + 1):
-        for sup in combinations(pool, size):
-            types = enumerate_types(n + m, tuple(sorted(sup)))
-            for mask in range(2 ** len(types)):
-                tried += 1
-                if tried > candidate_cap:
-                    return ChoiceInstanceReport(
-                        "inconclusive", None, support_bound, tried - 1, True
-                    )
-                candidate = SymbolicPredicate(
-                    n + m,
-                    tuple(sorted(sup)),
-                    frozenset(t for k, t in enumerate(types) if mask >> k & 1),
-                )
-                verdict = symbolic_evaluate(
-                    matrix, {svar: candidate}, support_bound, pred_cap=pred_cap
-                )
-                if verdict.truth:
-                    return ChoiceInstanceReport(
-                        "witnessed", candidate, support_bound, tried, False
-                    )
+    for candidate in _candidate_predicates(n + m, fresh_atoms(support_bound), support_bound):
+        if tried >= candidate_cap:
+            return ChoiceInstanceReport("inconclusive", None, support_bound, tried, True)
+        tried += 1
+        if verify((candidate,)).truth:
+            return ChoiceInstanceReport("witnessed", candidate, support_bound, tried, False)
     return ChoiceInstanceReport("inconclusive", None, support_bound, tried, False)
 
 

@@ -23,6 +23,7 @@ from .structures import (
     StructureError,
     Table,
     all_tables,
+    json_shape,
 )
 from .syntax import Formula, Var
 
@@ -63,9 +64,6 @@ class Permutation:
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(tuple(range(degree)))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.mapping))
 
     def is_even(self) -> bool:
         seen = [False] * self.degree
@@ -153,12 +151,6 @@ class Group:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
 
     @classmethod
     def from_generators(
@@ -557,13 +549,16 @@ class ModelSpec:
 def model_spec_from_dict(data: dict, *, group_cap: int = DEFAULT_GROUP_CAP) -> ModelSpec:
     """Read ``individuals``, ``group: {generators: [...]}`` and
     ``filter: {kind, generators?}`` from a structure document."""
-    labels = tuple(data["individuals"])
-    gens = [perm_from_cycles(text, labels) for text in data.get("group", {}).get("generators", [])]
+    data = json_shape(data, "model spec")
+    labels = tuple(json_shape(data.get("individuals"), "individuals", list))
+    group_doc = json_shape(data.get("group", {}), "group")
+    generators = json_shape(group_doc.get("generators", []), "generators", list)
+    gens = [perm_from_cycles(text, labels) for text in generators]
     if gens:
         group = Group.from_generators(len(labels), gens, cap=group_cap)
     else:
         group = Group.symmetric(len(labels), cap=max(group_cap, 10_000))
-    fdata = data.get("filter", {"kind": "all"})
+    fdata = json_shape(data.get("filter", {"kind": "all"}), "filter")
     kind = fdata.get("kind", "all")
     if kind == "all":
         filt: Filter = AllSubgroups()

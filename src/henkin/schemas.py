@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .evaluate import EvalError, evaluate
+# perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
+from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
 from .structures import Assignment, CapExceeded, Structure
 from .syntax import (
     And,
@@ -347,8 +348,9 @@ def check_schema(
         total *= len(pool)
         if total > assignment_cap:
             raise CapExceeded("schema check assignments", total, assignment_cap)
+    run = compile_formula(matrix, FiniteSemantics(structure), searched)
     for combo in product(*pools):
-        assignment = Assignment(dict(zip(searched, combo)))
-        if not evaluate(structure, assignment, matrix):
-            return SchemaCheck(False, assignment, formula, matrix, searched)
+        if not run(combo):
+            counterexample = Assignment(dict(zip(searched, combo)))
+            return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)

@@ -165,9 +165,6 @@ class Structure:
         except KeyError:
             raise StructureError(f"unknown individual {label!r}") from None
 
-    def with_domains(self, domains: Mapping[int, frozenset[Table]]) -> "Structure":
-        return Structure(self.individuals, domains)
-
 
 def standard_structure(
     labels: Iterable[str], max_arity: int, *, table_cap: int = DEFAULT_TABLE_CAP
@@ -211,22 +208,8 @@ class Assignment:
     def get(self, var: Var):
         return self.values.get(var)
 
-    def updated(self, var: Var, value) -> "Assignment":
-        vals = dict(self.values)
-        vals[var] = value
-        return Assignment(vals)
-
-    def updated_many(self, pairs: Iterable[tuple[Var, object]]) -> "Assignment":
-        vals = dict(self.values)
-        vals.update(pairs)
-        return Assignment(vals)
-
     def variables(self) -> tuple[Var, ...]:
         return tuple(sorted(self.values))
-
-
-def empty_assignment() -> Assignment:
-    return Assignment({})
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +237,26 @@ def structure_to_dict(structure: Structure) -> dict:
     }
 
 
+def json_shape(data, what: str, kind: type = dict, error: type[Exception] = StructureError):
+    """``data`` itself if it has the JSON shape ``kind`` (``dict`` for an
+    object, ``list`` for an array), else ``error``."""
+    if not isinstance(data, kind):
+        shape = "an object" if kind is dict else "an array"
+        raise error(f"{what} must be {shape}, got {type(data).__name__}")
+    return data
+
+
 def structure_from_dict(data: dict) -> Structure:
-    try:
-        individuals = tuple(data["individuals"])
-        raw = data["domains"]
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"structure document needs individuals and domains: {exc}")
+    data = json_shape(data, "structure document")
+    if "individuals" not in data or "domains" not in data:
+        raise StructureError("structure document needs individuals and domains")
+    individuals = tuple(json_shape(data["individuals"], "individuals", list))
     domains = {}
-    for key, bitstrings in raw.items():
+    for key, bitstrings in json_shape(data["domains"], "domains").items():
         n = int(key)
         domains[n] = frozenset(
-            Table.from_bitstring(len(individuals), n, s) for s in bitstrings
+            Table.from_bitstring(len(individuals), n, s)
+            for s in json_shape(bitstrings, f"domain {key}", list)
         )
     return Structure(individuals, domains)
 
@@ -295,13 +287,14 @@ def assignment_to_dict(assignment: Assignment, structure: Structure) -> dict:
 def assignment_from_dict(data: dict, structure: Structure) -> Assignment:
     from .parser import parse_var
 
+    data = json_shape(data, "assignment document")
     values: dict[Var, object] = {}
-    for name, label in data.get("individuals", {}).items():
+    for name, label in json_shape(data.get("individuals", {}), "individuals").items():
         var = parse_var(name)
         if not var.is_individual:
             raise StructureError(f"{name} is not an individual variable")
         values[var] = structure.label_index(label)
-    for name, bitstring in data.get("predicates", {}).items():
+    for name, bitstring in json_shape(data.get("predicates", {}), "predicates").items():
         var = parse_var(name)
         if not var.is_predicate:
             raise StructureError(f"{name} is not a predicate variable")

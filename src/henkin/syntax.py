@@ -282,15 +282,6 @@ def subformulas(f: Formula) -> list[Formula]:
     return fold(f, lambda g, kids: [h for kid in kids for h in kid] + [g])
 
 
-def individual_quantifier_count(f: Formula) -> int:
-    """Number of quantifier nodes that bind an individual variable."""
-    return sum(
-        1
-        for g in subformulas(f)
-        if isinstance(g, _Quantifier) and g.var.is_individual
-    )
-
-
 # ---------------------------------------------------------------------------
 # Printing.
 #

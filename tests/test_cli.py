@@ -347,6 +347,62 @@ MALFORMED = {
         "build-model", "--max-arity", "0",
         "--structure", write(d, "spec.json", json.dumps({"individuals": ["a", "b"]})),
     ],
+    # flags must be spelled out: a prefix of --help is not --help
+    "abbreviated-help-h": lambda d: ["parse", "--text", "x1 = x1", "--h"],
+    "abbreviated-help-he": lambda d: ["parse", "--text", "x1 = x1", "--he"],
+    "abbreviated-help-hel": lambda d: ["fraenkel", "sweep", "--hel"],
+}
+
+
+def eval_with(structure, assignment=None):
+    """``eval`` of ``x1 = x1`` on the structure document, with an
+    assignment document if given; either may be a JSON text."""
+
+    def argv(d):
+        path = write(d, "s.json", structure) if structure else small_structure_file(d)
+        out = ["eval", "--structure", path, "--formula", write(d, "f.fml", "x1 = x1\n")]
+        return out + (["--assignment", write(d, "a.json", assignment)] if assignment else [])
+
+    return argv
+
+
+def build_model_with(spec):
+    return lambda d: ["build-model", "--structure", write(d, "spec.json", spec)]
+
+
+def bind_with(binding):
+    return lambda d: [
+        "fraenkel", "eval", "--formula", write(d, "f.fml", "x1 = x1\n"),
+        "--bind", write(d, "b.json", binding),
+    ]
+
+
+# a JSON value of the wrong shape where an object or an array belongs
+MISSHAPEN = {
+    "structure-list": (eval_with("[]"), "StructureError"),
+    "structure-string": (eval_with('"ab"'), "StructureError"),
+    "structure-domains-list": (
+        eval_with('{"individuals": ["a"], "domains": ["1"]}'), "StructureError"
+    ),
+    "structure-individuals-string": (
+        eval_with('{"individuals": "ab", "domains": {}}'), "StructureError"
+    ),
+    "structure-bitstrings-number": (
+        eval_with('{"individuals": ["a"], "domains": {"1": 7}}'), "StructureError"
+    ),
+    "assignment-list": (eval_with(None, '["x1"]'), "StructureError"),
+    "assignment-individuals-list": (eval_with(None, '{"individuals": ["x1"]}'), "StructureError"),
+    "assignment-predicates-string": (eval_with(None, '{"predicates": "A0^1"}'), "StructureError"),
+    "model-spec-list": (build_model_with("[]"), "StructureError"),
+    "model-spec-group-list": (
+        build_model_with('{"individuals": ["a", "b"], "group": ["(a b)"]}'), "StructureError"
+    ),
+    "model-spec-filter-string": (
+        build_model_with('{"individuals": ["a", "b"], "filter": "all"}'), "StructureError"
+    ),
+    "binding-list": (bind_with("[]"), "FraenkelError"),
+    "binding-string": (bind_with('"x1"'), "FraenkelError"),
+    "binding-predicates-list": (bind_with('{"predicates": ["A0^1"]}'), "FraenkelError"),
 }
 
 
@@ -367,6 +423,13 @@ class TestMalformedInput:
     def test_help_still_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(MISSHAPEN))
+    def test_misshapen_json_is_a_typed_error(self, capsys, tmp_path, name):
+        argv, error = MISSHAPEN[name]
+        code, report, _ = run(capsys, *argv(tmp_path))
+        assert code == 2
+        assert report["result"]["error"].startswith(f"{error}: ")
 
 
 # Random command lines: every command with its options mostly well formed,

@@ -1,8 +1,4 @@
-"""Smoke test: the demos run to completion.
-
-Demo 02 (finite models) is left out: it saturates structures and takes
-about 12 s, several times the other four together.
-"""
+"""Smoke test: the demos run to completion."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "demo",
     [
         "01_language_tour.py",
+        "02_finite_models.py",
         "03_permutation_models.py",
         "04_choice_axioms.py",
         "05_fraenkel_model.py",

@@ -406,6 +406,75 @@ class TestChoiceInstances:
         assert report.status == "inconclusive" and report.cap_hit
 
 
+class TestChoiceSearchCounts:
+    """The search's counters, pinned: candidates are tried in enumeration
+    order, ``candidate_cap`` stops it as inconclusive with the cap flagged,
+    and every candidate's verification counts predicates against
+    ``pred_cap`` on its own."""
+
+    # status and candidates_tried of every suite instance at stratum 2
+    SUITE_AT_2 = {
+        "singleton": ("witnessed", 2),
+        "contains-point": ("witnessed", 2),
+        "complement-of-point": ("witnessed", 3),
+        "everything": ("witnessed", 4),
+        "nothing": ("witnessed", 1),
+        "nonempty": ("witnessed", 2),
+        "exactly-the-point": ("witnessed", 2),
+        "misses-something": ("witnessed", 1),
+        "diagonal-pair": ("witnessed", 2),
+        "pair-of-points": ("witnessed", 14),
+    }
+    # a point other than x1: the antecedent holds at stratum 1, but a
+    # uniform choice needs two support atoms
+    OTHER_POINT = "ex x2 . (~(x2 = x1) & (all x3 . (A0^1 x3 <-> x3 = x2)))"
+
+    def test_suite_at_stratum_2(self):
+        for name, n, m, text in CHOICE_SUITE:
+            report = check_choice_instance_sigma0(n, m, parse(text), 2)
+            assert (report.status, report.candidates_tried) == self.SUITE_AT_2[name]
+            assert not report.cap_hit
+
+    @pytest.mark.parametrize(
+        "cap, expected",
+        [
+            (0, ("inconclusive", 0, True)),
+            (1, ("inconclusive", 1, True)),
+            (2, ("inconclusive", 2, True)),
+            (3, ("witnessed", 3, False)),
+            (100, ("witnessed", 3, False)),
+        ],
+    )
+    def test_candidate_cap(self, cap, expected):
+        payload = parse("all x2 . (A0^1 x2 <-> ~(x2 = x1))")
+        report = check_choice_instance_sigma0(1, 1, payload, 2, candidate_cap=cap)
+        assert (report.status, report.candidates_tried, report.cap_hit) == expected
+
+    @pytest.mark.parametrize(
+        "cap, expected",
+        [(None, ("inconclusive", 36, False)), (36, ("inconclusive", 36, False)),
+         (35, ("inconclusive", 35, True))],
+    )
+    def test_exhausted_search(self, cap, expected):
+        # 4 support-free binary candidates plus 32 over one fresh atom
+        report = check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 1, candidate_cap=cap)
+        assert (report.status, report.candidates_tried, report.cap_hit) == expected
+        assert report.witness is None
+        assert check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 0).status == "vacuous"
+
+    def test_pred_cap_applies_per_verification(self):
+        from henkin.structures import CapExceeded
+
+        _, n, m, text = CHOICE_SUITE[-1]
+        # 14 verifications enumerate more than 70 predicates together, but
+        # none more than 70 on its own
+        report = check_choice_instance_sigma0(n, m, parse(text), 2, pred_cap=70, candidate_cap=10**6)
+        assert (report.status, report.candidates_tried) == ("witnessed", 14)
+        with pytest.raises(CapExceeded) as exc:
+            check_choice_instance_sigma0(n, m, parse(text), 2, pred_cap=69, candidate_cap=10**6)
+        assert (exc.value.needed, exc.value.cap) == (70, 69)
+
+
 class TestTruncationOracle:
     def _random_symbolic(self, rng, arity, atoms):
         support = tuple(sorted(rng.sample(atoms, rng.randint(0, min(2, len(atoms))))))

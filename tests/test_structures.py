@@ -114,11 +114,6 @@ class TestSerialization:
 
 
 class TestAssignment:
-    def test_update_is_persistent(self):
-        a = Assignment({ind(1): 0})
-        b = a.updated(ind(1), 1)
-        assert a.get(ind(1)) == 0 and b.get(ind(1)) == 1
-
     def test_type_checks(self):
         with pytest.raises(StructureError):
             Assignment({ind(1): equality_table(2)})
