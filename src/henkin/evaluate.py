@@ -28,6 +28,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    Iff,
     Implies,
     Not,
     Or,
@@ -52,11 +53,18 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
     quantifier's values.  A quantifier saves its slot, runs its body per
     pool value and restores the slot, so unset (``None``) slots are exactly
     the variables out of scope.
+
+    A bridged predicate existential (see ``_bridged_section``) has one
+    candidate.  ``semantics.section(s_slot, xs_slots, m)`` gives a closure
+    from the environment to the section of ``S`` at the values of ``xs``,
+    or ``None`` when the quantifier's range lacks it; the existential binds
+    its variable to that value and runs the right conjunct once.
     """
     slot = {v: k for k, v in enumerate(params)}
     for v in sorted(all_vars(formula)):
         slot.setdefault(v, len(slot))
     unset = [None] * (len(slot) - len(params))
+    rights: dict[int, Callable] = {}  # id of an And node -> its compiled right conjunct
 
     def step(g: Formula, kids: list) -> Callable:
         if isinstance(g, Atom):
@@ -72,7 +80,23 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
             return lambda env: not body(env)
         if isinstance(g, (Forall, Exists)):
             k, body, universal = slot[g.var], kids[0], isinstance(g, Forall)
-            pool = semantics.pool(g.var)
+            pool = semantics.pool(g.var)  # checks the range on either path
+            bridged = not universal and _bridged_section(g)
+            if bridged:
+                s, xs, m = bridged
+                section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
+                rest = rights[id(g.body)]
+
+                def one_point(env: list) -> bool:
+                    value = section(env)
+                    if value is None:
+                        return False
+                    saved, env[k] = env[k], value
+                    truth = rest(env)
+                    env[k] = saved
+                    return truth
+
+                return one_point
 
             def quantify(env: list) -> bool:
                 saved = env[k]
@@ -86,6 +110,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
             return quantify
         left, right = kids
         if isinstance(g, And):
+            rights[id(g)] = right
             return lambda env: left(env) and right(env)
         if isinstance(g, Or):
             return lambda env: left(env) or right(env)
@@ -95,6 +120,33 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
 
     body = fold(formula, step)
     return lambda values: body([*values, *unset])
+
+
+def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
+    """``(S, xs, m)`` when ``g`` is ``ex D . (all ys . (D ys <-> S xs ys)) & rest``
+    with ``m`` = len(ys), no y among the xs and ``S`` other than ``D``, else
+    None.  The bridge then holds of exactly one value of ``D``, the section
+    of ``S`` at xs, so ``g`` is ``rest`` at that value if the range of
+    ``D`` holds it, and false otherwise.  The ys are distinct because a
+    variable cannot be quantified inside its own scope."""
+    if not isinstance(g.body, And):
+        return None
+    bridge, ys = g.body.left, []
+    while isinstance(bridge, Forall):
+        ys.append(bridge.var)
+        bridge = bridge.body
+    if not (
+        isinstance(bridge, Iff) and isinstance(bridge.left, Atom) and isinstance(bridge.right, Atom)
+    ):
+        return None
+    d, s = bridge.left, bridge.right
+    if d.predicate != g.var or s.predicate == g.var or d.args != tuple(ys):
+        return None
+    m = len(ys)  # >= 1: D is a predicate variable
+    xs = s.args[:-m]
+    if s.args[-m:] != d.args or set(xs) & set(ys):
+        return None
+    return s.predicate, xs, m
 
 
 class FiniteSemantics:
@@ -132,6 +184,23 @@ class FiniteSemantics:
             return env[p].bits[index]
 
         return point
+
+    def section(self, s: int, xs: tuple[int, ...], m: int):
+        """A closure from the environment to the domain table whose bits
+        are the ``m``-ary block of the bits of ``env[s]`` at the points
+        ``env[x]``, or None if the domain of arity ``m`` lacks it (the
+        Henkin reading)."""
+        by_bits = {t.bits: t for t in self.structure.domain(m)}
+        size, width = self.structure.size, self.structure.size**m
+
+        def section(env: list) -> Table | None:
+            start = 0
+            for x in xs:
+                start = start * size + env[x]
+            start *= width
+            return by_bits.get(env[s].bits[start : start + width])
+
+        return section
 
 
 def resolve(structure: Structure, assignment: Assignment, var: Var):

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .evaluate import compile_formula
-from .structures import CapExceeded, Table
+from .structures import CapExceeded, Table, json_shape
 from .syntax import Eq, Exists, Forall, Formula, Var, subformulas
 
 
@@ -328,7 +328,8 @@ class _SymbolicRun:
     every binding in scope plus fresh atoms: one for an individual,
     ``support_bound`` for a predicate, whose candidates each call counts
     against ``pred_cap``; reaching a predicate quantifier marks the call
-    stratified."""
+    stratified.  A bridged predicate existential takes its one candidate
+    from ``section`` instead, uncounted."""
 
     pred_eq = staticmethod(symbolic_equal)
 
@@ -361,6 +362,30 @@ class _SymbolicRun:
                 yield sigma
 
         return predicates
+
+    def section(self, s: int, xs: tuple[int, ...], m: int):
+        """A closure from the environment to the section of the predicate
+        ``env[s]`` at the atoms ``env[x]``, over its minimal support, or
+        None when that support exceeds the stratum.  The answer is exact:
+        the minimal support lies inside the predicate's support plus the
+        atoms, hence inside any quantifier's pool, and every support of the
+        section contains it."""
+
+        def section(env: list) -> SymbolicPredicate | None:
+            self.stratified = True
+            sigma, atoms = env[s], [env[x] for x in xs]
+            support = tuple(sorted(set(sigma.support).union(atoms)))
+            fresh = fresh_atoms(m, avoid=support)
+
+            def holds(t: EqType) -> bool:
+                ys = [e if isinstance(e, str) else fresh[e] for e in t.entries]
+                return denotes(sigma, atoms + ys)
+
+            accepted = frozenset(filter(holds, enumerate_types(m, support)))
+            value = canonicalize(SymbolicPredicate(m, support, accepted))
+            return value if len(value.support) <= self.support_bound else None
+
+        return section
 
 
 def symbolic_evaluate(
@@ -702,10 +727,15 @@ def symbolic_to_dict(sigma: SymbolicPredicate) -> dict:
 
 
 def symbolic_from_dict(data: dict) -> SymbolicPredicate:
-    try:
-        arity = int(data["arity"])
-        support = tuple(data["support"])
-        accepted = frozenset(type_from_string(s) for s in data["accepted"])
-    except (KeyError, TypeError) as exc:
-        raise FraenkelError(f"symbolic predicate document needs arity/support/accepted: {exc}")
-    return SymbolicPredicate(arity, support, accepted)
+    data = json_shape(data, "symbolic predicate document", error=FraenkelError)
+    missing = sorted({"arity", "support", "accepted"} - set(data))
+    if missing:
+        raise FraenkelError(f"symbolic predicate document needs {', '.join(missing)}")
+    arity = data["arity"]
+    if not isinstance(arity, int) or isinstance(arity, bool):
+        raise FraenkelError(f"symbolic predicate arity must be an integer, got {arity!r}")
+    support = json_shape(data["support"], "support", list, FraenkelError)
+    accepted = json_shape(data["accepted"], "accepted", list, FraenkelError)
+    if not all(isinstance(s, str) for s in support + accepted):
+        raise FraenkelError("support atoms and accepted types must be strings")
+    return SymbolicPredicate(arity, tuple(support), frozenset(map(type_from_string, accepted)))

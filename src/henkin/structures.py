@@ -253,7 +253,10 @@ def structure_from_dict(data: dict) -> Structure:
     individuals = tuple(json_shape(data["individuals"], "individuals", list))
     domains = {}
     for key, bitstrings in json_shape(data["domains"], "domains").items():
-        n = int(key)
+        try:
+            n = int(key)
+        except ValueError:
+            raise StructureError(f"domain key {key!r} is not an arity") from None
         domains[n] = frozenset(
             Table.from_bitstring(len(individuals), n, s)
             for s in json_shape(bitstrings, f"domain {key}", list)

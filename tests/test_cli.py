@@ -256,6 +256,19 @@ class TestFraenkelCommands:
         assert report["result"]["status"] == "witnessed"
         assert report["result"]["witness"]["accepted"] == ["f1,f1"]
 
+    def test_choice_at_stratum_3(self, capsys, tmp_path):
+        # diagonal-pair: listing every binary predicate for the bridged
+        # choice variable would pass the default predicate cap at stratum 3
+        h = tmp_path / "h.fml"
+        h.write_text("all x2 . all x3 . (A0^2 x2 x3 <-> (x2 = x1 & x3 = x1))\n")
+        code, report, _ = run(
+            capsys, "fraenkel", "choice", "--n", "1", "--m", "2", "--h", str(h),
+            "--strat", "3",
+        )
+        assert code == 0
+        assert report["result"]["status"] == "witnessed"
+        assert report["result"]["witness"]["accepted"] == ["f1,f1,f1"]
+
     def test_cap_exit_3(self, capsys, tmp_path):
         h = tmp_path / "h.fml"
         h.write_text("all x2 . (A0^1 x2 <-> x2 = x1)\n")
@@ -370,6 +383,13 @@ def build_model_with(spec):
     return lambda d: ["build-model", "--structure", write(d, "spec.json", spec)]
 
 
+def symbolic_binding(arity, support):
+    """A binding document for ``x1 = x1``, well formed but for the given
+    ``arity`` and ``support`` JSON texts of its symbolic predicate."""
+    doc = f'{{"arity": {arity}, "support": {support}, "accepted": ["f1"]}}'
+    return f'{{"individuals": {{"x1": "p"}}, "predicates": {{"A0^1": {doc}}}}}'
+
+
 def bind_with(binding):
     return lambda d: [
         "fraenkel", "eval", "--formula", write(d, "f.fml", "x1 = x1\n"),
@@ -403,6 +423,15 @@ MISSHAPEN = {
     "binding-list": (bind_with("[]"), "FraenkelError"),
     "binding-string": (bind_with('"x1"'), "FraenkelError"),
     "binding-predicates-list": (bind_with('{"predicates": ["A0^1"]}'), "FraenkelError"),
+    # text where a number belongs, a string where an array belongs
+    "structure-domain-key-text": (
+        eval_with('{"individuals": ["a"], "domains": {"x": ["1"]}}'), "StructureError"
+    ),
+    "symbolic-arity-text": (bind_with(symbolic_binding('"one"', "[]")), "FraenkelError"),
+    "symbolic-arity-float": (bind_with(symbolic_binding("1.7", "[]")), "FraenkelError"),
+    "symbolic-arity-bool": (bind_with(symbolic_binding("true", "[]")), "FraenkelError"),
+    "symbolic-support-string": (bind_with(symbolic_binding("1", '"pq"')), "FraenkelError"),
+    "symbolic-support-number": (bind_with(symbolic_binding("1", "[1]")), "FraenkelError"),
 }
 
 

@@ -14,8 +14,8 @@ from henkin.corpus import default_vocabulary, random_assignment, random_formula,
 from henkin.evaluate import EvalError, att, evaluate
 from henkin.fraenkel import SymbolicPredicate, enumerate_types, symbolic_evaluate
 from henkin.parser import parse
-from henkin.structures import Assignment, CapExceeded, Structure, Table
-from henkin.syntax import ind, pred
+from henkin.structures import Assignment, CapExceeded, Structure, Table, all_tables
+from henkin.syntax import And, Atom, Exists, Forall, Iff, Or, forall_many, ind, pred
 
 x1, x2, x3 = ind(1), ind(2), ind(3)
 A = pred(0, 1)
@@ -146,3 +146,157 @@ class TestSymbolicCore:
         for cap in (0, 1, 50, 99):
             outcome = compiled(tautology, {x1: "p"}, 2, cap)
             assert outcome == ("cap", cap + 1, cap) == reference(tautology, {x1: "p"}, 2, cap)
+
+
+def random_bridged(rng, rest_depth, pred_quantifiers):
+    """A bridged predicate existential ``ex D . (all ys . (D ys <-> S xs
+    ys)) & rest`` with its xs each quantified or left free, ``rest`` over x1-x3, the bridged ``D`` and a unary ``A2^1``;
+    returns it with ``D`` and the free ``S``."""
+    m = rng.choice((1, 1, 2))
+    xs = tuple(rng.choice((x1, x2, x3)) for _ in range(rng.choice((0, 1, 1, 2))))
+    ys = tuple(ind(4 + k) for k in range(m))
+    d, s, other = pred(0, m), pred(1, len(xs) + m), pred(2, 1)
+    while True:
+        rest = random_formula(
+            rng, rest_depth, [x1, x2, x3], [d, other], allow_pred_quantifiers=pred_quantifiers
+        )
+        if d not in rest.bound_vars:
+            break
+    f = Exists(d, And(forall_many(ys, Iff(Atom(d, ys), Atom(s, xs + ys))), rest))
+    for x in sorted(set(xs) - f.bound_vars):
+        if rng.random() < 0.5:
+            f = rng.choice((Forall, Exists))(x, f)
+    return f, d, s
+
+
+class TestOnePointRule:
+    """A bridged predicate existential binds its variable to the section of
+    ``S`` instead of searching the range: the verdicts equal the
+    references', which search."""
+
+    def test_symbolic_agrees_with_naive_sym_eval(self):
+        rng = random.Random(109)
+        seen, nested, compared = set(), 0, 0
+        for k in range(400):
+            f, d, _ = random_bridged(rng, rng.randint(0, 3), pred_quantifiers=k % 4 > 0)
+            if k % 3 == 0:
+                # a guard that decides alone leaves it unreached, unstratified
+                f = rng.choice((And, Or))(random_formula(rng, 1, [x1, x2, x3], []), f)
+            binding = {
+                v: rng.choice(("p", "q", "u1"))
+                if v.is_individual
+                else random_symbolic(rng, v.arity, ["p", "q", "r"])
+                for v in sorted(f.free_vars)
+            }
+            # binary candidates at stratum 2 take the reference seconds
+            bound = rng.randint(0, 3 - d.arity)
+            expected = reference(f, binding, bound, 20_000)
+            if expected[0] == "cap":
+                continue
+            # the rule enumerates no more than the search it replaces
+            assert compiled(f, binding, bound, 20_000) == expected
+            compared += 1
+            seen.add(expected)
+            nested += sum(v.is_predicate for v in f.bound_vars) > 1
+        assert compared >= 390 and nested >= 30
+        assert seen == {(True, True), (False, True), (True, False), (False, False)}
+
+    EQ = SymbolicPredicate(2, (), frozenset(enumerate_types(2, ())[:1]))  # x = y
+    PQ = SymbolicPredicate(1, ("p", "q"), frozenset(enumerate_types(1, ("p", "q"))[:2]))  # {p, q}
+    AT_X1 = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & {})"  # D = the section at x1
+    WHOLE = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^1 x4)) & {})"  # D = S itself
+
+    @pytest.mark.parametrize(
+        "text, s, bound, truth",
+        [
+            # the section {p} of equality at p needs one support atom
+            (AT_X1.format("A0^1 x1"), EQ, 0, False),
+            (AT_X1.format("A0^1 x1"), EQ, 1, True),
+            # {p, q} needs two
+            (WHOLE.format("x1 = x1"), PQ, 1, False),
+            (WHOLE.format("x1 = x1"), PQ, 2, True),
+            # a predicate quantifier of its own inside rest
+            (AT_X1.format("(ex A2^1 . A2^1 = A0^1 & ~(A2^1 x2))"), EQ, 1, True),
+            (AT_X1.format("(all A2^1 . A2^1 = A0^1 -> A2^1 x2)"), EQ, 2, False),
+        ],
+        ids=["bound-0", "bound-1", "support-2-at-1", "support-2-at-2", "nested-ex", "nested-all"],
+    )
+    def test_symbolic_cases(self, text, s, bound, truth):
+        f = parse(text)
+        binding = {x1: "p", x2: "q", pred(1, s.arity): s}
+        binding = {v: binding[v] for v in f.free_vars}
+        outcome = compiled(f, binding, bound, 20_000)
+        assert outcome == (truth, True) == reference(f, binding, bound, 20_000)
+
+    MATCH = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & A0^1 x2)"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ex A0^1 . ((all x4 . (A1^2 x1 x4 <-> A0^1 x4)) & A0^1 x2)",
+            "ex A0^2 . ((all x4 . all x5 . (A0^2 x5 x4 <-> A1^3 x1 x4 x5)) & A0^2 x2 x2)",
+            "ex A0^2 . ((all x4 . all x5 . (A0^2 x4 x5 <-> A1^3 x1 x5 x4)) & A0^2 x2 x2)",
+            "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x4 x4)) & A0^1 x2)",
+            "ex A0^1 . ((all x4 . (A0^1 x4 <-> A0^1 x4)) & A0^1 x2)",
+            "ex A0^1 . (A0^1 x2 & (all x4 . (A0^1 x4 <-> A1^2 x1 x4)))",
+        ],
+        ids=["swapped-iff", "permuted-ys", "permuted-s-args", "y-in-xs", "s-is-d", "swapped-and"],
+    )
+    def test_near_misses_search(self, text):
+        # with no predicate to spare, the bridged shape answers and every
+        # near miss searches; all agree with the reference given room
+        empty3 = SymbolicPredicate(3, (), frozenset())
+        binding = {x1: "p", x2: "q", pred(1, 2): self.EQ, pred(1, 3): empty3}
+        match = parse(self.MATCH)
+        assert compiled(match, binding, 1, 0) == (False, True)
+        f = parse(text)
+        binding = {v: binding[v] for v in f.free_vars}
+        assert compiled(f, binding, 1, 0) == ("cap", 1, 0)
+        assert compiled(f, binding, 1, 20_000) == reference(f, binding, 1, 20_000)
+
+    # A0^1 is free on both sides of the existential that binds it: the slot
+    # must hold its assigned value again afterwards
+    FREE_OUTSIDE = "(ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & A0^1 x1)) & ~(A0^1 x1)"
+
+    def test_bridged_variable_free_outside(self, std2):
+        f = parse(self.FREE_OUTSIDE)
+        for i, a, s in product(range(2), std2.domain(1), std2.domain(2)):
+            g = Assignment({x1: i, A: a, pred(1, 2): s})
+            assert evaluate(std2, g, f) == naive_eval(std2, dict(g.values), f)
+        for a in (random_symbolic(random.Random(k), 1, ["p", "q"]) for k in range(20)):
+            binding = {x1: "p", A: a, pred(1, 2): self.EQ}
+            assert compiled(f, binding, 1, 100) == reference(f, binding, 1, 100)
+
+    def test_finite_agrees_with_naive_eval(self):
+        # the m-ary domain keeps some sections of the S tables and leaves
+        # out others, so the bridged existential is false at some points
+        rng = random.Random(113)
+        left_out = 0
+        for _ in range(300):
+            f, d, s = random_bridged(rng, rng.randint(0, 3), pred_quantifiers=rng.random() < 0.3)
+            size = 2 if s.arity > 2 else rng.choice((2, 3))
+            s_tables = [
+                Table(size, s.arity, tuple(rng.random() < 0.5 for _ in range(size**s.arity)))
+                for _ in range(3)
+            ]
+            ys_points = list(product(range(size), repeat=d.arity))
+            sections = {
+                tuple(t(x + y) for y in ys_points)
+                for t in s_tables
+                for x in product(range(size), repeat=s.arity - d.arity)
+            }
+            kept = set(rng.sample(sorted(sections), rng.randint(1, len(sections))))
+            d_domain = {
+                t
+                for t in all_tables(size, d.arity)
+                if t.bits in kept or (t.bits not in sections and rng.random() < 0.3)
+            }
+            domains = {1: frozenset(rng.sample(all_tables(size, 1), 2))}
+            domains[d.arity] = frozenset(d_domain)
+            domains[s.arity] = domains.get(s.arity, frozenset()) | frozenset(s_tables)
+            structure = Structure("abc"[:size], domains)
+            left_out += not sections <= {t.bits for t in structure.domains[d.arity]}
+            assignment = random_assignment(rng, structure, f.free_vars)
+            expected = naive_eval(structure, dict(assignment.values), f)
+            assert evaluate(structure, assignment, f) == expected
+        assert left_out >= 150

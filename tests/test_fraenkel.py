@@ -435,6 +435,15 @@ class TestChoiceSearchCounts:
             assert (report.status, report.candidates_tried) == self.SUITE_AT_2[name]
             assert not report.cap_hit
 
+    def test_suite_at_stratum_3(self):
+        # the bridged choice variable is the section of each candidate, not
+        # a search; at stratum 3 a search for diagonal-pair's binary one
+        # would pass the 200k predicate cap
+        for name, n, m, text in CHOICE_SUITE:
+            report = check_choice_instance_sigma0(n, m, parse(text), 3)
+            assert (report.status, report.candidates_tried) == self.SUITE_AT_2[name]
+            assert not report.cap_hit
+
     @pytest.mark.parametrize(
         "cap, expected",
         [
@@ -465,14 +474,16 @@ class TestChoiceSearchCounts:
     def test_pred_cap_applies_per_verification(self):
         from henkin.structures import CapExceeded
 
-        _, n, m, text = CHOICE_SUITE[-1]
-        # 14 verifications enumerate more than 70 predicates together, but
-        # none more than 70 on its own
-        report = check_choice_instance_sigma0(n, m, parse(text), 2, pred_cap=70, candidate_cap=10**6)
-        assert (report.status, report.candidates_tried) == ("witnessed", 14)
+        # the bridged choice variable is never enumerated, so the payload
+        # quantifies a predicate of its own; the antecedent enumerates 74
+        text = f"({self.OTHER_POINT}) & (all A1^1 . (A1^1 x1 | ~(A1^1 x1)))"
+        # 143 verifications enumerate 894 predicates together, but none
+        # more than 234 on its own (the last, the witness)
+        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=234, candidate_cap=10**6)
+        assert (report.status, report.candidates_tried) == ("witnessed", 143)
         with pytest.raises(CapExceeded) as exc:
-            check_choice_instance_sigma0(n, m, parse(text), 2, pred_cap=69, candidate_cap=10**6)
-        assert (exc.value.needed, exc.value.cap) == (70, 69)
+            check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=233, candidate_cap=10**6)
+        assert (exc.value.needed, exc.value.cap) == (234, 233)
 
 
 class TestTruncationOracle:
