@@ -8,7 +8,6 @@ from henkin import (
     classify,
     denotes,
     is_linear_order,
-    minimal_support,
     parse,
     symbolic_evaluate,
     wellorder_counterexample_sweep,
@@ -36,9 +35,10 @@ away = cofinite_set(("p",))
 print("complement of {p}: p ->", denotes(away, ("p",)), " q ->", denotes(away, ("q",)))
 print("its truncation to (p,q,r):", truncate_predicate(away, ("p", "q", "r")).bitstring())
 
-# Declared supports may be lazy; the minimal one is computable.
+# A predicate is stored over its least support, whatever support it is
+# declared with.
 padded = SymbolicPredicate(2, ("p",), frozenset({EqType(("p", "p")), EqType((0, 0))}))
-print("equality declared over {p} minimizes to support", minimal_support(padded))
+print("equality declared over {p} is stored over support", padded.support)
 
 # Individual quantifiers are decided exactly by a small-model reduction;
 # predicate quantifiers are stratified by support size and flagged.

@@ -66,7 +66,6 @@ from .fraenkel import (
     classify,
     denotes,
     is_linear_order,
-    minimal_support,
     symbolic_evaluate,
     wellorder_counterexample_sweep,
 )

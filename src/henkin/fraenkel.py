@@ -1,13 +1,13 @@
 """Finite-support predicates over a countably infinite atom universe,
 represented symbolically.
 
-A predicate is stored as a finite support (a set of named atoms) plus the
-set of equality types it accepts.  The equality type of an argument tuple
-relative to a support records which positions carry which support atoms and
-which positions share a fresh atom; two tuples have the same type exactly
-when a permutation fixing the support pointwise maps one to the other, so
-the representation captures precisely the predicates invariant under every
-such permutation.
+A predicate is stored as its least finite support (a set of named atoms)
+plus a bit mask of the equality types it accepts.  The equality type of an
+argument tuple relative to a support records which positions carry which
+support atoms and which positions share a fresh atom; two tuples have the
+same type exactly when a permutation fixing the support pointwise maps one
+to the other, so the representation captures precisely the predicates
+invariant under every such permutation, each in exactly one way.
 
 Quantification is decided by finite reduction: an individual quantifier
 needs only the atoms supporting the current bindings plus one fresh atom,
@@ -18,9 +18,11 @@ that involve a predicate quantifier are always labelled stratified.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, filterfalse, permutations, product
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .evaluate import compile_formula
@@ -113,6 +115,9 @@ def classify(atoms: Sequence[str], support: Iterable[str]) -> EqType:
     return EqType(tuple(entries))
 
 
+MAX_TYPES = 1 << 16  # equality types per arity and support; a mask has a bit for each
+
+
 @lru_cache(maxsize=1024)
 def enumerate_types(arity: int, support: tuple[str, ...]) -> tuple[EqType, ...]:
     """All canonical equality types of the arity over the support, in a fixed
@@ -122,6 +127,8 @@ def enumerate_types(arity: int, support: tuple[str, ...]) -> tuple[EqType, ...]:
 
     def rec(entries: list[str | int], next_class: int) -> None:
         if len(entries) == arity:
+            if len(out) == MAX_TYPES:
+                raise CapExceeded(f"equality types of arity {arity}", MAX_TYPES + 1, MAX_TYPES)
             out.append(EqType(tuple(entries)))
             return
         for a in support:
@@ -134,29 +141,47 @@ def enumerate_types(arity: int, support: tuple[str, ...]) -> tuple[EqType, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SymbolicPredicate:
-    """A finite-support predicate: true of a tuple iff the tuple's equality
-    type relative to the support is accepted."""
+@lru_cache(maxsize=1024)
+def _type_positions(arity: int, support: tuple[str, ...]) -> dict[EqType, int]:
+    return {t: k for k, t in enumerate(enumerate_types(arity, support))}
 
-    arity: int
-    support: tuple[str, ...]
-    accepted: frozenset[EqType]
 
-    def __post_init__(self) -> None:
-        support = tuple(sorted(set(self.support)))
-        for a in support:
-            check_atom_name(a)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "accepted", frozenset(self.accepted))
-        if self.arity < 1:
+@lru_cache(maxsize=4096)
+def _type_index(support: tuple[str, ...], atoms: tuple[str, ...]) -> int:
+    """The position of the atoms' equality type in ``enumerate_types``."""
+    return _type_positions(len(atoms), support)[classify(atoms, support)]
+
+
+class SymbolicPredicate(namedtuple("SymbolicPredicate", "arity support mask")):
+    """A finite-support predicate, built from any support and the accepted
+    equality types (or their mask), and stored canonical: ``support`` is the
+    least support, sorted, and bit k of ``mask`` is set iff the predicate
+    holds of the tuples of the k-th type of ``enumerate_types(arity,
+    support)``.  Two predicates are equal iff they denote the same relation."""
+
+    __slots__ = ()
+
+    def __new__(cls, arity: int, support: Iterable[str], accepted: Iterable[EqType] | int):
+        support = tuple(sorted({check_atom_name(a) for a in support}))
+        if arity < 1:
             raise FraenkelError("symbolic predicates need arity >= 1")
-        for t in self.accepted:
-            if t.arity != self.arity:
-                raise FraenkelError(f"type {t} does not match arity {self.arity}")
-            for e in t.entries:
-                if isinstance(e, str) and e not in support:
-                    raise FraenkelError(f"type {t} names {e!r} outside the support")
+        positions = _type_positions(arity, support)
+        mask = 0
+        if isinstance(accepted, int):
+            if not 0 <= accepted < 1 << len(positions):
+                raise FraenkelError(f"mask {accepted} out of range for {len(positions)} types")
+            mask = accepted
+        else:
+            for t in accepted:
+                if t not in positions:
+                    raise FraenkelError(f"type {t} is not of arity {arity} over {list(support)}")
+                mask |= 1 << positions[t]
+        return tuple.__new__(cls, (arity, *_least(arity, support, mask)))
+
+    @property
+    def accepted(self) -> frozenset[EqType]:
+        types = enumerate_types(self.arity, self.support)
+        return frozenset(t for k, t in enumerate(types) if self.mask >> k & 1)
 
     def __str__(self) -> str:
         types = "{" + "; ".join(sorted(map(type_string, self.accepted))) + "}"
@@ -167,7 +192,7 @@ def denotes(sigma: SymbolicPredicate, atoms: Sequence[str]) -> bool:
     """Membership of an atom tuple in the denoted predicate."""
     if len(atoms) != sigma.arity:
         raise FraenkelError(f"expected {sigma.arity} atoms, got {len(atoms)}")
-    return classify(atoms, sigma.support) in sigma.accepted
+    return bool(sigma.mask >> _type_index(sigma.support, tuple(atoms)) & 1)
 
 
 def equality_symbolic() -> SymbolicPredicate:
@@ -218,64 +243,64 @@ def apply_permutation_symbolic(
 
 
 # ---------------------------------------------------------------------------
-# Minimal supports.
+# Minimal supports, on masks.  ``enumerate_types`` sees support atoms only by
+# position, so these tables are per arity and support size, not per names.
 # ---------------------------------------------------------------------------
 
 
-def _drop_support_atom(sigma: SymbolicPredicate, atom: str) -> SymbolicPredicate | None:
-    """Re-express the predicate over the support minus one atom, or report
-    that the atom is essential.
+@lru_cache(maxsize=256)
+def _drop_groups(arity: int, size: int, position: int) -> tuple[int, ...]:
+    """Entry j is the mask of the types over ``size`` support atoms that
+    read as the j-th type over the support without the atom at
+    ``position``, that atom counted as one more fresh atom."""
+    support = tuple(map(str, range(size)))
+    smaller = support[:position] + support[position + 1 :]
+    positions = _type_positions(arity, smaller)
+    groups = [0] * len(positions)
+    for k, t in enumerate(enumerate_types(arity, support)):
+        groups[positions[classify(t.entries, smaller)]] |= 1 << k
+    return tuple(groups)
 
-    A type over the smaller support describes tuples whose fresh positions
-    may or may not hit the dropped atom; the atom is removable iff every
-    such refinement agrees with the original acceptance.
-    """
-    smaller = tuple(a for a in sigma.support if a != atom)
-    accepted: set[EqType] = set()
-    for t in enumerate_types(sigma.arity, smaller):
-        verdicts = {t in sigma.accepted}
-        fresh_classes = sorted({e for e in t.entries if isinstance(e, int)})
-        for cls in fresh_classes:
-            renumber: dict[int, int] = {}
-            entries: list[str | int] = []
-            for e in t.entries:
-                if e == cls:
-                    entries.append(atom)
-                elif isinstance(e, int):
-                    entries.append(renumber.setdefault(e, len(renumber)))
-                else:
-                    entries.append(e)
-            verdicts.add(EqType(tuple(entries)) in sigma.accepted)
-        if len(verdicts) != 1:
+
+def _drop(mask: int, groups: tuple[int, ...]) -> int | None:
+    """The mask over the smaller support when the dropped atom is inessential,
+    that is when every group is wholly accepted or wholly rejected; else None."""
+    smaller = 0
+    for j, group in enumerate(groups):
+        hit = mask & group
+        if hit == group:
+            smaller |= 1 << j
+        elif hit:
             return None
-        if verdicts.pop():
-            accepted.add(t)
-    return SymbolicPredicate(sigma.arity, smaller, frozenset(accepted))
+    return smaller
 
 
-def canonicalize(sigma: SymbolicPredicate) -> SymbolicPredicate:
-    """Equivalent predicate over its least support."""
-    current = sigma
-    changed = True
-    while changed:
-        changed = False
-        for atom in current.support:
-            dropped = _drop_support_atom(current, atom)
-            if dropped is not None:
-                current = dropped
-                changed = True
-                break
-    return current
+def _least(arity: int, support: tuple[str, ...], mask: int) -> tuple[tuple[str, ...], int]:
+    """The mask over the sorted support, as ``(support, mask)`` over the least
+    support.  An atom drops from any support holding the least one iff it
+    lies outside the least one, so one pass over the atoms drops them all."""
+    position = 0
+    while position < len(support):
+        smaller = _drop(mask, _drop_groups(arity, len(support), position))
+        if smaller is None:
+            position += 1
+        else:
+            support, mask = support[:position] + support[position + 1 :], smaller
+    return support, mask
 
 
-def minimal_support(sigma: SymbolicPredicate) -> tuple[str, ...]:
-    """The least set of atoms that still supports the denoted predicate."""
-    return canonicalize(sigma).support
-
-
-def symbolic_equal(a: SymbolicPredicate, b: SymbolicPredicate) -> bool:
-    """Extensional equality of the denoted predicates."""
-    return a.arity == b.arity and canonicalize(a) == canonicalize(b)
+@lru_cache(maxsize=64)
+def _non_minimal_masks(arity: int, size: int) -> frozenset[int]:
+    """The masks over ``size`` support atoms from which some atom drops: the
+    unions of the drop groups of one position.  There are at most ``size``
+    times as many as the masks over one atom fewer."""
+    out: set[int] = set()
+    for position in range(size):
+        unions = [0]
+        for group in _drop_groups(arity, size, position):
+            unions += [u | group for u in unions]
+        out.update(unions)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +335,17 @@ def _atom_pool(values: Iterable[object], fresh: int) -> list[str]:
 
 
 def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
-    """All symbolic predicates of the arity whose support is a subset of the
-    pool of size at most the bound, every accepted set enumerated."""
+    """Every symbolic predicate of the arity whose support is a subset of the
+    pool of size at most the bound, each once, under its least support, in
+    the order of first occurrence when every mask is listed under every
+    support (supports by size, then in ``combinations`` order)."""
+    new = tuple.__new__
     for size in range(min(support_bound, len(pool)) + 1):
+        skip = _non_minimal_masks(arity, size).__contains__
         for sup in combinations(pool, size):
             sup = tuple(sorted(sup))
-            types = enumerate_types(arity, sup)
-            for mask in range(2 ** len(types)):
-                accepted = frozenset(t for k, t in enumerate(types) if mask >> k & 1)
-                yield SymbolicPredicate(arity, sup, accepted)
+            for mask in filterfalse(skip, range(1 << len(enumerate_types(arity, sup)))):
+                yield new(SymbolicPredicate, (arity, sup, mask))
 
 
 class _SymbolicRun:
@@ -331,7 +358,7 @@ class _SymbolicRun:
     stratified.  A bridged predicate existential takes its one candidate
     from ``section`` instead, uncounted."""
 
-    pred_eq = staticmethod(symbolic_equal)
+    pred_eq = eq
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
@@ -340,12 +367,18 @@ class _SymbolicRun:
 
     def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
         self.enumerated, self.stratified = 0, False
-        truth = self.run(values)
+        truth = bool(self.run(values))
         return SymbolicVerdict(truth, self.stratified, self.support_bound)
 
     @staticmethod
     def atom(p: int, args: tuple[int, ...]):
-        return lambda env: denotes(env[p], [env[a] for a in args])
+        point = itemgetter(*args) if len(args) > 1 else lambda env: (env[args[0]],)
+
+        def holds(env: list) -> int:
+            sigma = env[p]
+            return sigma.mask >> _type_index(sigma.support, point(env)) & 1
+
+        return holds
 
     def pool(self, var: Var):
         if var.is_individual:
@@ -373,16 +406,14 @@ class _SymbolicRun:
 
         def section(env: list) -> SymbolicPredicate | None:
             self.stratified = True
-            sigma, atoms = env[s], [env[x] for x in xs]
+            sigma, atoms = env[s], tuple(env[x] for x in xs)
             support = tuple(sorted(set(sigma.support).union(atoms)))
             fresh = fresh_atoms(m, avoid=support)
-
-            def holds(t: EqType) -> bool:
-                ys = [e if isinstance(e, str) else fresh[e] for e in t.entries]
-                return denotes(sigma, atoms + ys)
-
-            accepted = frozenset(filter(holds, enumerate_types(m, support)))
-            value = canonicalize(SymbolicPredicate(m, support, accepted))
+            mask = 0
+            for k, t in enumerate(enumerate_types(m, support)):
+                ys = tuple(e if isinstance(e, str) else fresh[e] for e in t.entries)
+                mask |= denotes(sigma, atoms + ys) << k
+            value = SymbolicPredicate(m, support, mask)
             return value if len(value.support) <= self.support_bound else None
 
         return section
@@ -470,56 +501,30 @@ class OrderVerdict:
 
 @dataclass(frozen=True)
 class _OrderContext:
-    support: tuple[str, ...]
     strict: bool
     pool: tuple[str, ...]
-    types: tuple[EqType, ...]
     pair_type: tuple[tuple[int, ...], ...]
     transitivity: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
-    antisymmetry: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    totality: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # i != j: types of (i, j), (j, i)
     diagonal: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=256)
 def _order_context(support: tuple[str, ...], strict: bool) -> _OrderContext:
-    pool = tuple(support) + fresh_atoms(3, avoid=support)
-    types = enumerate_types(2, tuple(support))
-    index = {t: k for k, t in enumerate(types)}
+    pool = support + fresh_atoms(3, avoid=support)
     k = len(pool)
-    pair_type = tuple(
-        tuple(index[classify((pool[i], pool[j]), support)] for j in range(k))
-        for i in range(k)
-    )
+    pair_type = tuple(tuple(_type_index(support, (a, b)) for b in pool) for a in pool)
     transitivity: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                key = (pair_type[i][j], pair_type[j][l], pair_type[i][l])
-                transitivity.setdefault(key, (i, j, l))
-    antisymmetry: dict[tuple[int, int], tuple[int, int]] = {}
-    totality: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            key = (pair_type[i][j], pair_type[j][i])
-            antisymmetry.setdefault(key, (i, j))
-            totality.setdefault(key, (i, j))
+    for i, j, l in product(range(k), repeat=3):
+        transitivity.setdefault((pair_type[i][j], pair_type[j][l], pair_type[i][l]), (i, j, l))
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, j in permutations(range(k), 2):
+        pairs.setdefault((pair_type[i][j], pair_type[j][i]), (i, j))
     diagonal: dict[int, int] = {}
     for i in range(k):
         diagonal.setdefault(pair_type[i][i], i)
-    return _OrderContext(
-        support=tuple(support),
-        strict=strict,
-        pool=pool,
-        types=types,
-        pair_type=pair_type,
-        transitivity=tuple(transitivity.items()),
-        antisymmetry=tuple(antisymmetry.items()),
-        totality=tuple(totality.items()),
-        diagonal=tuple(diagonal.items()),
-    )
+    tables = (tuple(d.items()) for d in (transitivity, pairs, diagonal))
+    return _OrderContext(strict, pool, pair_type, *tables)
 
 
 def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] | None:
@@ -527,10 +532,10 @@ def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] |
     for (tij, tjl, til), (i, j, l) in ctx.transitivity:
         if mask >> tij & 1 and mask >> tjl & 1 and not mask >> til & 1:
             return "transitivity", (ctx.pool[i], ctx.pool[j], ctx.pool[l])
-    for (tij, tji), (i, j) in ctx.antisymmetry:
+    for (tij, tji), (i, j) in ctx.pairs:
         if mask >> tij & 1 and mask >> tji & 1:
             return "antisymmetry", (ctx.pool[i], ctx.pool[j])
-    for (tij, tji), (i, j) in ctx.totality:
+    for (tij, tji), (i, j) in ctx.pairs:
         if not mask >> tij & 1 and not mask >> tji & 1:
             return "totality", (ctx.pool[i], ctx.pool[j])
     if ctx.strict:
@@ -544,14 +549,6 @@ def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] |
     return None
 
 
-def _accepted_mask(sigma: SymbolicPredicate, ctx: _OrderContext) -> int:
-    index = {t: k for k, t in enumerate(ctx.types)}
-    mask = 0
-    for t in sigma.accepted:
-        mask |= 1 << index[t]
-    return mask
-
-
 def is_linear_order(sigma: SymbolicPredicate, *, strict: bool = True) -> OrderVerdict:
     """Decide whether the binary predicate linearly orders the atoms.
 
@@ -562,8 +559,7 @@ def is_linear_order(sigma: SymbolicPredicate, *, strict: bool = True) -> OrderVe
     """
     if sigma.arity != 2:
         raise FraenkelError("linear-order testing needs a binary predicate")
-    ctx = _order_context(sigma.support, strict)
-    result = _order_check(_accepted_mask(sigma, ctx), ctx)
+    result = _order_check(sigma.mask, _order_context(sigma.support, strict))
     if result is None:
         return OrderVerdict(True, None, None)
     return OrderVerdict(False, result[0], result[1])
@@ -609,7 +605,7 @@ def wellorder_counterexample_sweep(
     for size in range(max_support + 1):
         support = tuple(f"p{i}" for i in range(1, size + 1))
         ctx = _order_context(support, strict)
-        count = 2 ** len(ctx.types)
+        count = 1 << len(enumerate_types(2, support))
         if total + count > cap:
             raise CapExceeded("sweep predicates", total + count, cap)
         failures: dict[str, int] = {}

@@ -8,24 +8,29 @@ shared (AST nodes, the structure's bit layout, the defaults policy:
 first individual, least table).
 
 ``naive_sym_eval`` is the tree-walking reference for the symbolic
-semantics: a dict environment copied per binding, its own candidate
-enumeration and cap count, and the package's equality-type primitives
-(``denotes``, ``symbolic_equal``, ``enumerate_types``) for atoms.
+semantics: a dict environment copied per binding, its own predicates
+(``RefPredicate``: a support and a set of accepted equality types, kept as
+declared), membership by ``classify``, equality by the atom-dropping
+``ref_canonicalize``, and its own candidate enumeration, every accepted set
+under every support, with its own cap count.  It shares only the type
+primitives ``EqType``, ``classify`` and ``enumerate_types`` with the
+package; ``ref_predicate`` and ``to_symbolic`` convert at the boundary.
 
 The two structure builders at the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
 against, and the closure of a structure under permutations.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from henkin.fraenkel import (
     DEFAULT_PRED_CAP,
+    EqType,
     SymbolicPredicate,
-    denotes,
+    classify,
     enumerate_types,
     fresh_atoms,
-    symbolic_equal,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
 from henkin.structures import DEFAULT_TABLE_CAP, CapExceeded, Structure, all_tables
@@ -94,6 +99,93 @@ def naive_eval(structure, env, formula):
     raise TypeError(f"oracle cannot evaluate {type(formula).__name__}")
 
 
+@dataclass(frozen=True)
+class RefPredicate:
+    """A symbolic predicate as declared: true of a tuple iff the tuple's
+    equality type relative to the support is in ``accepted``."""
+
+    arity: int
+    support: tuple
+    accepted: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(sorted(set(self.support))))
+        object.__setattr__(self, "accepted", frozenset(self.accepted))
+
+
+def ref_predicate(sigma):
+    """The reference form of a package ``SymbolicPredicate``."""
+    return RefPredicate(sigma.arity, sigma.support, sigma.accepted)
+
+
+def to_symbolic(ref):
+    """The package form of a reference predicate."""
+    return SymbolicPredicate(ref.arity, ref.support, ref.accepted)
+
+
+def ref_denotes(sigma, atoms):
+    return classify(atoms, sigma.support) in sigma.accepted
+
+
+def _drop_support_atom(sigma, atom):
+    """The predicate over the support minus one atom, or None when the atom
+    is essential: a type over the smaller support covers the tuples whose
+    fresh positions may or may not hit the dropped atom, and every such
+    refinement must agree."""
+    smaller = tuple(a for a in sigma.support if a != atom)
+    accepted = set()
+    for t in enumerate_types(sigma.arity, smaller):
+        verdicts = {t in sigma.accepted}
+        fresh_classes = sorted({e for e in t.entries if isinstance(e, int)})
+        for cls in fresh_classes:
+            renumber = {}
+            entries = []
+            for e in t.entries:
+                if e == cls:
+                    entries.append(atom)
+                elif isinstance(e, int):
+                    entries.append(renumber.setdefault(e, len(renumber)))
+                else:
+                    entries.append(e)
+            verdicts.add(EqType(tuple(entries)) in sigma.accepted)
+        if len(verdicts) != 1:
+            return None
+        if verdicts.pop():
+            accepted.add(t)
+    return RefPredicate(sigma.arity, smaller, frozenset(accepted))
+
+
+def ref_canonicalize(sigma):
+    """The equivalent predicate over its least support."""
+    current = sigma
+    changed = True
+    while changed:
+        changed = False
+        for atom in current.support:
+            dropped = _drop_support_atom(current, atom)
+            if dropped is not None:
+                current = dropped
+                changed = True
+                break
+    return current
+
+
+def ref_equal(a, b):
+    return a.arity == b.arity and ref_canonicalize(a) == ref_canonicalize(b)
+
+
+def ref_candidates(arity, pool, support_bound):
+    """Every accepted set under every support of size at most the bound
+    drawn from the pool."""
+    for size in range(min(support_bound, len(pool)) + 1):
+        for sup in combinations(pool, size):
+            sup = tuple(sorted(sup))
+            types = enumerate_types(arity, sup)
+            for mask in range(2 ** len(types)):
+                accepted = frozenset(t for k, t in enumerate(types) if mask >> k & 1)
+                yield RefPredicate(arity, sup, accepted)
+
+
 class SymContext:
     """Stratum, predicate cap, and what one symbolic evaluation did."""
 
@@ -115,28 +207,23 @@ def _env_atoms(env):
 
 
 def _sym_candidates(arity, pool, ctx):
-    for size in range(min(ctx.support_bound, len(pool)) + 1):
-        for sup in combinations(pool, size):
-            sup = tuple(sorted(sup))
-            types = enumerate_types(arity, sup)
-            for mask in range(2 ** len(types)):
-                ctx.enumerated += 1
-                if ctx.enumerated > ctx.pred_cap:
-                    raise CapExceeded("enumerated symbolic predicates", ctx.enumerated, ctx.pred_cap)
-                accepted = frozenset(t for k, t in enumerate(types) if mask >> k & 1)
-                yield SymbolicPredicate(arity, sup, accepted)
+    for sigma in ref_candidates(arity, pool, ctx.support_bound):
+        ctx.enumerated += 1
+        if ctx.enumerated > ctx.pred_cap:
+            raise CapExceeded("enumerated symbolic predicates", ctx.enumerated, ctx.pred_cap)
+        yield sigma
 
 
 def naive_sym_eval(formula, env, ctx):
     """Truth over the symbolic atom universe; env maps variables to atom
-    names and symbolic predicates, ctx is a ``SymContext``."""
+    names and ``RefPredicate``s, ctx is a ``SymContext``."""
     if isinstance(formula, Eq):
         left, right = env[formula.left], env[formula.right]
         if formula.left.is_individual:
             return left == right
-        return symbolic_equal(left, right)
+        return ref_equal(left, right)
     if isinstance(formula, Atom):
-        return denotes(env[formula.predicate], tuple(env[a] for a in formula.args))
+        return ref_denotes(env[formula.predicate], tuple(env[a] for a in formula.args))
     if isinstance(formula, Not):
         return not naive_sym_eval(formula.body, env, ctx)
     if isinstance(formula, And):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from henkin.cli import main
 from henkin.corpus import default_vocabulary, random_formula
+from henkin.fraenkel import MAX_TYPES
 from henkin.structures import save_structure, standard_structure, Structure, Table
 from henkin.syntax import format_formula
 
@@ -245,6 +246,21 @@ class TestFraenkelCommands:
         )
         assert code == 0 and report["result"]["stratified"] is False
 
+    def test_binding_past_the_type_cap_exit_3(self, capsys, tmp_path):
+        # a predicate is a mask over the equality types of its arity and
+        # support: 21147 for arity 9, 115975 for arity 10, past MAX_TYPES
+        for arity, expected in ((9, 0), (10, 3)):
+            f = tmp_path / "f.fml"
+            f.write_text(f"all x1 . ~(A0^{arity} {' '.join(['x1'] * arity)})\n")
+            b = tmp_path / "b.json"
+            doc = {"arity": arity, "support": [], "accepted": []}
+            b.write_text(json.dumps({"predicates": {f"A0^{arity}": doc}}))
+            code, report, _ = run(
+                capsys, "fraenkel", "eval", "--formula", str(f), "--bind", str(b), "--strat", "0"
+            )
+            assert code == expected
+        assert (report["result"]["needed"], report["result"]["cap"]) == (MAX_TYPES + 1, MAX_TYPES)
+
     def test_choice_witness(self, capsys, tmp_path):
         h = tmp_path / "h.fml"
         h.write_text("all x2 . (A0^1 x2 <-> x2 = x1)\n")
@@ -270,14 +286,16 @@ class TestFraenkelCommands:
         assert report["result"]["witness"]["accepted"] == ["f1,f1,f1"]
 
     def test_cap_exit_3(self, capsys, tmp_path):
+        # the antecedent enumerates 3 distinct predicates at stratum 2
         h = tmp_path / "h.fml"
         h.write_text("all x2 . (A0^1 x2 <-> x2 = x1)\n")
-        code, report, _ = run(
-            capsys, "fraenkel", "choice", "--h", str(h), "--strat", "2",
-            "--cap-preds", "3",
-        )
+        argv = ["fraenkel", "choice", "--h", str(h), "--strat", "2", "--cap-preds"]
+        code, report, _ = run(capsys, *argv, "2")
         assert code == 3
         assert any("cap" in flag for flag in report["flags"])
+        assert (report["result"]["needed"], report["result"]["cap"]) == (3, 2)
+        code, report, _ = run(capsys, *argv, "3")
+        assert code == 0
 
 
 class TestTableCapEnvironment:

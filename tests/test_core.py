@@ -8,11 +8,19 @@ from itertools import product
 
 import pytest
 
-from oracle import SymContext, naive_eval, naive_sym_eval
+from oracle import (
+    RefPredicate,
+    SymContext,
+    naive_eval,
+    naive_sym_eval,
+    ref_denotes,
+    ref_predicate,
+    to_symbolic,
+)
 
 from henkin.corpus import default_vocabulary, random_assignment, random_formula, random_structure
 from henkin.evaluate import EvalError, att, evaluate
-from henkin.fraenkel import SymbolicPredicate, enumerate_types, symbolic_evaluate
+from henkin.fraenkel import SymbolicPredicate, enumerate_types, fresh_atoms, symbolic_evaluate
 from henkin.parser import parse
 from henkin.structures import Assignment, CapExceeded, Structure, Table, all_tables
 from henkin.syntax import And, Atom, Exists, Forall, Iff, Or, forall_many, ind, pred
@@ -36,9 +44,14 @@ def compiled(formula, binding, bound, cap):
 
 
 def reference(formula, binding, bound, cap):
+    """The reference's outcome; predicates in the binding are package or
+    reference predicates, the latter kept with their declared support."""
     ctx = SymContext(bound, cap)
+    env = {
+        v: ref_predicate(x) if isinstance(x, SymbolicPredicate) else x for v, x in binding.items()
+    }
     try:
-        truth = naive_sym_eval(formula, dict(binding), ctx)
+        truth = naive_sym_eval(formula, env, ctx)
     except CapExceeded as exc:
         return "cap", exc.needed, exc.cap
     return truth, ctx.stratified
@@ -124,28 +137,76 @@ class TestSymbolicCore:
 
     # x1 is bound to p outside the quantifier that rebinds it: the
     # quantifier's own pool sees p, its body's predicate pools do not, so the
-    # body enumerates 2 + 4 + 4 unary candidates per value of x1 (pools
-    # [p, u1] and [u1, u2]).  With p still visible the second pool would be
-    # [p, u1, u2] and hold 14.
+    # body enumerates 2 + 2 + 2 unary predicates per value of x1 (pools
+    # [p, u1] and [u1, u2]): the empty and the full one, then a point and
+    # its complement per atom.  The reference lists every mask under every
+    # support of the same pools, 2 + 4 + 4.  With p still visible the second
+    # pool would be [p, u1, u2] and hold 8 (14 listed).
     REBOUND = "x1 = x1 & (all x1 . all A0^1 . (A0^1 x1 | ~(A0^1 x1)))"
 
     @pytest.mark.parametrize(
-        "binding, enumerated",
-        [({x1: "p"}, 20), ({x1: "p", x3: "q"}, 38)],
+        "binding, enumerated, listed",
+        [({x1: "p"}, 12, 20), ({x1: "p", x3: "q"}, 22, 38)],
         ids=["rebound", "rebound-plus-unmentioned-entry"],
     )
-    def test_pools_see_the_bindings_in_scope(self, binding, enumerated):
+    def test_pools_see_the_bindings_in_scope(self, binding, enumerated, listed):
         f = parse(self.REBOUND)
         assert compiled(f, binding, 1, enumerated) == (True, True)
         assert compiled(f, binding, 1, enumerated - 1) == ("cap", enumerated, enumerated - 1)
-        for cap in range(enumerated - 6, enumerated + 6):
-            assert compiled(f, binding, 1, cap) == reference(f, binding, 1, cap)
+        assert reference(f, binding, 1, listed) == (True, True)
+        assert reference(f, binding, 1, listed - 1) == ("cap", listed, listed - 1)
+
+    def test_non_minimal_bindings_agree_with_reference(self):
+        # a predicate declared over more atoms than it needs is stored over
+        # its least support, so the pools it feeds shrink; the verdict and
+        # the stratified label are those of the reference on the declared
+        # support, whose pools keep the extra atoms
+        rng = random.Random(127)
+        pred_vars = [pred(0, 1), pred(1, 1), pred(0, 2)]
+        compared = padded = 0
+        for _ in range(400):
+            formula = random_formula(rng, rng.randint(1, 4), [x1, x2, x3], pred_vars)
+            declared = {}
+            for v in sorted(formula.free_vars | set(rng.sample(pred_vars, 1))):
+                if v.is_individual:
+                    declared[v] = rng.choice(("p", "q", "u1"))
+                    continue
+                sigma = ref_predicate(random_symbolic(rng, v.arity, ["p", "q"]))
+                declared[v] = pad(sigma, rng.sample(("p", "q", "r", "u1"), rng.randint(1, 2)))
+            binding = {
+                v: to_symbolic(x) if isinstance(x, RefPredicate) else x for v, x in declared.items()
+            }
+            bound = rng.randint(0, 2)
+            expected = reference(formula, declared, bound, 5000)
+            if expected[0] == "cap":
+                continue
+            assert compiled(formula, binding, bound, 5000) == expected
+            compared += 1
+            padded += any(
+                isinstance(x, RefPredicate) and binding[v].support != x.support
+                for v, x in declared.items()
+            )
+        assert compared >= 350 and padded >= 300
 
     def test_cap_hit_reports_the_same_count(self):
         tautology = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)")
         for cap in (0, 1, 50, 99):
             outcome = compiled(tautology, {x1: "p"}, 2, cap)
             assert outcome == ("cap", cap + 1, cap) == reference(tautology, {x1: "p"}, 2, cap)
+
+
+def pad(sigma, extra):
+    """The reference predicate ``sigma`` declared over its support plus the
+    extra atoms: it accepts the types over the larger support whose tuples
+    it holds of."""
+    support = tuple(sorted(set(sigma.support) | set(extra)))
+    fresh = fresh_atoms(sigma.arity, avoid=support)
+    accepted = {
+        t
+        for t in enumerate_types(sigma.arity, support)
+        if ref_denotes(sigma, tuple(e if isinstance(e, str) else fresh[e] for e in t.entries))
+    }
+    return RefPredicate(sigma.arity, support, frozenset(accepted))
 
 
 def random_bridged(rng, rest_depth, pred_quantifiers):

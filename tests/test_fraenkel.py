@@ -1,5 +1,9 @@
+import copy
+import json
+import pickle
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +12,8 @@ from henkin.fraenkel import (
     EqType,
     FraenkelError,
     SymbolicPredicate,
+    _candidate_predicates,
     apply_permutation_symbolic,
-    canonicalize,
     check_atom_name,
     check_choice_instance_sigma0,
     classify,
@@ -24,8 +28,6 @@ from henkin.fraenkel import (
     full_symbolic,
     inequality_symbolic,
     is_linear_order,
-    minimal_support,
-    symbolic_equal,
     symbolic_evaluate,
     symbolic_from_dict,
     symbolic_to_dict,
@@ -34,11 +36,18 @@ from henkin.fraenkel import (
     type_string,
     wellorder_counterexample_sweep,
 )
+from henkin.corpus import payload_corpus
 from henkin.parser import parse, parse_var
 from henkin.structures import Structure, all_tables
-from henkin.syntax import free_vars, ind, pred
+from henkin.syntax import format_formula, free_vars, ind, pred
 
-from oracle import naive_eval
+from oracle import (
+    RefPredicate,
+    naive_eval,
+    ref_candidates,
+    ref_canonicalize,
+    ref_denotes,
+)
 
 A1 = parse_var("A0^1")
 T2 = parse_var("A0^2")
@@ -134,11 +143,11 @@ class TestDenotes:
 class TestMinimalSupport:
     def test_constant_with_declared_support(self):
         sigma = SymbolicPredicate(1, ("p",), frozenset({EqType(("p",)), EqType((0,))}))
-        assert minimal_support(sigma) == ()
+        assert sigma.support == ()
 
     def test_indicator_is_essential(self):
         sigma = finite_set(("p",))
-        assert minimal_support(sigma) == ("p",)
+        assert sigma.support == ("p",)
         # removing p changes the denotation, witnessed by a swap
         swapped = apply_permutation_symbolic({"p": "q", "q": "p"}, sigma)
         assert denotes(sigma, ("p",)) != denotes(swapped, ("p",))
@@ -147,20 +156,40 @@ class TestMinimalSupport:
         sigma = SymbolicPredicate(
             2, ("p",), frozenset({EqType(("p", "p")), EqType((0, 0))})
         )
-        assert minimal_support(sigma) == ()
-        assert canonicalize(sigma) == equality_symbolic()
+        assert sigma.support == ()
+        assert sigma == equality_symbolic()
+
+    def test_mask_form_matches_type_form(self):
+        types = enumerate_types(2, ("p",))
+        for mask in range(2 ** len(types)):
+            sigma = SymbolicPredicate(2, ("p",), mask)
+            accepted = frozenset(t for k, t in enumerate(types) if mask >> k & 1)
+            assert sigma == SymbolicPredicate(2, ("p",), accepted)
+            # copies and pickles rebuild through the mask form
+            assert copy.deepcopy(sigma) == sigma == pickle.loads(pickle.dumps(sigma))
+        with pytest.raises(FraenkelError):
+            SymbolicPredicate(2, ("p",), 2 ** len(types))
 
     def test_canonicalize_preserves_denotation(self):
+        # built canonical: the denotation of the declared predicate, over the
+        # reference's least support, with equal predicates equal
         rng = random.Random(3)
-        atoms = ("p", "q", "a", "b")
-        for _ in range(60):
-            support = tuple(sorted(rng.sample(("p", "q"), rng.randint(0, 2))))
-            types = enumerate_types(2, support)
+        atoms = ("p", "q", "r", "a", "b")
+        built = {}
+        for _ in range(300):
+            arity = rng.choice((1, 2, 2, 3))
+            support = tuple(sorted(rng.sample(("p", "q", "r"), rng.randint(0, 3 - arity // 2))))
+            types = enumerate_types(arity, support)
             accepted = frozenset(t for t in types if rng.random() < 0.5)
-            sigma = SymbolicPredicate(2, support, accepted)
-            reduced = canonicalize(sigma)
-            for tup in product(atoms, repeat=2):
-                assert denotes(sigma, tup) == denotes(reduced, tup)
+            declared = RefPredicate(arity, support, accepted)
+            sigma = SymbolicPredicate(arity, support, declared.accepted)
+            least = ref_canonicalize(declared)
+            assert (sigma.support, sigma.accepted) == (least.support, least.accepted)
+            for tup in product(atoms, repeat=arity):
+                assert denotes(sigma, tup) == ref_denotes(declared, tup)
+            assert built.setdefault(least, sigma) == sigma
+        # equal exactly when the reference's least forms are equal
+        assert len(set(built.values())) == len(built) < 300
 
 
 class TestPermutationAction:
@@ -200,7 +229,7 @@ class TestArityOneCharacterization:
                 expected = cofinite_set(set(support) - named)
             else:
                 expected = finite_set(named) if named else empty_symbolic(1)
-            assert symbolic_equal(sigma, expected)
+            assert sigma == expected
 
 
 class TestSymbolicEvaluate:
@@ -386,7 +415,7 @@ class TestChoiceInstances:
             1, 1, parse("all x2 . (A0^1 x2 <-> x2 = x1)"), 2
         )
         assert report.status == "witnessed"
-        assert symbolic_equal(report.witness, equality_symbolic())
+        assert report.witness == equality_symbolic()
 
     def test_membership_payload(self):
         report = check_choice_instance_sigma0(1, 1, parse("A0^1 x1"), 2)
@@ -461,11 +490,12 @@ class TestChoiceSearchCounts:
 
     @pytest.mark.parametrize(
         "cap, expected",
-        [(None, ("inconclusive", 36, False)), (36, ("inconclusive", 36, False)),
-         (35, ("inconclusive", 35, True))],
+        [(None, ("inconclusive", 32, False)), (32, ("inconclusive", 32, False)),
+         (31, ("inconclusive", 31, True))],
     )
     def test_exhausted_search(self, cap, expected):
-        # 4 support-free binary candidates plus 32 over one fresh atom
+        # 4 support-free binary candidates plus 28 whose least support is
+        # one fresh atom: of the 32 masks over it, 4 are support-free again
         report = check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 1, candidate_cap=cap)
         assert (report.status, report.candidates_tried, report.cap_hit) == expected
         assert report.witness is None
@@ -475,15 +505,59 @@ class TestChoiceSearchCounts:
         from henkin.structures import CapExceeded
 
         # the bridged choice variable is never enumerated, so the payload
-        # quantifies a predicate of its own; the antecedent enumerates 74
+        # quantifies a predicate of its own; the antecedent enumerates 27
         text = f"({self.OTHER_POINT}) & (all A1^1 . (A1^1 x1 | ~(A1^1 x1)))"
-        # 143 verifications enumerate 894 predicates together, but none
-        # more than 234 on its own (the last, the witness)
-        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=234, candidate_cap=10**6)
-        assert (report.status, report.candidates_tried) == ("witnessed", 143)
+        # 126 verifications enumerate 296 predicates together, but none
+        # more than 76 on its own (the last, the witness)
+        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=76, candidate_cap=10**6)
+        assert (report.status, report.candidates_tried) == ("witnessed", 126)
         with pytest.raises(CapExceeded) as exc:
-            check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=233, candidate_cap=10**6)
-        assert (exc.value.needed, exc.value.cap) == (234, 233)
+            check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=75, candidate_cap=10**6)
+        assert (exc.value.needed, exc.value.cap) == (76, 75)
+
+
+class TestCandidatePredicates:
+    """The quantifier's candidates are the distinct predicates of the
+    reference's listing of every mask under every support, each once, in
+    the order of their first occurrence there."""
+
+    @pytest.mark.parametrize(
+        "arity, pool, bound",
+        [
+            (1, ("p", "q", "u1", "u2"), 3),
+            (1, ("v", "u1", "u2", "u3"), 3),  # combinations order is not sorted order
+            (2, ("p", "u1", "u2"), 2),
+            (2, ("v", "u1", "u2"), 2),
+            (2, ("p",), 2),  # the pool caps the support size
+        ],
+    )
+    def test_distinct_in_first_occurrence_order(self, arity, pool, bound):
+        first: dict = {}
+        for sigma in ref_candidates(arity, pool, bound):
+            first.setdefault(ref_canonicalize(sigma), None)
+        expected = [(s.arity, s.support, s.accepted) for s in first]
+        got = [(s.arity, s.support, s.accepted) for s in _candidate_predicates(arity, pool, bound)]
+        assert got == expected
+
+
+class TestWitnessJSON:
+    """Statuses and witness JSON, byte for byte, as the search gave them when
+    it listed every mask under every support: the suite at strata 1-3 and
+    the seed-7 payload corpus at stratum 2."""
+
+    def test_unchanged(self):
+        path = Path(__file__).with_name("choice_witnesses.json")
+        expected = json.loads(path.read_text(encoding="utf-8"))
+        instances = [
+            (name, n, m, parse(text), s) for s in (1, 2, 3) for name, n, m, text in CHOICE_SUITE
+        ]
+        instances += [(format_formula(f), 1, 1, f, 2) for f in payload_corpus(7, 40, 1, 1, 3)]
+        rows = []
+        for label, n, m, payload, stratum in instances:
+            report = check_choice_instance_sigma0(n, m, payload, stratum)
+            witness = json.dumps(symbolic_to_dict(report.witness)) if report.witness else None
+            rows.append([label, stratum, report.status, witness])
+        assert rows == expected
 
 
 class TestTruncationOracle:
