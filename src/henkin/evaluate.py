@@ -42,17 +42,19 @@ class EvalError(Exception):
     """Evaluation cannot proceed: missing domain, bad assignment, or bad input."""
 
 
-def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Callable:
-    """Compile the formula once into ``run(values)``: its truth with
-    ``params[k]`` bound to ``values[k]``, the parameters covering the free
-    variables.
+def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple[Callable, list]:
+    """Compile the formula once into ``(body, env)``: ``env`` is a fresh list
+    with one ``None`` slot per variable, ``params`` first, and ``body(env)``
+    is the truth once the caller has written the values of the parameters,
+    which cover the free variables, into their slots.
 
-    Every variable gets one slot of a list environment.  The semantics gives
-    ``atom(pred_slot, arg_slots)``, an environment-to-truth closure,
-    ``pred_eq``, and ``pool(var)``, a function from the environment to a
-    quantifier's values.  A quantifier saves its slot, runs its body per
-    pool value and restores the slot, so unset (``None``) slots are exactly
-    the variables out of scope.
+    The semantics gives ``atom(pred_slot, arg_slots)``, an
+    environment-to-truth closure, ``pred_eq``, and ``pool(var)``, a function
+    from the environment to a quantifier's values.  A quantifier saves its
+    slot, runs its body per pool value and restores the slot, so unset
+    (``None``) slots are exactly the variables out of scope, and a run that
+    returns leaves ``env`` as it found it: one environment serves many runs,
+    but a run that raises part-way may leave quantifier slots set.
 
     A bridged predicate existential (see ``_bridged_section``) has one
     candidate.  ``semantics.section(s_slot, xs_slots, m)`` gives a closure
@@ -63,7 +65,6 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
     slot = {v: k for k, v in enumerate(params)}
     for v in sorted(all_vars(formula)):
         slot.setdefault(v, len(slot))
-    unset = [None] * (len(slot) - len(params))
     rights: dict[int, Callable] = {}  # id of an And node -> its compiled right conjunct
 
     def step(g: Formula, kids: list) -> Callable:
@@ -118,8 +119,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> Calla
             return lambda env: not left(env) or right(env)
         return lambda env: left(env) == right(env)
 
-    body = fold(formula, step)
-    return lambda values: body([*values, *unset])
+    return fold(formula, step), [None] * len(slot)
 
 
 def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
@@ -234,8 +234,9 @@ def evaluate(structure: Structure, assignment: Assignment, formula: Formula) -> 
     checked before evaluation starts, whether or not evaluation reaches it.
     """
     params = sorted(formula.free_vars)
-    run = compile_formula(formula, FiniteSemantics(structure), params)
-    return run([resolve(structure, assignment, v) for v in params])
+    body, env = compile_formula(formula, FiniteSemantics(structure), params)
+    env[: len(params)] = [resolve(structure, assignment, v) for v in params]
+    return body(env)
 
 
 @dataclass(frozen=True)
@@ -272,17 +273,23 @@ def att(
         if v in formula.bound_vars:
             raise EvalError(f"{v} must occur only free in the formula")
     params = tuple(v for v in sorted(formula.free_vars) if v not in variables)
-    run = compile_formula(formula, FiniteSemantics(structure), variables + params)
-    rest = tuple(resolve(structure, assignment, v) for v in params)
-    table = _defined_table(run, structure.size, len(variables), rest)
+    body, env = compile_formula(formula, FiniteSemantics(structure), variables + params)
+    n = len(variables)
+    env[n : n + len(params)] = [resolve(structure, assignment, v) for v in params]
+    table = Table(structure.size, n, _bit_row(body, env, structure.size, n))
     return DefinedPredicate(table, formula, variables, assignment)
 
 
-def _defined_table(run, size: int, arity: int, rest: tuple) -> Table:
-    """The table of a compiled formula whose first ``arity`` parameters are
-    the distinguished variables and whose others take ``rest``."""
-    points = product(range(size), repeat=arity)
-    return Table(size, arity, tuple(run(point + rest) for point in points))
+def _bit_row(body, env: list, size: int, arity: int) -> tuple[bool, ...]:
+    """The row-major bits of the table ``body`` defines over its first
+    ``arity`` slots, the others as ``env`` holds them; points are written
+    into ``env`` in place, so nothing is built per point but the bit."""
+    points = range(size)  # unrolled for one and two slots: a fifth off std2 saturation
+    if arity == 1:
+        return tuple([body(env) for env[0] in points])
+    if arity == 2:
+        return tuple([body(env) for env[0] in points for env[1] in points])
+    return tuple([body(env) for env[:arity] in product(points, repeat=arity)])
 
 
 @dataclass(frozen=True)
@@ -328,9 +335,11 @@ def check_comprehension(
 # small canonical vocabulary, take each formula's full list of free
 # individual variables as the distinguished tuple, range the remaining free
 # predicate variables over the current domains, and add every defined table
-# that is missing.  Additions apply between rounds; the loop stops after the
-# first round without growth, since the round after it would see the same
-# domains and find the same nothing.
+# that is missing.  A defined table is compared as its bit row with the rows
+# of the domain, and only a row that is added becomes a ``Table``.
+# Additions apply between rounds; the loop stops after the first round
+# without growth, since the round after it would see the same domains and
+# find the same nothing.
 #
 # Free individual parameters are deliberately not ranged over: the
 # distinguished tuple absorbs every free individual variable.  Closure under
@@ -349,16 +358,9 @@ class SaturationReport:
     added: dict[int, int]
 
 
-def saturate(
-    structure: Structure,
-    depth_bound: int,
-    *,
-    table_cap: int = DEFAULT_TABLE_CAP,
-    formula_cap: int = DEFAULT_FORMULA_CAP,
-) -> Structure:
-    return saturate_with_report(
-        structure, depth_bound, table_cap=table_cap, formula_cap=formula_cap
-    )[0]
+def saturate(structure: Structure, depth_bound: int, **caps: int) -> Structure:
+    """The saturated structure of ``saturate_with_report``, which takes the caps."""
+    return saturate_with_report(structure, depth_bound, **caps)[0]
 
 
 def saturate_with_report(
@@ -374,45 +376,38 @@ def saturate_with_report(
     if depth_bound < 1:
         raise EvalError("depth bound must be >= 1")
     arities = sorted(structure.domains)
-    max_arity = max(arities)
-    ind_vocab = [ind(i) for i in range(1, max_arity + 2)]
+    ind_vocab = [ind(i) for i in range(1, arities[-1] + 2)]
     pred_vocab = [pred(j, n) for n in arities for j in (0, 1)]
     formulas = enumerate_formulas(depth_bound, ind_vocab, pred_vocab, cap=formula_cap)
 
     jobs = []
     for f in formulas:
         xs = tuple(sorted(v for v in f.free_vars if v.is_individual))
-        if not 1 <= len(xs) <= max_arity or len(xs) not in structure.domains:
-            continue
-        if any(v in f.bound_vars for v in xs):
-            continue
-        preds = tuple(sorted(v for v in f.free_vars if v.is_predicate))
-        jobs.append((f, xs, preds))
+        if len(xs) in structure.domains and not f.bound_vars.intersection(xs):
+            jobs.append((f, xs, tuple(sorted(v for v in f.free_vars if v.is_predicate))))
 
     domains = {n: set(ts) for n, ts in structure.domains.items()}
     added: dict[int, int] = {n: 0 for n in domains}
-    rounds = 0
-    grew = True
+    size, rounds, grew = structure.size, 0, True
     while grew:
-        current = Structure(
-            structure.individuals, {n: frozenset(ts) for n, ts in domains.items()}
-        )
+        current = Structure(structure.individuals, {n: frozenset(ts) for n, ts in domains.items()})
         semantics = FiniteSemantics(current)
-        new_tables: dict[int, set[Table]] = {n: set() for n in domains}
+        rows = {n: {t.bits for t in ts} for n, ts in domains.items()}
+        new_rows: dict[int, set[tuple[bool, ...]]] = {n: set() for n in domains}
         for formula, xs, preds in jobs:
-            run = compile_formula(formula, semantics, xs + preds)
-            for combo in product(*(current.domain(p.arity) for p in preds)):
-                table = _defined_table(run, current.size, len(xs), combo)
-                if table not in domains[len(xs)]:
-                    new_tables[len(xs)].add(table)
-        grew = False
-        for n, tables in new_tables.items():
-            if tables:
-                grew = True
-                domains[n] |= tables
-                added[n] += len(tables)
-                if len(domains[n]) > table_cap:
-                    raise CapExceeded(f"saturated domain of arity {n}", len(domains[n]), table_cap)
+            n, k = len(xs), len(xs) + len(preds)
+            body, env = compile_formula(formula, semantics, xs + preds)
+            known, found = rows[n], new_rows[n]
+            for env[n:k] in product(*(current.domain(p.arity) for p in preds)):
+                row = _bit_row(body, env, size, n)
+                if row not in known:
+                    found.add(row)
+        grew = any(new_rows.values())
+        for n, found in new_rows.items():
+            domains[n] |= {Table(size, n, row) for row in found}
+            added[n] += len(found)
+            if found and len(domains[n]) > table_cap:
+                raise CapExceeded(f"saturated domain of arity {n}", len(domains[n]), table_cap)
         rounds += 1
     out = Structure(structure.individuals, {n: frozenset(ts) for n, ts in domains.items()})
     report = SaturationReport(

@@ -363,11 +363,13 @@ class _SymbolicRun:
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
         self.pred_cap = pred_cap
-        self.run = compile_formula(formula, self, params)
+        self.body, env = compile_formula(formula, self, params)
+        self.unset = env[len(params) :]
 
     def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
+        # a fresh environment per call: a cap hit leaves slots set, and pools read every slot
         self.enumerated, self.stratified = 0, False
-        truth = bool(self.run(values))
+        truth = bool(self.body([*values, *self.unset]))
         return SymbolicVerdict(truth, self.stratified, self.support_bound)
 
     @staticmethod

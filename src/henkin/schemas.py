@@ -348,9 +348,10 @@ def check_schema(
         total *= len(pool)
         if total > assignment_cap:
             raise CapExceeded("schema check assignments", total, assignment_cap)
-    run = compile_formula(matrix, FiniteSemantics(structure), searched)
-    for combo in product(*pools):
-        if not run(combo):
-            counterexample = Assignment(dict(zip(searched, combo)))
+    body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
+    k = len(searched)
+    for env[:k] in product(*pools):
+        if not body(env):
+            counterexample = Assignment(dict(zip(searched, env)))
             return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)

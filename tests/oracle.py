@@ -16,14 +16,21 @@ under every support, with its own cap count.  It shares only the type
 primitives ``EqType``, ``classify`` and ``enumerate_types`` with the
 package; ``ref_predicate`` and ``to_symbolic`` convert at the boundary.
 
+``naive_saturate`` is the reference for definability saturation: every
+defined table built point by point with ``naive_eval`` and a dict
+environment, as a ``Table``, and tested for membership in the round's
+domains; only the formula enumeration and the report type are shared.
+
 The two structure builders at the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
 against, and the closure of a structure under permutations.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
+from henkin.corpus import enumerate_formulas
+from henkin.evaluate import DEFAULT_FORMULA_CAP, SaturationReport
 from henkin.fraenkel import (
     DEFAULT_PRED_CAP,
     EqType,
@@ -33,8 +40,8 @@ from henkin.fraenkel import (
     fresh_atoms,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
-from henkin.structures import DEFAULT_TABLE_CAP, CapExceeded, Structure, all_tables
-from henkin.syntax import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or
+from henkin.structures import DEFAULT_TABLE_CAP, CapExceeded, Structure, Table, all_tables
+from henkin.syntax import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, ind, pred
 
 
 def _points(size, arity):
@@ -97,6 +104,55 @@ def naive_eval(structure, env, formula):
             results.append(naive_eval(structure, child, formula.body))
         return all(results) if isinstance(formula, Forall) else any(results)
     raise TypeError(f"oracle cannot evaluate {type(formula).__name__}")
+
+
+def naive_saturate(
+    structure, depth_bound, *, table_cap=DEFAULT_TABLE_CAP, formula_cap=DEFAULT_FORMULA_CAP
+):
+    """Depth-bounded definability saturation, one round at a time: each
+    formula whose free individual variables fit a domain, none of them also
+    bound, defines one table per combination of values for its free
+    predicate variables; the missing ones join the domains after the round,
+    and a domain that grew is then checked against the cap; the loop ends
+    after the first round that adds nothing."""
+    arities = sorted(structure.domains)
+    ind_vocab = [ind(i) for i in range(1, arities[-1] + 2)]
+    pred_vocab = [pred(j, n) for n in arities for j in (0, 1)]
+    jobs = []
+    for f in enumerate_formulas(depth_bound, ind_vocab, pred_vocab, cap=formula_cap):
+        xs = sorted(v for v in f.free_vars if v.is_individual)
+        if len(xs) in structure.domains and not set(xs) & set(f.bound_vars):
+            jobs.append((f, xs, sorted(v for v in f.free_vars if v.is_predicate)))
+    size = structure.size
+    domains = {n: set(ts) for n, ts in structure.domains.items()}
+    added = {n: 0 for n in domains}
+    rounds = 0
+    while True:
+        current = Structure(structure.individuals, domains)
+        new = {n: set() for n in domains}
+        for f, xs, preds in jobs:
+            n = len(xs)
+            for combo in product(*(sorted(current.domains[p.arity]) for p in preds)):
+                params = dict(zip(preds, combo))
+                bits = [
+                    naive_eval(current, {**params, **dict(zip(xs, point))}, f)
+                    for point in _points(size, n)
+                ]
+                table = Table(size, n, tuple(bits))
+                if table not in current.domains[n]:
+                    new[n].add(table)
+        rounds += 1
+        if not any(new.values()):
+            break
+        for n, tables in new.items():
+            domains[n] |= tables
+            added[n] += len(tables)
+            if tables and len(domains[n]) > table_cap:
+                raise CapExceeded(f"saturated domain of arity {n}", len(domains[n]), table_cap)
+    report = SaturationReport(
+        depth_bound, rounds, len(jobs), {n: k for n, k in added.items() if k}
+    )
+    return Structure(structure.individuals, domains), report
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ from oracle import (
 
 from henkin.corpus import default_vocabulary, random_assignment, random_formula, random_structure
 from henkin.evaluate import EvalError, att, evaluate
-from henkin.fraenkel import SymbolicPredicate, enumerate_types, fresh_atoms, symbolic_evaluate
+from henkin.fraenkel import (
+    SymbolicPredicate,
+    _SymbolicRun,
+    enumerate_types,
+    fresh_atoms,
+    symbolic_evaluate,
+)
 from henkin.parser import parse
 from henkin.structures import Assignment, CapExceeded, Structure, Table, all_tables
 from henkin.syntax import And, Atom, Exists, Forall, Iff, Or, forall_many, ind, pred
@@ -92,6 +98,24 @@ class TestFiniteCore:
                 env = {**g.values, **dict(zip(xs, point))}
                 assert table(point) == naive_eval(std3, env, f)
 
+    def test_att_agrees_pointwise_at_arity_3(self, std3):
+        # three distinguished variables take the general, not the unrolled,
+        # bit-row loop; the row-major order must still hold
+        rng = random.Random(109)
+        ind_vars, pred_vars = default_vocabulary(1)
+        compared = 0
+        for _ in range(60):
+            f = random_formula(rng, 3, ind_vars, pred_vars)
+            if f.bound_vars.intersection(ind_vars):
+                continue
+            g = random_assignment(rng, std3, [v for v in f.free_vars if v.is_predicate])
+            table = att(std3, f, ind_vars, g).table
+            for point in product(range(3), repeat=3):
+                env = {**g.values, **dict(zip(ind_vars, point))}
+                assert table(point) == naive_eval(std3, env, f)
+            compared += 1
+        assert compared >= 20
+
     def test_values_are_checked_before_evaluation(self):
         # the true left disjunct would short-circuit past each bad lookup on
         # the right; values and quantified domains are checked first instead
@@ -155,6 +179,18 @@ class TestSymbolicCore:
         assert compiled(f, binding, 1, enumerated - 1) == ("cap", enumerated, enumerated - 1)
         assert reference(f, binding, 1, listed) == (True, True)
         assert reference(f, binding, 1, listed - 1) == ("cap", listed, listed - 1)
+
+    def test_a_cap_hit_leaves_no_stale_slots(self):
+        # the first call stops at its 18th predicate with A0^1 bound to one
+        # over [q]; the next call on the same compiled run starts from a
+        # fresh environment, so its atom pools, which read every slot, do not
+        # see q and it enumerates the 14 a fresh run does
+        f = parse(self.REBOUND)
+        run = _SymbolicRun(f, (x1, x3), 1, 17)
+        with pytest.raises(CapExceeded):
+            run(("p", "q"))
+        assert run(("p", "p")) == symbolic_evaluate(f, {x1: "p", x3: "p"}, 1, pred_cap=17)
+        assert run.enumerated == 14
 
     def test_non_minimal_bindings_agree_with_reference(self):
         # a predicate declared over more atoms than it needs is stored over

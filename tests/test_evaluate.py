@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracle import naive_eval
+from oracle import naive_eval, naive_saturate
 
 from henkin.corpus import (
     default_vocabulary,
@@ -19,7 +19,15 @@ from henkin.evaluate import (
     saturate_with_report,
 )
 from henkin.parser import parse
-from henkin.structures import Assignment, Structure, Table, standard_structure
+from henkin.structures import (
+    DEFAULT_TABLE_CAP,
+    Assignment,
+    CapExceeded,
+    Structure,
+    Table,
+    standard_structure,
+    structure_to_dict,
+)
 from henkin.syntax import Not, free_vars, ind, pred
 
 x1, x2 = ind(1), ind(2)
@@ -225,6 +233,110 @@ class TestSaturate:
         assert out1.domains[1] <= out2.domains[1]
 
     def test_cap(self):
+        # 12 atoms, then 264 formulas once depth 1 is enumerated
         s = standard_structure(("a", "b"), 1)
-        with pytest.raises(Exception):
+        with pytest.raises(CapExceeded) as err:
             saturate(s, 1, formula_cap=10)
+        assert (err.value.needed, err.value.cap) == (264, 10)
+
+    @pytest.mark.parametrize(
+        "table_cap, outcome",
+        [
+            (8, (3, {1: 6})),  # the closure: 2 tables, +5 in round 1, +1 in round 2
+            (7, 8),  # round 1 ends at 7, round 2 at 8
+            (2, 7),  # checked after the whole round, not at the first table past the cap
+        ],
+    )
+    def test_table_cap_is_checked_after_each_round(self, table_cap, outcome):
+        s = Structure(
+            ("a", "b", "c"),
+            {1: frozenset(Table.from_bitstring(3, 1, b) for b in ("100", "010"))},
+        )
+        if isinstance(outcome, int):
+            with pytest.raises(CapExceeded) as err:
+                saturate(s, 1, table_cap=table_cap)
+            assert (err.value.needed, err.value.cap) == (outcome, table_cap)
+        else:
+            out, report = saturate_with_report(s, 1, table_cap=table_cap)
+            assert (report.rounds, report.added) == outcome
+            assert len(out.domains[1]) == table_cap
+
+    def test_table_cap_bounds_only_domains_that_grow(self):
+        s = standard_structure(("a", "b"), 1)  # 4 tables, closed
+        out, report = saturate_with_report(s, 1, table_cap=3)
+        assert out == s and report.rounds == 1
+
+
+def _count_tables(monkeypatch) -> list:
+    """Every ``Table`` constructed from here on, in order."""
+    built, check = [], Table.__post_init__
+
+    def counting(table):
+        built.append(table)
+        check(table)
+
+    monkeypatch.setattr(Table, "__post_init__", counting)
+    return built
+
+
+def _saturation_outcome(saturate_fn, structure, table_cap):
+    try:
+        out, report = saturate_fn(structure, 1, table_cap=table_cap)
+    except CapExceeded as err:
+        return ("cap", err.what, err.needed, err.cap)
+    return structure_to_dict(out), report.rounds, report.formulas_used, report.added
+
+
+class TestSaturationReference:
+    """``saturate_with_report`` against ``oracle.naive_saturate`` at depth 1."""
+
+    def test_seeded_structures(self):
+        # 60 structures on 1-3 points: unary domains throughout, binary ones
+        # on up to 2 points; every tenth capped at its largest input domain,
+        # and binary domains on 2 points at 8 tables, because the reference
+        # takes seconds a round once such a domain nears all 16
+        rng = random.Random(29)
+        grew = capped = 0
+        for i in range(60):
+            size = 1 + i % 3
+            arities = (1, 2) if size <= 2 and i % 2 else (1,)
+            s = random_structure(rng, "abc"[:size], arities, max_tables=3)
+            cap = DEFAULT_TABLE_CAP
+            if i % 10 == 9:
+                cap = max(len(ts) for ts in s.domains.values())
+            elif size == 2 and 2 in s.domains:
+                cap = 8
+            got = _saturation_outcome(saturate_with_report, s, cap)
+            assert got == _saturation_outcome(naive_saturate, s, cap), i
+            capped += got[0] == "cap"
+            grew += got[0] != "cap" and bool(got[3])
+        assert capped >= 1 and grew >= 10
+
+    def test_a4_model(self, a4_model):
+        outcome = _saturation_outcome(saturate_with_report, a4_model, DEFAULT_TABLE_CAP)
+        assert outcome == _saturation_outcome(naive_saturate, a4_model, DEFAULT_TABLE_CAP)
+        assert outcome[0] == structure_to_dict(a4_model)
+
+    def test_std2_is_a_fixpoint(self, std2):
+        out, report = saturate_with_report(std2, 1)
+        assert out == std2
+        assert (report.rounds, report.added) == (1, {})
+
+
+class TestSaturationTables:
+    """A validated ``Table`` is built only for a table saturation adds."""
+
+    def test_none_on_a_closed_structure(self, std2, monkeypatch):
+        built = _count_tables(monkeypatch)
+        saturate_with_report(std2, 1)
+        assert built == []
+
+    def test_one_per_added_table(self, monkeypatch):
+        s = Structure(
+            ("a", "b", "c"),
+            {1: frozenset(Table.from_bitstring(3, 1, b) for b in ("100", "010"))},
+        )
+        built = _count_tables(monkeypatch)
+        out, report = saturate_with_report(s, 1)
+        assert len(built) == sum(report.added.values()) == 6
+        assert set(built) == out.domains[1] - s.domains[1]
