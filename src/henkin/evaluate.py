@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
 from .structures import (
@@ -61,11 +61,22 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     from the environment to the section of ``S`` at the values of ``xs``,
     or ``None`` when the quantifier's range lacks it; the existential binds
     its variable to that value and runs the right conjunct once.
+
+    Any other quantifier whose variable is not free in its body, or in the
+    left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
+    once, at the first value drawn, as its search would.  If that decides
+    the body, it is the quantifier's value; otherwise the search runs on
+    the right operand from the value drawn, without calling ``pool``
+    again.  This is exact, since ranges are nonempty and a variable cannot
+    be bound again in its own scope: truth and ``stratified`` are those of
+    the plain search wherever it finishes, and values drawn can only fall.
+    Right operands and ``<->`` are not hoisted, as that would reorder
+    evaluation and so where a label is set.
     """
     slot = {v: k for k, v in enumerate(params)}
     for v in sorted(all_vars(formula)):
         slot.setdefault(v, len(slot))
-    rights: dict[int, Callable] = {}  # id of an And node -> its compiled right conjunct
+    parts: dict[int, tuple[Callable, Callable]] = {}  # id of a binary node -> its compiled operands
 
     def step(g: Formula, kids: list) -> Callable:
         if isinstance(g, Atom):
@@ -86,7 +97,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             if bridged:
                 s, xs, m = bridged
                 section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
-                rest = rights[id(g.body)]
+                rest = parts[id(g.body)][1]
 
                 def one_point(env: list) -> bool:
                     value = section(env)
@@ -99,6 +110,34 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
                 return one_point
 
+            # `fixed`, the part of the body the variable is not free in, and
+            # `rest`, the part it may be; `stop` is the value of `fixed` that
+            # decides the body and is then its value (read `L -> R` as `~L | R`)
+            inner, fixed = g.body, None
+            if g.var not in inner.free_vars:
+                fixed, rest = body, None
+            elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
+                left, rest = parts[id(inner)]
+                fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
+                stop = not isinstance(inner, And)
+            if fixed:
+
+                def hoisted(env: list) -> bool:
+                    saved, values = env[k], iter(pool(env))
+                    for env[k] in values:  # the first value; `fixed` is the same at all of them
+                        truth = fixed(env)
+                        if rest and truth != stop:
+                            truth = universal
+                            for env[k] in chain((env[k],), values):
+                                if rest(env) != universal:
+                                    truth = not universal
+                                    break
+                        env[k] = saved
+                        return truth
+                    return universal
+
+                return hoisted
+
             def quantify(env: list) -> bool:
                 saved = env[k]
                 for env[k] in pool(env):
@@ -109,9 +148,8 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
                 return universal
 
             return quantify
-        left, right = kids
+        left, right = parts[id(g)] = kids
         if isinstance(g, And):
-            rights[id(g)] = right
             return lambda env: left(env) and right(env)
         if isinstance(g, Or):
             return lambda env: left(env) or right(env)

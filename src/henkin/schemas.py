@@ -76,11 +76,15 @@ class SchemaId:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise SignatureError(f"unknown schema family {self.family!r}")
-        if self.n < 1 or self.m < 1:
-            raise SignatureError("schema arities must be >= 1")
+        _check_arities(self.n, self.m)
         if (self.payload is not None) != (self.family in _PAYLOAD_FAMILIES):
             wanted = "requires" if self.family in _PAYLOAD_FAMILIES else "does not take"
             raise SignatureError(f"family {self.family!r} {wanted} a payload formula")
+
+
+def _check_arities(n: int, m: int) -> None:
+    if n < 1 or m < 1:
+        raise SignatureError("schema arities must be >= 1")
 
 
 def _max_ind_index(f: Formula) -> int:
@@ -112,6 +116,7 @@ def _check_payload(payload: Formula, allowed: set[Var], what: str) -> None:
 def choice_h_parts(n: int, m: int, payload: Formula) -> tuple[Formula, Var, Formula]:
     """Antecedent, witness variable, and witness matrix of the bridged
     choice axiom: the full axiom is ``antecedent -> ex S . matrix``."""
+    _check_arities(n, m)
     xs = _x_tuple(n)
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")

@@ -285,6 +285,22 @@ class TestFraenkelCommands:
         assert report["result"]["status"] == "witnessed"
         assert report["result"]["witness"]["accepted"] == ["f1,f1,f1"]
 
+    @pytest.mark.parametrize(
+        "arities", [("--n", "0"), ("--m", "0"), ("--n", "-1"), ("--n", "0", "--m", "0")]
+    )
+    def test_choice_arity_below_one_exit_2(self, capsys, tmp_path, std2_file, arities):
+        # with no x1 in the payload, n = 0 used to build an instance and
+        # report a witness; both commands now refuse the arity alike
+        h = tmp_path / "h.fml"
+        h.write_text("ex x2 . A0^1 x2\n")
+        for argv in (
+            ["fraenkel", "choice", "--h", str(h)],
+            ["check", "--structure", std2_file, "--schema", "choice-h", "--h", str(h)],
+        ):
+            code, report, _ = run(capsys, *argv, *arities)
+            assert code == 2
+            assert report["result"] == {"error": "SignatureError: schema arities must be >= 1"}
+
     def test_cap_exit_3(self, capsys, tmp_path):
         # the antecedent enumerates 3 distinct predicates at stratum 2
         h = tmp_path / "h.fml"
