@@ -31,6 +31,7 @@ from . import fraenkel, groups, schemas
 from .evaluate import evaluate, saturate_with_report
 from .parser import parse
 from .structures import (
+    ASSIGNMENT_KEYS,
     Assignment,
     CapExceeded,
     DEFAULT_TABLE_CAP,
@@ -245,7 +246,7 @@ def _load_binding(path: str | Path) -> dict:
     from .parser import parse_var
 
     shape = partial(json_shape, error=fraenkel.FraenkelError)
-    data = shape(_load_json(path), "binding document")
+    data = shape(_load_json(path), "binding document", keys=ASSIGNMENT_KEYS)
     binding = {}
     for name, atom in shape(data.get("individuals", {}), "individuals").items():
         binding[parse_var(name)] = atom

@@ -4,7 +4,8 @@ compiled core shared with the symbolic atom universe.
 Quantifiers are read Henkin-style: an individual quantifier ranges over the
 universe, a predicate quantifier over the structure's own domain of that
 arity, which may be a proper subset of all tables.  Predicate equality is
-extensional table equality.
+extensional table equality, which is identity on a structure's own tables:
+``resolve`` makes assigned tables the domain's own, and the core uses ``is``.
 """
 
 from __future__ import annotations
@@ -188,10 +189,10 @@ def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
 
 
 class FiniteSemantics:
-    """Individuals are universe indices, predicates the structure's tables;
-    an atom reads ``Table.bits`` at the row-major index of its arguments."""
+    """Individuals are universe indices, predicates the structure's own tables
+    (so equal iff identical); an atom reads ``Table.bits`` at a row-major index."""
 
-    pred_eq = operator.eq
+    pred_eq = operator.is_
 
     def __init__(self, structure: Structure):
         self.structure = structure
@@ -228,7 +229,7 @@ class FiniteSemantics:
         are the ``m``-ary block of the bits of ``env[s]`` at the points
         ``env[x]``, or None if the domain of arity ``m`` lacks it (the
         Henkin reading)."""
-        by_bits = {t.bits: t for t in self.structure.domain(m)}
+        by_bits = self.structure.by_bits(m)
         size, width = self.structure.size, self.structure.size**m
 
         def section(env: list) -> Table | None:
@@ -246,21 +247,21 @@ def resolve(structure: Structure, assignment: Assignment, var: Var):
 
     An unmentioned individual variable denotes the first individual, an
     unmentioned predicate variable the least table of its arity, so every
-    assignment acts as a total one.
+    assignment acts as a total one.  A table becomes the domain's own equal
+    table, so the core can compare predicates by identity.
     """
     value = assignment.get(var)
-    if value is None:
-        if var.is_individual:
-            return 0
-        try:
-            return structure.domain(var.arity)[0]
-        except Exception:
-            raise EvalError(f"no domain of arity {var.arity} for {var}") from None
     if var.is_individual:
+        if value is None:
+            return 0
         if not 0 <= value < structure.size:
             raise EvalError(f"{var} is assigned index {value}, out of range")
         return value
-    if var.arity not in structure.domains or value not in structure.domains[var.arity]:
+    own = structure.by_bits(var.arity)
+    if not own:
+        raise EvalError(f"no domain of arity {var.arity} for {var}")
+    value = structure.domain(var.arity)[0] if value is None else own.get(value.bits)
+    if value is None:
         raise EvalError(f"{var} is assigned a table outside the structure's domain")
     return value
 
@@ -424,34 +425,32 @@ def saturate_with_report(
         if len(xs) in structure.domains and not f.bound_vars.intersection(xs):
             jobs.append((f, xs, tuple(sorted(v for v in f.free_vars if v.is_predicate))))
 
-    domains = {n: set(ts) for n, ts in structure.domains.items()}
-    added: dict[int, int] = {n: 0 for n in domains}
+    current, added = structure, dict.fromkeys(structure.domains, 0)
     size, rounds, grew = structure.size, 0, True
     while grew:
-        current = Structure(structure.individuals, {n: frozenset(ts) for n, ts in domains.items()})
         semantics = FiniteSemantics(current)
-        rows = {n: {t.bits for t in ts} for n, ts in domains.items()}
-        new_rows: dict[int, set[tuple[bool, ...]]] = {n: set() for n in domains}
+        new_rows: dict[int, set[tuple[bool, ...]]] = {n: set() for n in added}
         for formula, xs, preds in jobs:
             n, k = len(xs), len(xs) + len(preds)
             body, env = compile_formula(formula, semantics, xs + preds)
-            known, found = rows[n], new_rows[n]
+            known, found = current.by_bits(n), new_rows[n]
             for env[n:k] in product(*(current.domain(p.arity) for p in preds)):
                 row = _bit_row(body, env, size, n)
                 if row not in known:
                     found.add(row)
         grew = any(new_rows.values())
+        domains = {}
         for n, found in new_rows.items():
-            domains[n] |= {Table(size, n, row) for row in found}
+            domains[n] = current.domains[n] | {Table(size, n, row) for row in found}
             added[n] += len(found)
             if found and len(domains[n]) > table_cap:
                 raise CapExceeded(f"saturated domain of arity {n}", len(domains[n]), table_cap)
+        current = Structure(structure.individuals, domains)
         rounds += 1
-    out = Structure(structure.individuals, {n: frozenset(ts) for n, ts in domains.items()})
     report = SaturationReport(
         depth_bound=depth_bound,
         rounds=rounds,
         formulas_used=len(jobs),
         added={n: k for n, k in added.items() if k},
     )
-    return out, report
+    return current, report

@@ -66,20 +66,7 @@ class Permutation:
         return cls(tuple(range(degree)))
 
     def is_even(self) -> bool:
-        seen = [False] * self.degree
-        sign = 1
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.mapping[i]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign == 1
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated to start at its least element."""
@@ -249,10 +236,8 @@ def act_on_assignment(
             values[var] = perm(value)  # type: ignore[arg-type]
         else:
             image = act_on_predicate(perm, value)  # type: ignore[arg-type]
-            if structure is not None and image not in structure.domains.get(var.arity, frozenset()):
-                raise StructureError(
-                    f"image of {var} under the permutation leaves the structure"
-                )
+            if structure is not None and image.bits not in structure.by_bits(var.arity):
+                raise StructureError(f"image of {var} under the permutation leaves the structure")
             values[var] = image
     return Assignment(values)
 

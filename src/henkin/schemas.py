@@ -87,11 +87,7 @@ def _check_arities(n: int, m: int) -> None:
         raise SignatureError("schema arities must be >= 1")
 
 
-def _max_ind_index(f: Formula) -> int:
-    return max((v.index for v in all_vars(f) if v.is_individual), default=-1)
-
-
-def _max_pred_index(f: Formula, arity: int) -> int:
+def _max_index(f: Formula, arity: int = 0) -> int:
     return max((v.index for v in all_vars(f) if v.arity == arity), default=-1)
 
 
@@ -120,9 +116,9 @@ def choice_h_parts(n: int, m: int, payload: Formula) -> tuple[Formula, Var, Form
     xs = _x_tuple(n)
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")
-    base = max(n, _max_ind_index(payload))
+    base = max(n, _max_index(payload))
     ys = _block(base, m)
-    svar = pred(max(1, _max_pred_index(payload, n + m) + 1), n + m)
+    svar = pred(max(1, _max_index(payload, n + m) + 1), n + m)
     antecedent = forall_many(xs, Exists(dvar, payload))
     bridge = forall_many(ys, Iff(Atom(dvar, ys), Atom(svar, xs + ys)))
     matrix = forall_many(xs, Exists(dvar, And(bridge, payload)))
@@ -144,7 +140,7 @@ def _build_choice(n: int, m: int, payload: Formula) -> Formula:
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")
     antecedent = forall_many(xs, Exists(dvar, payload))
-    svar = pred(max(1, _max_pred_index(payload, n + m) + 1), n + m)
+    svar = pred(max(1, _max_index(payload, n + m) + 1), n + m)
     try:
         lowered = lower_predicate_application(payload, dvar, svar, xs)
     except LoweringError:
@@ -194,9 +190,9 @@ def _build_ac_star(n: int, m: int) -> Formula:
 def _build_choice_star(m: int, payload: Formula) -> Formula:
     cvar = pred(0, m)
     _check_payload(payload, {cvar}, "choice-star")
-    base = _max_ind_index(payload)
+    base = _max_index(payload)
     ys = _block(max(base, 0), m)
-    top = _max_pred_index(payload, m)
+    top = _max_index(payload, m)
     c1, c2, dvar = pred(top + 1, m), pred(top + 2, m), pred(top + 3, m)
 
     nonempty = Forall(cvar, Implies(payload, exists_many(ys, Atom(cvar, ys))))

@@ -137,6 +137,9 @@ class Structure:
             self, "_sorted", {n: tuple(sorted(ts)) for n, ts in self.domains.items()}
         )
         object.__setattr__(
+            self, "_by_bits", {n: {t.bits: t for t in ts} for n, ts in self.domains.items()}
+        )
+        object.__setattr__(
             self, "_index", {a: i for i, a in enumerate(self.individuals)}
         )
 
@@ -148,16 +151,16 @@ class Structure:
     def size(self) -> int:
         return len(self.individuals)
 
-    @property
-    def max_arity(self) -> int:
-        return max(self.domains)
-
     def domain(self, arity: int) -> tuple[Table, ...]:
         """The arity-n domain in increasing table order."""
         try:
             return self._sorted[arity]  # type: ignore[attr-defined]
         except KeyError:
             raise StructureError(f"no domain of arity {arity}") from None
+
+    def by_bits(self, arity: int) -> dict[tuple[bool, ...], Table]:
+        """The arity-n domain's own tables by their bits, empty if it has none."""
+        return self._by_bits.get(arity, {})  # type: ignore[attr-defined]
 
     def label_index(self, label: str) -> int:
         try:
@@ -222,9 +225,12 @@ class Assignment:
 # "group", "filter" for model specifications) are preserved by loaders that
 # need them and ignored here.
 #
-# Assignment files map variable names to labels and bitstrings:
+# Assignment files map variable names to labels and bitstrings, and take
+# no other keys:
 #   {"individuals": {"x1": "a"}, "predicates": {"A0^2": "1001"}}
 # ---------------------------------------------------------------------------
+
+ASSIGNMENT_KEYS = ("individuals", "predicates")
 
 
 def structure_to_dict(structure: Structure) -> dict:
@@ -237,12 +243,17 @@ def structure_to_dict(structure: Structure) -> dict:
     }
 
 
-def json_shape(data, what: str, kind: type = dict, error: type[Exception] = StructureError):
+def json_shape(
+    data, what: str, kind: type = dict, error: type[Exception] = StructureError, keys=()
+):
     """``data`` itself if it has the JSON shape ``kind`` (``dict`` for an
-    object, ``list`` for an array), else ``error``."""
+    object, ``list`` for an array) and no key outside ``keys`` if those are
+    given, else ``error``."""
     if not isinstance(data, kind):
         shape = "an object" if kind is dict else "an array"
         raise error(f"{what} must be {shape}, got {type(data).__name__}")
+    if keys and not set(data) <= set(keys):
+        raise error(f"{what} takes only the keys {', '.join(keys)}, got {', '.join(sorted(data))}")
     return data
 
 
@@ -290,7 +301,7 @@ def assignment_to_dict(assignment: Assignment, structure: Structure) -> dict:
 def assignment_from_dict(data: dict, structure: Structure) -> Assignment:
     from .parser import parse_var
 
-    data = json_shape(data, "assignment document")
+    data = json_shape(data, "assignment document", keys=ASSIGNMENT_KEYS)
     values: dict[Var, object] = {}
     for name, label in json_shape(data.get("individuals", {}), "individuals").items():
         var = parse_var(name)

@@ -20,6 +20,7 @@ explicit stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -50,18 +51,24 @@ class LoweringError(FormulaError):
     """A predicate variable cannot be rewritten to an application form."""
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A sorted variable: arity 0 is an individual, arity n >= 1 an n-ary predicate."""
+class Var(tuple):
+    """A sorted variable, the pair ``(index, arity)`` and hashed, compared and
+    ordered as it, in C: arity 0 is an individual, n >= 1 an n-ary predicate."""
 
-    index: int
-    arity: int = 0
+    __slots__ = ()
+    index = property(itemgetter(0))
+    arity = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise FormulaError(f"variable index must be >= 0, got {self.index}")
-        if self.arity < 0:
-            raise FormulaError(f"variable arity must be >= 0, got {self.arity}")
+    def __new__(cls, index: int, arity: int = 0) -> Var:
+        if index < 0 or arity < 0:
+            raise FormulaError(f"variable index and arity must be >= 0, got {index}, {arity}")
+        return tuple.__new__(cls, (index, arity))
+
+    def __getnewargs__(self) -> tuple[int, int]:  # copies and pickles rebuild through __new__
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index}, arity={self.arity})"
 
     @property
     def is_individual(self) -> bool:

@@ -457,6 +457,13 @@ MISSHAPEN = {
     "binding-list": (bind_with("[]"), "FraenkelError"),
     "binding-string": (bind_with('"x1"'), "FraenkelError"),
     "binding-predicates-list": (bind_with('{"predicates": ["A0^1"]}'), "FraenkelError"),
+    # a variable where "individuals" or "predicates" belongs: dropping it
+    # would let the defaults decide the verdict
+    "assignment-unknown-key-x1": (eval_with(None, '{"x1": 5}'), "StructureError"),
+    "assignment-unknown-key-A0^1": (eval_with(None, '{"A0^1": "10"}'), "StructureError"),
+    "binding-unknown-key": (
+        bind_with('{"individuals": {"x1": "p"}, "A0^1": "10"}'), "FraenkelError"
+    ),
     # text where a number belongs, a string where an array belongs
     "structure-domain-key-text": (
         eval_with('{"individuals": ["a"], "domains": {"x": ["1"]}}'), "StructureError"

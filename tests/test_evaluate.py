@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from henkin.evaluate import (
     att,
     check_comprehension,
     evaluate,
+    resolve,
     saturate,
     saturate_with_report,
 )
@@ -28,7 +30,7 @@ from henkin.structures import (
     standard_structure,
     structure_to_dict,
 )
-from henkin.syntax import Not, free_vars, ind, pred
+from henkin.syntax import Eq, Not, free_vars, ind, pred, subformulas
 
 x1, x2 = ind(1), ind(2)
 A = pred(0, 1)
@@ -95,6 +97,69 @@ class TestValuationOracle:
             assert evaluate(structure, assignment, formula) == naive_eval(
                 structure, dict(assignment.values), formula
             )
+
+
+def copied(assignment):
+    """The assignment with every table replaced by an equal, distinct copy."""
+    return Assignment({
+        v: Table.from_bitstring(t.size, t.arity, t.bitstring()) if v.is_predicate else t
+        for v, t in assignment.values.items()
+    })
+
+
+class TestPredicateIdentity:
+    """The core compares predicates by identity, which is extensional
+    equality only on a structure's own tables: a table from an assignment
+    must be replaced by the domain's own equal one."""
+
+    def test_resolve_returns_the_domains_own_table(self, std2):
+        table = Table.from_bitstring(2, 1, "10")
+        own = resolve(std2, Assignment({A: table}), A)
+        assert own == table and own is not table
+        assert any(own is t for t in std2.domain(1))
+
+    def test_tables_outside_the_domain_still_rejected(self):
+        s = Structure(("a", "b"), {1: frozenset({Table.constant(2, 1, False)})})
+        with pytest.raises(EvalError):
+            resolve(s, Assignment({A: Table.constant(2, 1, True)}), A)
+        R = pred(0, 2)
+        with pytest.raises(EvalError):
+            resolve(s, Assignment({R: Table.constant(2, 2, True)}), R)
+
+    def test_copies_agree_with_naive_eval(self):
+        # formulas with an equality on a free predicate variable, under
+        # assignments of copies: evaluate, att and check_comprehension (the
+        # predicates are A1 and A2, so the witness A0 never occurs)
+        ind_vars = default_vocabulary(2)[0]
+        pred_vars = [pred(j, n) for n in (1, 2) for j in (1, 2)]
+        rng = random.Random(29)
+        checked = defined = 0
+        while checked < 200:
+            size = rng.randint(1, 3)
+            structure = random_structure(rng, tuple("abc"[:size]), (1, 2))
+            f = random_formula(rng, 4, ind_vars, pred_vars)
+            if not any(
+                isinstance(g, Eq) and {g.left, g.right} & f.free_vars and g.left.is_predicate
+                for g in subformulas(f)
+            ):
+                continue
+            checked += 1
+            base = random_assignment(rng, structure, free_vars(f))
+            env = dict(base.values)
+            assert evaluate(structure, copied(base), f) == naive_eval(structure, env, f)
+            xs = tuple(sorted(v for v in f.free_vars if v.is_individual))
+            if not 1 <= len(xs) <= 2 or f.bound_vars & set(xs):
+                continue
+            defined += 1
+            bits = tuple(
+                naive_eval(structure, {**env, **dict(zip(xs, p))}, f)
+                for p in product(range(size), repeat=len(xs))
+            )
+            params = copied(Assignment({v: t for v, t in env.items() if v not in xs}))
+            assert att(structure, f, xs, params).table.bits == bits
+            out = check_comprehension(structure, f, xs, params)
+            assert out.holds == (Table(size, len(xs), bits) in structure.domains[len(xs)])
+        assert defined > 50
 
 
 class TestCoincidence:

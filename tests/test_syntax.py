@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from oracle import naive_eval
 
 from henkin.evaluate import evaluate
-from henkin.parser import ParseError, parse
+from henkin.parser import ParseError, parse, parse_var
 from henkin.structures import Assignment, standard_structure
 from henkin.syntax import (
     MAX_DEPTH,
@@ -20,6 +22,7 @@ from henkin.syntax import (
     Implies,
     Not,
     Or,
+    Var,
     all_vars,
     depth,
     derivation,
@@ -48,6 +51,26 @@ class TestVar:
         assert ind(5).arity == 0
         with pytest.raises(Exception):
             pred(0, 0)
+
+    def test_negative_index_or_arity_rejected(self):
+        with pytest.raises(FormulaError):
+            Var(-1)
+        with pytest.raises(FormulaError):
+            Var(0, -1)
+
+    def test_a_variable_behaves_as_its_pair(self):
+        # order, hash and so set iteration order are those of (index, arity)
+        pairs = [(i, a) for i in range(6) for a in range(4)]
+        random.Random(3).shuffle(pairs)
+        vs = [Var(i, a) for i, a in pairs]
+        assert [(v.index, v.arity) for v in sorted(vs)] == sorted(pairs)
+        assert [hash(v) for v in vs] == [hash(p) for p in pairs]
+        assert [(v.index, v.arity) for v in frozenset(vs)] == list(frozenset(pairs))
+        for v, (i, a) in zip(vs, pairs):
+            assert (v.index, v.arity) == (i, a)
+            twins = (Var(i, a), parse_var(str(v)), copy.deepcopy(v), pickle.loads(pickle.dumps(v)))
+            for twin in twins:
+                assert twin == v and type(twin) is Var
 
 
 class TestConstruction:
