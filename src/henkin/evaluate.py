@@ -6,6 +6,9 @@ universe, a predicate quantifier over the structure's own domain of that
 arity, which may be a proper subset of all tables.  Predicate equality is
 extensional table equality, which is identity on a structure's own tables:
 ``resolve`` makes assigned tables the domain's own, and the core uses ``is``.
+
+Where its body allows, a predicate quantifier over a finite domain is
+decided by one run of its body as an int mask with a bit per table.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .syntax import (
     Or,
     Var,
     all_vars,
-    fold,
 )
 
 
@@ -63,6 +65,12 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     or ``None`` when the quantifier's range lacks it; the existential binds
     its variable to that value and runs the right conjunct once.
 
+    Over a ``FiniteSemantics``, any other predicate quantifier ``Q V . phi``
+    with ``V`` in ``phi`` under no predicate quantifier there is flat: one
+    run of ``phi`` gives an int mask over the domain of ``V``, bit j for its
+    j-th table, and ``all`` holds iff it is full, ``ex`` iff it is not 0
+    (see ``masked``).  ``V``'s slot is never written.
+
     Any other quantifier whose variable is not free in its body, or in the
     left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
     once, at the first value drawn, as its search would.  If that decides
@@ -77,9 +85,8 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     slot = {v: k for k, v in enumerate(params)}
     for v in sorted(all_vars(formula)):
         slot.setdefault(v, len(slot))
-    parts: dict[int, tuple[Callable, Callable]] = {}  # id of a binary node -> its compiled operands
 
-    def step(g: Formula, kids: list) -> Callable:
+    def scalar(g: Formula) -> Callable:
         if isinstance(g, Atom):
             return semantics.atom(slot[g.predicate], tuple(slot[a] for a in g.args))
         if isinstance(g, Eq):
@@ -89,67 +96,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             same = semantics.pred_eq
             return lambda env: same(env[l], env[r])
         if isinstance(g, Not):
-            body = kids[0]
+            body = scalar(g.body)
             return lambda env: not body(env)
         if isinstance(g, (Forall, Exists)):
-            k, body, universal = slot[g.var], kids[0], isinstance(g, Forall)
-            pool = semantics.pool(g.var)  # checks the range on either path
-            bridged = not universal and _bridged_section(g)
-            if bridged:
-                s, xs, m = bridged
-                section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
-                rest = parts[id(g.body)][1]
-
-                def one_point(env: list) -> bool:
-                    value = section(env)
-                    if value is None:
-                        return False
-                    saved, env[k] = env[k], value
-                    truth = rest(env)
-                    env[k] = saved
-                    return truth
-
-                return one_point
-
-            # `fixed`, the part of the body the variable is not free in, and
-            # `rest`, the part it may be; `stop` is the value of `fixed` that
-            # decides the body and is then its value (read `L -> R` as `~L | R`)
-            inner, fixed = g.body, None
-            if g.var not in inner.free_vars:
-                fixed, rest = body, None
-            elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
-                left, rest = parts[id(inner)]
-                fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
-                stop = not isinstance(inner, And)
-            if fixed:
-
-                def hoisted(env: list) -> bool:
-                    saved, values = env[k], iter(pool(env))
-                    for env[k] in values:  # the first value; `fixed` is the same at all of them
-                        truth = fixed(env)
-                        if rest and truth != stop:
-                            truth = universal
-                            for env[k] in chain((env[k],), values):
-                                if rest(env) != universal:
-                                    truth = not universal
-                                    break
-                        env[k] = saved
-                        return truth
-                    return universal
-
-                return hoisted
-
-            def quantify(env: list) -> bool:
-                saved = env[k]
-                for env[k] in pool(env):
-                    if body(env) != universal:
-                        env[k] = saved
-                        return not universal
-                env[k] = saved
-                return universal
-
-            return quantify
-        left, right = parts[id(g)] = kids
+            return quantifier(g)
+        left, right = scalar(g.left), scalar(g.right)
         if isinstance(g, And):
             return lambda env: left(env) and right(env)
         if isinstance(g, Or):
@@ -158,7 +109,133 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             return lambda env: not left(env) or right(env)
         return lambda env: left(env) == right(env)
 
-    return fold(formula, step), [None] * len(slot)
+    def quantifier(g: Forall | Exists) -> Callable:
+        k, inner, universal = slot[g.var], g.body, isinstance(g, Forall)
+        bridged = not universal and _bridged_section(g)
+        if bridged:
+            s, xs, m = bridged
+            rest = scalar(inner.right)
+            semantics.pool(g.var)  # checks the range
+            section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
+
+            def one_point(env: list) -> bool:
+                value = section(env)
+                if value is None:
+                    return False
+                saved, env[k] = env[k], value
+                truth = rest(env)
+                env[k] = saved
+                return truth
+
+            return one_point
+
+        # flat; `full` is 0 for an individual or an arity without a domain,
+        # which the search then reports
+        flat = isinstance(semantics, FiniteSemantics) and g.var in inner.free_vars
+        full = flat and g.var not in inner.nested_vars and semantics.full(g.var)
+        if full:
+            mask = masked(inner, g.var, full)
+            if universal:
+                return lambda env: mask(env) == full
+            return lambda env: mask(env) != 0
+
+        # `fixed`, the part of the body the variable is not free in, and
+        # `rest`, the part it may be; `stop` is the value of `fixed` that
+        # decides the body and is then its value (read `L -> R` as `~L | R`)
+        fixed = rest = None
+        if g.var not in inner.free_vars:
+            fixed = scalar(inner)
+        elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
+            left, rest = scalar(inner.left), scalar(inner.right)
+            fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
+            stop = not isinstance(inner, And)
+        else:
+            body = scalar(inner)
+        pool = semantics.pool(g.var)  # after the body, as a post-order walk would check
+        if fixed:
+
+            def hoisted(env: list) -> bool:
+                saved, values = env[k], iter(pool(env))
+                for env[k] in values:  # the first value; `fixed` is the same at all of them
+                    truth = fixed(env)
+                    if rest and truth != stop:
+                        truth = universal
+                        for env[k] in chain((env[k],), values):
+                            if rest(env) != universal:
+                                truth = not universal
+                                break
+                    env[k] = saved
+                    return truth
+                return universal
+
+            return hoisted
+
+        def quantify(env: list) -> bool:
+            saved = env[k]
+            for env[k] in pool(env):
+                if body(env) != universal:
+                    env[k] = saved
+                    return not universal
+            env[k] = saved
+            return universal
+
+        return quantify
+
+    def masked(g: Formula, v: Var, full: int) -> Callable:
+        """``g``, with ``v`` free and under no predicate quantifier, as a
+        closure to the mask of the tables of ``v``'s domain where it holds;
+        ``full`` has a bit per table.  Parts without ``v`` stay scalar, and
+        an individual quantifier is an AND (``ex`` as ``~all ~``) over its
+        pool that stops at 0."""
+        if isinstance(g, Atom):  # headed by v, as arguments are individuals
+            return semantics.column(v, tuple(slot[a] for a in g.args))
+        if isinstance(g, Eq):
+            if g.left == g.right:
+                return lambda env: full
+            return semantics.bit(v, slot[g.right if g.left == v else g.left])
+        if isinstance(g, Not):
+            body = masked(g.body, v, full)
+            return lambda env: full ^ body(env)
+        if isinstance(g, (Forall, Exists)):
+            body = masked(g.body, v, full)
+            k, pool = slot[g.var], semantics.pool(g.var)
+            flip = 0 if isinstance(g, Forall) else full
+
+            def every(env: list) -> int:
+                saved, acc = env[k], full
+                for env[k] in pool(env):
+                    acc &= body(env) ^ flip
+                    if not acc:
+                        break
+                env[k] = saved
+                return acc ^ flip
+
+            return every
+        on_left, on_right = v in g.left.free_vars, v in g.right.free_vars
+        left = masked(g.left, v, full) if on_left else scalar(g.left)
+        right = masked(g.right, v, full) if on_right else scalar(g.right)
+        if on_left and on_right:
+            if isinstance(g, And):
+                return lambda env: (m := left(env)) and m & right(env)
+            if isinstance(g, Or):
+                return lambda env: m if (m := left(env)) == full else m | right(env)
+            if isinstance(g, Implies):
+                return lambda env: full ^ m | right(env) if (m := left(env)) else full
+            return lambda env: full ^ left(env) ^ right(env)
+        # one scalar operand: its truth picks `(a, b)` from `outcomes` (false,
+        # true), and the value is `m & a ^ b`, the other's mask `m` read if `a`
+        scalar_op, mask_op = (right, left) if on_left else (left, right)
+        keep, flip, zero, one = (full, 0), (full, full), (0, 0), (0, full)
+        implies = (one, keep) if on_right else (flip, one)  # L -> R is ~L | R
+        outcomes = {And: (zero, keep), Or: (keep, one), Iff: (flip, keep)}.get(type(g), implies)
+
+        def mixed(env: list) -> int:
+            a, b = outcomes[scalar_op(env)]
+            return mask_op(env) & a ^ b if a else b
+
+        return mixed
+
+    return scalar(formula), [None] * len(slot)
 
 
 def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
@@ -223,6 +300,34 @@ class FiniteSemantics:
             return env[p].bits[index]
 
         return point
+
+    def full(self, var: Var) -> int:
+        """The mask with a bit per table of ``var``'s domain, 0 if it has none
+        (arity 0, an individual, never has one)."""
+        return (1 << len(self.structure.domains.get(var.arity, ()))) - 1
+
+    def column(self, var: Var, args: tuple[int, ...]):
+        """A closure from the environment to ``var``'s column at the point of ``args``."""
+        columns, size = self.structure.columns(var.arity), self.structure.size
+        if len(args) == 1:
+            (a,) = args
+            return lambda env: columns[env[a]]
+        if len(args) == 2:
+            a, b = args
+            return lambda env: columns[env[a] * size + env[b]]
+
+        def point(env: list) -> int:
+            index = 0
+            for a in args:
+                index = index * size + env[a]
+            return columns[index]
+
+        return point
+
+    def bit(self, var: Var, w: int):
+        """A closure from the environment to the bit of ``env[w]``, a table of ``var``'s domain."""
+        bits = {id(t): 1 << j for j, t in enumerate(self.structure.domain(var.arity))}
+        return lambda env: bits[id(env[w])]
 
     def section(self, s: int, xs: tuple[int, ...], m: int):
         """A closure from the environment to the domain table whose bits

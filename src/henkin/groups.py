@@ -532,25 +532,26 @@ class ModelSpec:
 
 
 def model_spec_from_dict(data: dict, *, group_cap: int = DEFAULT_GROUP_CAP) -> ModelSpec:
-    """Read ``individuals``, ``group: {generators: [...]}`` and
-    ``filter: {kind, generators?}`` from a structure document."""
-    data = json_shape(data, "model spec")
+    """Read ``individuals``, ``group: {generators: [...]}`` and ``filter:
+    {kind, generators?}`` from a structure document, whose only other key is ``domains``."""
+    data = json_shape(data, "model spec", keys=("individuals", "domains", "group", "filter"))
     labels = tuple(json_shape(data.get("individuals"), "individuals", list))
-    group_doc = json_shape(data.get("group", {}), "group")
+    group_doc = json_shape(data.get("group", {}), "group", keys=("generators",))
     generators = json_shape(group_doc.get("generators", []), "generators", list)
     gens = [perm_from_cycles(text, labels) for text in generators]
     if gens:
         group = Group.from_generators(len(labels), gens, cap=group_cap)
     else:
         group = Group.symmetric(len(labels), cap=max(group_cap, 10_000))
-    fdata = json_shape(data.get("filter", {"kind": "all"}), "filter")
+    fdata = json_shape(data.get("filter", {"kind": "all"}), "filter", keys=("kind", "generators"))
     kind = fdata.get("kind", "all")
     if kind == "all":
         filt: Filter = AllSubgroups()
     elif kind == "finite-supports":
         filt = FiniteSupports()
     elif kind == "principal-normal":
-        sub_gens = [perm_from_cycles(text, labels) for text in fdata.get("generators", [])]
+        texts = json_shape(fdata.get("generators", []), "filter generators", list)
+        sub_gens = [perm_from_cycles(text, labels) for text in texts]
         if not sub_gens:
             raise StructureError("principal-normal filter needs generators")
         filt = PrincipalNormal((Group.from_generators(len(labels), sub_gens, cap=group_cap),))

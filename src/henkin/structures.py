@@ -142,6 +142,7 @@ class Structure:
         object.__setattr__(
             self, "_index", {a: i for i, a in enumerate(self.individuals)}
         )
+        object.__setattr__(self, "_columns", {})
 
     # dict-valued fields make the generated hash unusable; structures are
     # compared by value only.
@@ -161,6 +162,15 @@ class Structure:
     def by_bits(self, arity: int) -> dict[tuple[bool, ...], Table]:
         """The arity-n domain's own tables by their bits, empty if it has none."""
         return self._by_bits.get(arity, {})  # type: ignore[attr-defined]
+
+    def columns(self, arity: int) -> tuple[int, ...]:
+        """The arity-n domain by row-major point: bit j of entry i is bit i
+        of the j-th table of ``domain(arity)``.  Computed on first use."""
+        columns = self._columns  # type: ignore[attr-defined]
+        if arity not in columns:
+            rows = (t.bits for t in self.domain(arity))
+            columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
+        return columns[arity]
 
     def label_index(self, label: str) -> int:
         try:

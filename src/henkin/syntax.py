@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, ClassVar, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -104,12 +104,16 @@ def pred(index: int, arity: int) -> Var:
 class Formula:
     """Base class; use the concrete node classes below."""
 
-    def _finish(self, free: frozenset, bound: frozenset, depth: int) -> None:
+    _nested: ClassVar[frozenset] = frozenset()  # set on a node only where it is not empty
+
+    def _finish(self, free: frozenset, bound: frozenset, depth: int, nested=None) -> None:
         if depth > MAX_DEPTH:
             raise FormulaError(f"formula depth {depth} exceeds the bound {MAX_DEPTH}")
         _setattr(self, "_free", free)
         _setattr(self, "_bound", bound)
         _setattr(self, "_depth", depth)
+        if nested:
+            _setattr(self, "_nested", nested)
 
     @property
     def free_vars(self) -> frozenset[Var]:
@@ -118,6 +122,11 @@ class Formula:
     @property
     def bound_vars(self) -> frozenset[Var]:
         return self._bound  # type: ignore[attr-defined]
+
+    @property
+    def nested_vars(self) -> frozenset[Var]:
+        """The free variables with an occurrence under a predicate quantifier inside."""
+        return self._nested  # type: ignore[attr-defined]
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -169,7 +178,8 @@ class Not(Formula):
 
     def __post_init__(self) -> None:
         _check_formula(self.body)
-        self._finish(self.body.free_vars, self.body.bound_vars, self.body._depth + 1)
+        body = self.body
+        self._finish(body.free_vars, body.bound_vars, body._depth + 1, body._nested)
 
 
 @dataclass(frozen=True)
@@ -181,10 +191,12 @@ class _Binary(Formula):
         _check_formula(self.left)
         _check_formula(self.right)
         left, right = self.left._depth, self.right._depth
+        nested = self.right._nested and self.left._nested | self.right._nested
         self._finish(
             self.left.free_vars | self.right.free_vars,
             self.left.bound_vars | self.right.bound_vars,
             (left if left > right else right) + 1,
+            nested or self.left._nested,
         )
 
 
@@ -219,11 +231,12 @@ class _Quantifier(Formula):
             raise CaptureError(
                 f"{self.var} is already bound inside the body and cannot be quantified again"
             )
-        self._finish(
-            self.body.free_vars - {self.var},
-            self.body.bound_vars | {self.var},
-            self.body._depth + 1,
-        )
+        free, nested = self.body.free_vars - {self.var}, self.body._nested
+        if self.var.is_predicate:  # every free variable occurs under this quantifier
+            nested = free
+        elif self.var in nested:
+            nested = nested - {self.var}
+        self._finish(free, self.body.bound_vars | {self.var}, self.body._depth + 1, nested)
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,15 @@ def build_model_with(spec):
     return lambda d: ["build-model", "--structure", write(d, "spec.json", spec)]
 
 
+def a4_spec(
+    group='{"generators": ["(1 2 3 4)", "(1 2)"]}',
+    filter_key="filter",
+    filter='{"kind": "principal-normal", "generators": ["(1 2 3)", "(2 3 4)"]}',
+):
+    """The README's 4-point model spec, with one part replaced."""
+    return f'{{"individuals": ["1", "2", "3", "4"], "group": {group}, "{filter_key}": {filter}}}'
+
+
 def symbolic_binding(arity, support):
     """A binding document for ``x1 = x1``, well formed but for the given
     ``arity`` and ``support`` JSON texts of its symbolic predicate."""
@@ -453,6 +462,23 @@ MISSHAPEN = {
     ),
     "model-spec-filter-string": (
         build_model_with('{"individuals": ["a", "b"], "filter": "all"}'), "StructureError"
+    ),
+    # a misspelled key would otherwise fall back to a default: the full
+    # standard structure, or S4 for the group
+    "model-spec-unknown-key": (
+        build_model_with(a4_spec(filter_key="filters")), "StructureError"
+    ),
+    "model-spec-group-unknown-key": (
+        build_model_with(a4_spec(group='{"generator": ["(1 2 3 4)", "(1 2)"]}')),
+        "StructureError",
+    ),
+    "model-spec-filter-unknown-key": (
+        build_model_with(a4_spec(filter='{"kind": "all", "generator": ["(1 2)"]}')),
+        "StructureError",
+    ),
+    "model-spec-filter-generators-string": (
+        build_model_with(a4_spec(filter='{"kind": "principal-normal", "generators": "(1 2 3)"}')),
+        "StructureError",
     ),
     "binding-list": (bind_with("[]"), "FraenkelError"),
     "binding-string": (bind_with('"x1"'), "FraenkelError"),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,14 +14,17 @@ from henkin.corpus import (
 )
 from henkin.evaluate import (
     EvalError,
+    FiniteSemantics,
     att,
     check_comprehension,
+    compile_formula,
     evaluate,
     resolve,
     saturate,
     saturate_with_report,
 )
 from henkin.parser import parse
+from henkin.schemas import SchemaId, build, check_schema
 from henkin.structures import (
     DEFAULT_TABLE_CAP,
     Assignment,
@@ -30,9 +34,23 @@ from henkin.structures import (
     standard_structure,
     structure_to_dict,
 )
-from henkin.syntax import Eq, Not, free_vars, ind, pred, subformulas
+from henkin.syntax import (
+    And,
+    Atom,
+    Eq,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    free_vars,
+    ind,
+    pred,
+    subformulas,
+)
 
-x1, x2 = ind(1), ind(2)
+x1, x2, x3 = ind(1), ind(2), ind(3)
 A = pred(0, 1)
 
 
@@ -160,6 +178,189 @@ class TestPredicateIdentity:
             out = check_comprehension(structure, f, xs, params)
             assert out.holds == (Table(size, len(xs), bits) in structure.domains[len(xs)])
         assert defined > 50
+
+
+def proper_domains(rng, size):
+    """A structure whose domains of arity 1 to 3 each hold a few random
+    tables, never all of them (so just one on a single point)."""
+    domains = {}
+    for n in (1, 2, 3):
+        width = size**n
+        count = min(rng.choice((1, 1, 2, 3, 5, 7)), 2**width - 1)
+        rows = set()
+        while len(rows) < count:
+            rows.add(rng.getrandbits(width))
+        domains[n] = [Table(size, n, tuple(bool(r >> i & 1) for i in range(width))) for r in rows]
+    return Structure(tuple("abc"[:size]), domains)
+
+
+def first_falsifier(structure, matrix, searched):
+    """The first assignment of ``searched``, in ``check_schema``'s order,
+    under which the oracle finds the matrix false, or None."""
+    pools = [
+        range(structure.size) if v.is_individual else structure.domain(v.arity) for v in searched
+    ]
+    for values in product(*pools):
+        env = dict(zip(searched, values))
+        if not naive_eval(structure, env, matrix):
+            return env
+    return None
+
+
+class TestDomainMasks:
+    """A predicate quantifier whose variable occurs in its body, under no
+    predicate quantifier there, is decided as a mask over its domain:
+    ``evaluate``, ``att`` and ``check_schema`` agree with the oracle, and
+    the counterexample is the search's first."""
+
+    def sentence(self, rng, n, shapes):
+        """A random formula under ``Q V`` for V = A0^n, the body mentioning
+        V, beside A1^n and a unary or binary predicate; maybe under an
+        outer ``all W`` (peeled by ``check_schema``) or ``ex W``, W = A1^n."""
+        v, w = pred(0, n), pred(1, n)
+        other = pred(2, 2 if n == 1 else 1)
+        body = random_formula(rng, 4, [x1, x2, x3], [v, v, w, other], atom_bias=0.25)
+        if v not in body.free_vars:
+            tail = rng.choice((Atom(v, tuple(rng.choice((x1, x2)) for _ in range(n))), Eq(v, w)))
+            body = rng.choice((And, Or, Implies, Iff))(body, tail)
+        if v in body.bound_vars:
+            return None
+        f = rng.choice((Forall, Exists))(v, body)
+        outer = rng.choice((None, Forall, Exists)) if w not in f.bound_vars else None
+        if outer:
+            f = outer(w, f)
+        flat = v not in body.nested_vars
+        shapes.add((n, type(f if not outer else f.body).__name__, flat))
+        kinds = {
+            frozenset((g.left, g.right)) for g in subformulas(body) if isinstance(g, Eq)
+        }
+        if flat and frozenset((v,)) in kinds:
+            shapes.add("V = V")
+        if flat and frozenset((v, w)) in kinds:
+            shapes.add(("V = W", outer.__name__ if outer else "free"))
+        if flat and any(
+            isinstance(g, (Forall, Exists)) and g.var.is_predicate and v not in g.free_vars
+            and g.var not in g.body.nested_vars and g.var in g.body.free_vars
+            for g in subformulas(body)
+        ):
+            shapes.add("independent")
+        return f
+
+    def test_agrees_with_naive_eval(self):
+        rng = random.Random(419)
+        shapes, checked, defined = set(), 0, 0
+        while checked < 330:
+            structure = proper_domains(rng, 1 + checked % 3)
+            f = self.sentence(rng, rng.randint(1, 3), shapes)
+            if f is None:
+                continue
+            checked += 1
+            assignment = random_assignment(rng, structure, f.free_vars)
+            env = dict(assignment.values)
+            assert evaluate(structure, assignment, f) == naive_eval(structure, env, f)
+            xs = tuple(sorted(v for v in f.free_vars if v.is_individual))
+            if xs and not f.bound_vars & set(xs):
+                defined += 1
+                bits = tuple(
+                    naive_eval(structure, {**env, **dict(zip(xs, p))}, f)
+                    for p in product(range(structure.size), repeat=len(xs))
+                )
+                assert att(structure, f, xs, assignment).table.bits == bits
+            check = check_schema(structure, f)
+            expected = first_falsifier(structure, check.matrix, check.searched)
+            assert check.holds == (expected is None)
+            assert (check.counterexample and dict(check.counterexample.values)) == expected
+        assert defined > 100
+        kinds = set(product((1, 2, 3), ("Forall", "Exists"), (True, False)))
+        equalities = {"V = V", ("V = W", "free"), ("V = W", "Forall"), ("V = W", "Exists")}
+        assert shapes >= kinds | equalities | {"independent"}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "all A0^1 . (ex x1 . A0^1 x1 | all x2 . ~(A0^1 x2))",
+            "ex A0^1 . all x1 . (A0^1 x1 <-> x1 = x2)",
+            "all A0^2 . (all x1 . A0^2 x1 x1) -> ex x1 . ex x2 . A0^2 x1 x2 & ~(x1 = x2) | x3 = x1",
+            "ex A0^3 . (A0^3 x1 x2 x3 & ~(A0^3 x3 x2 x1) | A0^3 = A1^3)",
+            "all A0^1 . (A0^1 = A1^1 -> all x1 . (A0^1 x1 <-> A1^1 x1))",
+            "all A1^1 . ex A0^1 . (A0^1 = A1^1 & A0^1 = A0^1 & ex A0^2 . A0^2 x1 x1)",
+            "ex A0^2 . (all x1 . ex x2 . A0^2 x1 x2) <-> (ex x1 . all x2 . ~(A0^2 x2 x1))",
+        ],
+    )
+    def test_written_shapes(self, text):
+        f, rng = parse(text), random.Random(text)
+        for k in range(60):
+            structure = proper_domains(rng, 1 + k % 3)
+            assignment = random_assignment(rng, structure, f.free_vars)
+            env = dict(assignment.values)
+            assert evaluate(structure, assignment, f) == naive_eval(structure, env, f)
+            check = check_schema(structure, f)
+            expected = first_falsifier(structure, check.matrix, check.searched)
+            assert (check.counterexample and dict(check.counterexample.values)) == expected
+
+    def test_the_path_follows_the_shape(self, std2, monkeypatch):
+        # wo1's outer ex A0^2 has A0^2 under the flat all A0^1, so it
+        # searches; ac's witness A1^2 is flat; a quantifier whose variable
+        # does not occur draws one value
+        drawn, columns = Counter(), Counter()
+        pool, column = FiniteSemantics.pool, FiniteSemantics.column
+
+        def counting_pool(self, var):
+            values = pool(self, var)
+
+            def draw(env):
+                for value in values(env):
+                    drawn[var] += 1
+                    yield value
+
+            return draw
+
+        def counting_column(self, var, args):
+            columns[var] += 1
+            return column(self, var, args)
+
+        monkeypatch.setattr(FiniteSemantics, "pool", counting_pool)
+        monkeypatch.setattr(FiniteSemantics, "column", counting_column)
+        T, A, S = pred(0, 2), pred(0, 1), pred(1, 2)
+        check_schema(std2, SchemaId("wo1"))
+        assert drawn[T] > 0 and not columns[T] and columns[A] and not drawn[A]
+        check_schema(std2, SchemaId("ac"))
+        assert columns[S] and not drawn[S]
+        assert evaluate(std2, Assignment({}), parse("all A1^1 . x1 = x1"))
+        assert drawn[pred(1, 1)] == 1
+
+    def test_a_payload_shared_by_a_masked_and_a_bridged_quantifier(self, monkeypatch):
+        # choice-h puts the one payload node under the antecedent's flat
+        # ex A0^1, decided by a mask, and in the matrix's bridged ex A0^1,
+        # run at the section: each occurrence compiles in its own mode
+        payload = parse("ex x2 . (A0^1 x2 & ~(x2 = x1)) & (A0^1 x1 -> all x3 . A0^1 x3)")
+        f = build(SchemaId("choice-h", 1, 1, payload))
+        assert f.left.body.body is f.right.body.body.body.right is payload
+        columns = Counter()
+        column = FiniteSemantics.column
+
+        def counting(self, var, args):
+            columns[var] += 1
+            return column(self, var, args)
+
+        monkeypatch.setattr(FiniteSemantics, "column", counting)
+        rng = random.Random(421)
+        verdicts = set()
+        for k in range(40):
+            structure = proper_domains(rng, 2 + k % 2)
+            check = check_schema(structure, f)
+            expected = first_falsifier(structure, check.matrix, check.searched)
+            assert (check.counterexample and dict(check.counterexample.values)) == expected
+            verdicts.add(check.holds)
+        assert verdicts == {True, False} and columns[pred(0, 1)] > 0
+
+    @pytest.mark.parametrize(
+        "text", ["ex A0^2 . A0^2 x1 x1", "all A0^1 . (A0^1 x1 | ex A0^2 . A0^2 x1 x1)"]
+    )
+    def test_an_arity_without_a_domain_is_an_error_at_compile_time(self, text):
+        structure = standard_structure(("a", "b"), 1)
+        with pytest.raises(EvalError, match="no domain of arity 2"):
+            compile_formula(parse(text), FiniteSemantics(structure), [x1])
 
 
 class TestCoincidence:
