@@ -28,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from . import fraenkel, groups, schemas
-from .evaluate import evaluate, saturate_with_report
+from .evaluate import DEFAULT_FORMULA_CAP, evaluate, saturate_with_report
 from .parser import parse
 from .structures import (
     ASSIGNMENT_KEYS,
@@ -336,8 +336,8 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--cap-tables", type=_cap, default=None)
         p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
         p.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
-        p.add_argument("--cap-assignments", type=_cap, default=1_000_000)
-        p.add_argument("--cap-formulas", type=_cap, default=200_000)
+        p.add_argument("--cap-assignments", type=_cap, default=schemas.DEFAULT_ASSIGNMENT_CAP)
+        p.add_argument("--cap-formulas", type=_cap, default=DEFAULT_FORMULA_CAP)
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     group = p.add_mutually_exclusive_group(required=True)

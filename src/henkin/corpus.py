@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .structures import Assignment, CapExceeded, Structure, all_tables
+from .structures import CapExceeded
 from .syntax import (
     And,
     Atom,
@@ -41,7 +41,9 @@ def enumerate_formulas(
     """Every formula of AST depth <= max_depth over the vocabulary, using the
     complete connective basis {~, &} plus both quantifier sorts.
 
-    Raises :class:`CapExceeded` rather than silently truncating.
+    Raises :class:`CapExceeded` rather than silently truncating, and before
+    building a level that would pass the cap: a level's size follows from
+    the levels below it.
     """
     atoms: list[Formula] = []
     for p in pred_vars:
@@ -59,9 +61,14 @@ def enumerate_formulas(
     levels: list[list[Formula]] = [atoms]
     total = len(atoms)
     for d in range(1, max_depth + 1):
-        level: list[Formula] = []
         prev = levels[d - 1]
         shallower = [f for lvl in levels[: d - 1] for f in lvl]
+        # negations, conjunctions, then two quantifiers per variable not bound in the body
+        quantified = sum(v not in f.bound_vars for f in prev for v in vocabulary)
+        total += len(prev) * (1 + len(prev) + 2 * len(shallower)) + 2 * quantified
+        if total > cap:
+            raise CapExceeded(f"formulas of depth <= {max_depth}", total, cap)
+        level: list[Formula] = []
         for f in prev:
             level.append(Not(f))
         for f in prev:
@@ -76,9 +83,6 @@ def enumerate_formulas(
                 if v not in f.bound_vars:
                     level.append(Forall(v, f))
                     level.append(Exists(v, f))
-        total += len(level)
-        if total > cap:
-            raise CapExceeded(f"formulas of depth <= {max_depth}", total, cap)
         levels.append(level)
     return [f for lvl in levels for f in lvl]
 
@@ -224,35 +228,3 @@ def payload_corpus(
         seen.add(f)
         corpus.append(f)
     return corpus
-
-
-# ---------------------------------------------------------------------------
-# Random finite structures and assignments for oracle comparisons.
-# ---------------------------------------------------------------------------
-
-
-def random_structure(
-    rng: random.Random,
-    labels: Sequence[str],
-    arities: Iterable[int] = (1, 2),
-    *,
-    max_tables: int = 8,
-) -> Structure:
-    """A random structure: each domain is a random nonempty table subset."""
-    size = len(labels)
-    domains = {}
-    for n in arities:
-        pool = all_tables(size, n)
-        k = rng.randint(1, min(max_tables, len(pool)))
-        domains[n] = frozenset(rng.sample(pool, k))
-    return Structure(tuple(labels), domains)
-
-
-def random_assignment(rng: random.Random, structure: Structure, variables: Iterable[Var]) -> Assignment:
-    values: dict[Var, object] = {}
-    for v in variables:
-        if v.is_individual:
-            values[v] = rng.randrange(structure.size)
-        else:
-            values[v] = rng.choice(structure.domain(v.arity))
-    return Assignment(values)

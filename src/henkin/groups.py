@@ -542,7 +542,7 @@ def model_spec_from_dict(data: dict, *, group_cap: int = DEFAULT_GROUP_CAP) -> M
     if gens:
         group = Group.from_generators(len(labels), gens, cap=group_cap)
     else:
-        group = Group.symmetric(len(labels), cap=max(group_cap, 10_000))
+        group = Group.symmetric(len(labels), cap=group_cap)
     fdata = json_shape(data.get("filter", {"kind": "all"}), "filter", keys=("kind", "generators"))
     kind = fdata.get("kind", "all")
     if kind == "all":

@@ -25,7 +25,7 @@ deep, or that builds a formula deeper than ``MAX_DEPTH``, is a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .syntax import (
     Atom,
@@ -62,11 +62,7 @@ class ParseError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+Token = namedtuple("Token", "kind text pos")
 
 
 _TOKEN_RE = re.compile(

@@ -305,6 +305,9 @@ def build(schema: SchemaId, *, strict: bool = True) -> Formula:
 # ---------------------------------------------------------------------------
 
 
+DEFAULT_ASSIGNMENT_CAP = 1_000_000
+
+
 @dataclass(frozen=True)
 class SchemaCheck:
     """Outcome of an exhaustive schema check.
@@ -326,7 +329,7 @@ def check_schema(
     schema: SchemaId | Formula,
     *,
     strict: bool = True,
-    assignment_cap: int = 1_000_000,
+    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> SchemaCheck:
     """Search all assignments of the outer universal prefix and the free
     variables for a falsifying one."""

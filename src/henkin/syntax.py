@@ -12,23 +12,19 @@ explicit repair used by schema construction.
 
 Every node records its depth, and construction rejects a formula deeper than
 :data:`MAX_DEPTH`.  The bound keeps every recursive walk over a formula (the
-traversals here, the parser, both evaluators, dataclass equality and
-hashing) well inside Python's default recursion limit, so the walks need no
-explicit stack.
+traversals here, the parser, both evaluators, and the C-level tuple equality
+and hashing of nodes) well inside Python's default recursion limit, so the
+walks need no explicit stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
 MAX_DEPTH = 100
-
-# writes the caches of a frozen node; bound once, as construction is hot
-_setattr = object.__setattr__
 
 
 class FormulaError(Exception):
@@ -100,158 +96,162 @@ def pred(index: int, arity: int) -> Var:
     return Var(index, arity)
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Base class; use the concrete node classes below."""
+class Formula(tuple):
+    """Base class; use the concrete node classes below.
 
-    _nested: ClassVar[frozenset] = frozenset()  # set on a node only where it is not empty
+    A node is the tuple ``(kind, first, second, free, bound, depth, nested)``:
+    its class's kind, its fields, and the caches its constructor computes
+    from its children's.  The kind is a small int, so hashes are the same in
+    every process, and it keeps ``And(a, b)`` apart from ``Or(a, b)``; the
+    caches follow from the fields.  Tuple equality and hashing thus compare
+    formulas structurally, in C.
+    """
 
-    def _finish(self, free: frozenset, bound: frozenset, depth: int, nested=None) -> None:
-        if depth > MAX_DEPTH:
-            raise FormulaError(f"formula depth {depth} exceeds the bound {MAX_DEPTH}")
-        _setattr(self, "_free", free)
-        _setattr(self, "_bound", bound)
-        _setattr(self, "_depth", depth)
-        if nested:
-            _setattr(self, "_nested", nested)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    free_vars = property(itemgetter(3))
+    bound_vars = property(itemgetter(4))
+    # the free variables with an occurrence under a predicate quantifier inside
+    nested_vars = property(itemgetter(6))
 
-    @property
-    def free_vars(self) -> frozenset[Var]:
-        return self._free  # type: ignore[attr-defined]
+    def __getnewargs__(self) -> tuple:  # copies and pickles rebuild through __new__
+        return self[1 : 1 + len(self._fields)]
 
-    @property
-    def bound_vars(self) -> frozenset[Var]:
-        return self._bound  # type: ignore[attr-defined]
-
-    @property
-    def nested_vars(self) -> frozenset[Var]:
-        """The free variables with an occurrence under a predicate quantifier inside."""
-        return self._nested  # type: ignore[attr-defined]
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+_new = tuple.__new__
+_EMPTY: frozenset = frozenset()
+
+
+def _operand(f) -> tuple:
+    """The free, bound and nested caches of an operand, and the depth of a node over it."""
+    if not isinstance(f, Formula):
+        raise FormulaError(f"expected a Formula, got {type(f).__name__}")
+    _, _, _, free, bound, depth, nested = f
+    if depth >= MAX_DEPTH:
+        raise FormulaError(f"formula depth {depth + 1} exceeds the bound {MAX_DEPTH}")
+    return free, bound, depth + 1, nested
+
+
 class Atom(Formula):
     """Application of a predicate variable to individual variables."""
 
-    predicate: Var
-    args: tuple[Var, ...]
+    __slots__ = ()
+    _kind = 0
+    _fields = ("predicate", "args")
+    predicate = property(itemgetter(1))
+    args = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        if not self.predicate.is_predicate:
-            raise ArityError(f"{self.predicate} cannot head an application")
-        if len(self.args) != self.predicate.arity:
-            raise ArityError(
-                f"{self.predicate} expects {self.predicate.arity} arguments, "
-                f"got {len(self.args)}"
-            )
-        for a in self.args:
+    def __new__(cls, predicate: Var, args: Iterable[Var]) -> Atom:
+        args = tuple(args)
+        if not predicate.is_predicate:
+            raise ArityError(f"{predicate} cannot head an application")
+        if len(args) != predicate.arity:
+            raise ArityError(f"{predicate} expects {predicate.arity} arguments, got {len(args)}")
+        for a in args:
             if not a.is_individual:
                 raise ArityError(f"application argument {a} must be an individual variable")
-        self._finish(frozenset((self.predicate, *self.args)), frozenset(), 0)
+        free = frozenset((predicate, *args))
+        return _new(cls, (cls._kind, predicate, args, free, _EMPTY, 0, _EMPTY))
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
     """Equality between two variables of the same sort.
 
     Predicate equality is extensional: it compares the assigned truth tables.
     """
 
-    left: Var
-    right: Var
+    __slots__ = ()
+    _kind = 1
+    _fields = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.left.arity != self.right.arity:
-            raise ArityError(
-                f"equality needs both sides of the same sort: {self.left} vs {self.right}"
-            )
-        self._finish(frozenset((self.left, self.right)), frozenset(), 0)
+    def __new__(cls, left: Var, right: Var) -> Eq:
+        if left.arity != right.arity:
+            raise ArityError(f"equality needs both sides of the same sort: {left} vs {right}")
+        return _new(cls, (cls._kind, left, right, frozenset((left, right)), _EMPTY, 0, _EMPTY))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = ()
+    _kind = 2
+    _fields = ("body",)
+    body = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        _check_formula(self.body)
-        body = self.body
-        self._finish(body.free_vars, body.bound_vars, body._depth + 1, body._nested)
+    def __new__(cls, body: Formula) -> Not:
+        free, bound, depth, nested = _operand(body)
+        return _new(cls, (cls._kind, body, (), free, bound, depth, nested))
 
 
-@dataclass(frozen=True)
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        _check_formula(self.left)
-        _check_formula(self.right)
-        left, right = self.left._depth, self.right._depth
-        nested = self.right._nested and self.left._nested | self.right._nested
-        self._finish(
-            self.left.free_vars | self.right.free_vars,
-            self.left.bound_vars | self.right.bound_vars,
-            (left if left > right else right) + 1,
-            nested or self.left._nested,
-        )
+    def __new__(cls, left: Formula, right: Formula) -> Formula:
+        free, bound, depth, nested = _operand(left)
+        rfree, rbound, rdepth, rnested = _operand(right)
+        depth = depth if depth > rdepth else rdepth
+        nested = nested | rnested if rnested else nested
+        return _new(cls, (cls._kind, left, right, free | rfree, bound | rbound, depth, nested))
 
 
-@dataclass(frozen=True)
 class And(_Binary):
-    pass
+    __slots__ = ()
+    _kind = 3
 
 
-@dataclass(frozen=True)
 class Or(_Binary):
-    pass
+    __slots__ = ()
+    _kind = 4
 
 
-@dataclass(frozen=True)
 class Implies(_Binary):
-    pass
+    __slots__ = ()
+    _kind = 5
 
 
-@dataclass(frozen=True)
 class Iff(_Binary):
-    pass
+    __slots__ = ()
+    _kind = 6
 
 
-@dataclass(frozen=True)
 class _Quantifier(Formula):
-    var: Var
-    body: Formula
+    __slots__ = ()
+    _fields = ("var", "body")
+    var = property(itemgetter(1))
+    body = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        _check_formula(self.body)
-        if self.var in self.body.bound_vars:
+    def __new__(cls, var: Var, body: Formula) -> Formula:
+        free, bound, depth, nested = _operand(body)
+        if var in bound:
             raise CaptureError(
-                f"{self.var} is already bound inside the body and cannot be quantified again"
+                f"{var} is already bound inside the body and cannot be quantified again"
             )
-        free, nested = self.body.free_vars - {self.var}, self.body._nested
-        if self.var.is_predicate:  # every free variable occurs under this quantifier
+        free = free - {var}
+        if var.is_predicate:  # every free variable occurs under this quantifier
             nested = free
-        elif self.var in nested:
-            nested = nested - {self.var}
-        self._finish(free, self.body.bound_vars | {self.var}, self.body._depth + 1, nested)
+        elif var in nested:
+            nested = nested - {var}
+        return _new(cls, (cls._kind, var, body, free, bound | {var}, depth, nested))
 
 
-@dataclass(frozen=True)
 class Forall(_Quantifier):
-    pass
+    __slots__ = ()
+    _kind = 7
 
 
-@dataclass(frozen=True)
 class Exists(_Quantifier):
-    pass
-
-
-def _check_formula(f) -> None:
-    if not isinstance(f, Formula):
-        raise FormulaError(f"expected a Formula, got {type(f).__name__}")
+    __slots__ = ()
+    _kind = 8
 
 
 def free_vars(f: Formula) -> frozenset[Var]:
@@ -264,7 +264,7 @@ def all_vars(f: Formula) -> frozenset[Var]:
 
 def depth(f: Formula) -> int:
     """AST depth, recorded at construction; atomic formulas have depth 0."""
-    return f._depth  # type: ignore[attr-defined]
+    return f[5]
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ defined table built point by point with ``naive_eval`` and a dict
 environment, as a ``Table``, and tested for membership in the round's
 domains; only the formula enumeration and the report type are shared.
 
-The two structure builders at the end are references only tests use: the
+The two structure builders near the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
-against, and the closure of a structure under permutations.
+against, and the closure of a structure under permutations.  Last come the
+seeded random structures and assignments the oracle comparisons run on.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,14 @@ from henkin.fraenkel import (
     fresh_atoms,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
-from henkin.structures import DEFAULT_TABLE_CAP, CapExceeded, Structure, Table, all_tables
+from henkin.structures import (
+    DEFAULT_TABLE_CAP,
+    Assignment,
+    CapExceeded,
+    Structure,
+    Table,
+    all_tables,
+)
 from henkin.syntax import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, ind, pred
 
 
@@ -336,3 +344,25 @@ def close_structure_under(structure, perms):
                 tables |= new
                 changed = True
     return Structure(structure.individuals, {n: frozenset(ts) for n, ts in domains.items()})
+
+
+def random_structure(rng, labels, arities=(1, 2), *, max_tables=8):
+    """A random structure: each domain is a random nonempty table subset."""
+    size = len(labels)
+    domains = {}
+    for n in arities:
+        pool = all_tables(size, n)
+        k = rng.randint(1, min(max_tables, len(pool)))
+        domains[n] = frozenset(rng.sample(pool, k))
+    return Structure(tuple(labels), domains)
+
+
+def random_assignment(rng, structure, variables):
+    """A random value for each variable: a point, or a table of its domain."""
+    values = {}
+    for v in variables:
+        if v.is_individual:
+            values[v] = rng.randrange(structure.size)
+        else:
+            values[v] = rng.choice(structure.domain(v.arity))
+    return Assignment(values)

@@ -6,15 +6,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from oracle import close_structure_under, naive_eval
+from oracle import close_structure_under, naive_eval, random_assignment, random_structure
 
 from henkin.corpus import (
     comprehension_corpus,
     default_vocabulary,
     payload_corpus,
-    random_assignment,
     random_formula,
-    random_structure,
 )
 from henkin.evaluate import check_comprehension, evaluate
 from henkin.fraenkel import (

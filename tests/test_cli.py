@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from henkin.cli import main
 from henkin.corpus import default_vocabulary, random_formula
+from henkin.evaluate import DEFAULT_FORMULA_CAP
 from henkin.fraenkel import MAX_TYPES
 from henkin.structures import save_structure, standard_structure, Structure, Table
 from henkin.syntax import format_formula
@@ -176,6 +177,12 @@ class TestSaturateCommand:
         assert report["result"]["added"] == {}
         assert report["result"]["structure"]["domains"]["1"] == ["00", "01", "10", "11"]
 
+    def test_formula_cap_fires_before_the_formulas_are_built(self, capsys, std2_file):
+        code, report, _ = run(capsys, "saturate", "--structure", std2_file, "--depth", "2")
+        assert code == 3
+        result = report["result"]
+        assert (result["needed"], result["cap"]) == (5_495_517, DEFAULT_FORMULA_CAP)
+
 
 class TestBuildModelCommand:
     def test_a4_spec(self, capsys, tmp_path, a4_model):
@@ -195,6 +202,16 @@ class TestBuildModelCommand:
         from henkin.structures import structure_from_dict
 
         assert structure_from_dict(report["result"]["structure"]) == a4_model
+
+    def test_default_symmetric_group_respects_the_group_cap(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"individuals": ["a", "b", "c", "d"]}))
+        argv = ("build-model", "--structure", str(path), "--max-arity", "1", "--cap-group")
+        code, report, _ = run(capsys, *argv, "5")
+        assert code == 3
+        assert (report["result"]["needed"], report["result"]["cap"]) == (24, 5)
+        code, report, _ = run(capsys, *argv, "24")
+        assert (code, report["result"]["group_order"]) == (0, 24)
 
     def test_finite_supports_flagged_degenerate(self, capsys, tmp_path):
         spec = {

@@ -15,11 +15,13 @@ from oracle import (
     naive_eval,
     naive_sym_eval,
     ref_denotes,
+    random_assignment,
+    random_structure,
     ref_predicate,
     to_symbolic,
 )
 
-from henkin.corpus import default_vocabulary, random_assignment, random_formula, random_structure
+from henkin.corpus import default_vocabulary, random_formula
 from henkin.evaluate import EvalError, FiniteSemantics, att, compile_formula, evaluate
 from henkin.fraenkel import (
     SymbolicPredicate,

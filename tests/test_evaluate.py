@@ -1,18 +1,15 @@
 import random
+import time
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from oracle import naive_eval, naive_saturate
+from oracle import naive_eval, naive_saturate, random_assignment, random_structure
 
-from henkin.corpus import (
-    default_vocabulary,
-    random_assignment,
-    random_formula,
-    random_structure,
-)
+from henkin.corpus import default_vocabulary, enumerate_formulas, random_formula
 from henkin.evaluate import (
+    DEFAULT_FORMULA_CAP,
     EvalError,
     FiniteSemantics,
     att,
@@ -504,6 +501,23 @@ class TestSaturate:
         with pytest.raises(CapExceeded) as err:
             saturate(s, 1, formula_cap=10)
         assert (err.value.needed, err.value.cap) == (264, 10)
+
+    def test_cap_fires_before_a_level_is_built(self, std2):
+        # depth 2 over std2's vocabulary holds 5,495,517 formulas, counted from
+        # the 2,296 of depth <= 1 without building one of depth 2
+        started = time.perf_counter()
+        with pytest.raises(CapExceeded) as err:
+            saturate_with_report(std2, 2)
+        assert time.perf_counter() - started < 1
+        assert (err.value.needed, err.value.cap) == (5_495_517, DEFAULT_FORMULA_CAP)
+
+    def test_cap_counts_the_formulas_built(self):
+        vocabulary = ([x1, x2], [A])
+        total = len(enumerate_formulas(2, *vocabulary, cap=10**6))
+        assert len(enumerate_formulas(2, *vocabulary, cap=total)) == total
+        with pytest.raises(CapExceeded) as err:
+            enumerate_formulas(2, *vocabulary, cap=total - 1)
+        assert (err.value.needed, err.value.cap) == (total, total - 1)
 
     @pytest.mark.parametrize(
         "table_cap, outcome",

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from henkin.corpus import (
-    default_vocabulary,
-    random_assignment,
-    random_formula,
-    random_structure,
-)
+from henkin.corpus import default_vocabulary, random_formula
 from henkin.groups import (
     AllSubgroups,
     FiniteSupports,
@@ -28,7 +23,12 @@ from henkin.groups import (
     symmetry_subgroup,
 )
 from henkin.parser import parse
-from oracle import build_permutation_model_bruteforce, close_structure_under
+from oracle import (
+    build_permutation_model_bruteforce,
+    close_structure_under,
+    random_assignment,
+    random_structure,
+)
 from henkin.structures import Assignment, StructureError, Table, equality_table, standard_structure
 from henkin.syntax import free_vars, ind, pred
 

@@ -1,10 +1,15 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracle import naive_eval
 
+import henkin
 from henkin.evaluate import evaluate
 from henkin.parser import ParseError, parse, parse_var
 from henkin.structures import Assignment, standard_structure
@@ -32,6 +37,7 @@ from henkin.syntax import (
     lower_predicate_application,
     pred,
     rename_bound_away,
+    subformulas,
     substitute,
 )
 
@@ -71,6 +77,63 @@ class TestVar:
             twins = (Var(i, a), parse_var(str(v)), copy.deepcopy(v), pickle.loads(pickle.dumps(v)))
             for twin in twins:
                 assert twin == v and type(twin) is Var
+
+
+class TestNodes:
+    """Formula nodes are tuples tagged with their class's kind."""
+
+    SENTENCE = "all x1 . ex A0^1 . (A0^1 x1 & x1 = x2)"
+
+    def test_every_node_class_is_a_slotted_tuple(self):
+        f = parse(
+            "all x1 . ex A0^2 . ~(A0^2 x1 x2 <-> x1 = x2) | (A0^1 x1 & x1 = x2 -> A0^1 = A1^1)"
+        )
+        classes = (Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists)
+        assert {type(g) for g in subformulas(f)} == set(classes)
+        for cls in classes:
+            assert issubclass(cls, tuple)
+            assert all(k.__dict__.get("__slots__") == () for k in cls.__mro__[:-2])
+        assert not any(hasattr(g, "__dict__") for g in subformulas(f))
+
+    def test_connectives_and_quantifiers_are_told_apart(self):
+        a, b = Atom(A, (x1,)), Eq(x1, x2)
+        binaries = [cls(a, b) for cls in (And, Or, Implies, Iff)]
+        quantifiers = [cls(x1, b) for cls in (Forall, Exists)]
+        for group in (binaries, quantifiers):
+            for f in group:
+                for g in group:
+                    assert (f == g) == (f is g)
+            assert len(set(group)) == len(group)
+        assert And(a, b) != And(b, a) and And(a, b) == And(Atom(A, [x1]), Eq(x1, x2))
+
+    def test_copies_and_pickles_rebuild_the_node(self):
+        f = parse(self.SENTENCE)
+        twins = (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)))
+        for twin in twins:
+            assert twin == f and hash(twin) == hash(f)
+            assert [type(g) for g in subformulas(twin)] == [type(g) for g in subformulas(f)]
+            assert (twin.free_vars, twin.bound_vars, twin.nested_vars, depth(twin)) == (
+                f.free_vars, f.bound_vars, f.nested_vars, depth(f)
+            )
+
+    def test_repr_names_the_fields(self):
+        assert repr(parse("ex A0^1 . ~(A0^1 x1 & x1 = x2)")) == (
+            "Exists(var=Var(index=0, arity=1), body=Not(body=And("
+            "left=Atom(predicate=Var(index=0, arity=1), args=(Var(index=1, arity=0),)), "
+            "right=Eq(left=Var(index=1, arity=0), right=Var(index=2, arity=0)))))"
+        )
+
+    def test_hash_is_the_same_in_every_process(self):
+        code = f"from henkin.parser import parse; print(hash(parse({self.SENTENCE!r})))"
+        src = str(Path(henkin.__file__).parents[1])
+        hashes = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            hashes.add(out.stdout.strip())
+        assert hashes == {str(hash(parse(self.SENTENCE)))}
 
 
 class TestConstruction:
