@@ -54,9 +54,9 @@ class RunReport:
     flags: list[str] = field(default_factory=list)
     stratum: int | None = None
     seed: int | None = None
-    timing_s: float = 0.0
 
-    def to_json(self) -> str:
+    def to_json(self, started: float) -> str:
+        """The report as JSON, timed from ``started`` (a ``perf_counter``)."""
         payload = {
             "command": self.command,
             "inputs": self.inputs,
@@ -64,7 +64,7 @@ class RunReport:
             "flags": self.flags,
             "stratum": self.stratum,
             "seed": self.seed,
-            "timing_s": round(self.timing_s, 6),
+            "timing_s": round(time.perf_counter() - started, 6),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -102,18 +102,12 @@ def _table_cap(args) -> int:
     return _cap(env) if env else DEFAULT_TABLE_CAP
 
 
-def _emit(report: RunReport, summary: str, started: float) -> None:
-    report.timing_s = time.perf_counter() - started
-    print(report.to_json())
-    print(summary, file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args, report: RunReport, started: float) -> int:
+def _cmd_parse(args, report: RunReport) -> tuple[int, str]:
     if args.formula:
         report.inputs[str(args.formula)] = _digest(args.formula)
         text = _read_formula_file(args.formula)
@@ -125,11 +119,10 @@ def _cmd_parse(args, report: RunReport, started: float) -> int:
         "free_vars": sorted(str(v) for v in f.free_vars),
         "depth": formula_depth(f),
     }
-    _emit(report, f"parsed: {format_formula(f)}", started)
-    return 0
+    return 0, f"parsed: {format_formula(f)}"
 
 
-def _cmd_eval(args, report: RunReport, started: float) -> int:
+def _cmd_eval(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.structure)] = _digest(args.structure)
     report.inputs[str(args.formula)] = _digest(args.formula)
     structure = load_structure(args.structure)
@@ -140,8 +133,7 @@ def _cmd_eval(args, report: RunReport, started: float) -> int:
         assignment = assignment_from_dict(_load_json(args.assignment), structure)
     truth = evaluate(structure, assignment, formula)
     report.result = {"truth": truth}
-    _emit(report, f"evaluates {'true' if truth else 'false'}", started)
-    return 0 if truth else 1
+    return (0 if truth else 1), f"evaluates {'true' if truth else 'false'}"
 
 
 def _schema_id(args) -> schemas.SchemaId:
@@ -151,7 +143,7 @@ def _schema_id(args) -> schemas.SchemaId:
     return schemas.SchemaId(args.schema, n=args.n, m=args.m, payload=payload)
 
 
-def _cmd_check(args, report: RunReport, started: float) -> int:
+def _cmd_check(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.structure)] = _digest(args.structure)
     if args.h:
         report.inputs[str(args.h)] = _digest(args.h)
@@ -172,11 +164,10 @@ def _cmd_check(args, report: RunReport, started: float) -> int:
         "matrix": format_formula(check.matrix),
         "searched": [str(v) for v in check.searched],
     }
-    _emit(report, f"{args.schema}: {'holds' if check.holds else 'fails'}", started)
-    return 0 if check.holds else 1
+    return (0 if check.holds else 1), f"{args.schema}: {'holds' if check.holds else 'fails'}"
 
 
-def _cmd_saturate(args, report: RunReport, started: float) -> int:
+def _cmd_saturate(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.structure)] = _digest(args.structure)
     structure = load_structure(args.structure)
     out, sat = saturate_with_report(
@@ -190,11 +181,10 @@ def _cmd_saturate(args, report: RunReport, started: float) -> int:
         "depth_bound": sat.depth_bound,
     }
     added = sum(sat.added.values())
-    _emit(report, f"saturated in {sat.rounds} rounds, {added} tables added", started)
-    return 0
+    return 0, f"saturated in {sat.rounds} rounds, {added} tables added"
 
 
-def _cmd_build_model(args, report: RunReport, started: float) -> int:
+def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.structure)] = _digest(args.structure)
     data = _load_json(args.structure)
     spec = groups.model_spec_from_dict(data, group_cap=args.cap_group)
@@ -211,11 +201,10 @@ def _cmd_build_model(args, report: RunReport, started: float) -> int:
         "domain_sizes": {str(n): len(structure.domains[n]) for n in sorted(structure.domains)},
     }
     sizes = ", ".join(f"|J{n}|={len(structure.domains[n])}" for n in sorted(structure.domains))
-    _emit(report, f"built model: {sizes}", started)
-    return 0
+    return 0, f"built model: {sizes}"
 
 
-def _cmd_fraenkel_sweep(args, report: RunReport, started: float) -> int:
+def _cmd_fraenkel_sweep(args, report: RunReport) -> tuple[int, str]:
     sweep = fraenkel.wellorder_counterexample_sweep(
         args.max_support, strict=not args.reflexive, cap=args.cap_preds
     )
@@ -233,13 +222,9 @@ def _cmd_fraenkel_sweep(args, report: RunReport, started: float) -> int:
             for b in sweep.buckets
         ],
     }
-    _emit(
-        report,
-        f"{sweep.linear_orders_found} linear orders found among "
-        f"{sweep.total_predicates} predicates",
-        started,
-    )
-    return 0 if sweep.linear_orders_found == 0 else 1
+    found = sweep.linear_orders_found
+    summary = f"{found} linear orders found among {sweep.total_predicates} predicates"
+    return (0 if found == 0 else 1), summary
 
 
 def _load_binding(path: str | Path) -> dict:
@@ -255,7 +240,7 @@ def _load_binding(path: str | Path) -> dict:
     return binding
 
 
-def _cmd_fraenkel_eval(args, report: RunReport, started: float) -> int:
+def _cmd_fraenkel_eval(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.formula)] = _digest(args.formula)
     formula = parse(_read_formula_file(args.formula))
     binding = {}
@@ -275,11 +260,10 @@ def _cmd_fraenkel_eval(args, report: RunReport, started: float) -> int:
     }
     label = "true" if verdict.truth else "false"
     tag = f" (stratified at {args.strat})" if verdict.stratified else ""
-    _emit(report, f"evaluates {label}{tag}", started)
-    return 0 if verdict.truth else 1
+    return (0 if verdict.truth else 1), f"evaluates {label}{tag}"
 
 
-def _cmd_fraenkel_choice(args, report: RunReport, started: float) -> int:
+def _cmd_fraenkel_choice(args, report: RunReport) -> tuple[int, str]:
     report.inputs[str(args.h)] = _digest(args.h)
     payload = parse(_read_formula_file(args.h))
     outcome = fraenkel.check_choice_instance_sigma0(
@@ -299,8 +283,7 @@ def _cmd_fraenkel_choice(args, report: RunReport, started: float) -> int:
         "vacuous": "antecedent fails at this stratum; instance holds vacuously",
         "inconclusive": "no witness within bounds (not a refutation)",
     }[outcome.status]
-    _emit(report, summary, started)
-    return 0 if outcome.status in ("witnessed", "vacuous") else 1
+    return (0 if outcome.status in ("witnessed", "vacuous") else 1), summary
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +315,17 @@ def _build_argparser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=None, help="echoed in the report")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common_caps(p):
-        p.add_argument("--cap-tables", type=_cap, default=None)
-        p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
-        p.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
-        p.add_argument("--cap-assignments", type=_cap, default=schemas.DEFAULT_ASSIGNMENT_CAP)
-        p.add_argument("--cap-formulas", type=_cap, default=DEFAULT_FORMULA_CAP)
-
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="file with the formula text")
     group.add_argument("--text", help="formula text inline")
-    common_caps(p)
+    p.set_defaults(run=_cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a formula over a structure file")
     p.add_argument("--structure", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--assignment", default=None)
-    common_caps(p)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("check", help="check an axiom schema over a structure file")
     p.add_argument("--structure", required=True)
@@ -358,17 +334,22 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--h", default=None, help="payload formula file")
     p.add_argument("--reflexive", action="store_true", help="reflexive order variant")
-    common_caps(p)
+    p.add_argument("--cap-assignments", type=_cap, default=schemas.DEFAULT_ASSIGNMENT_CAP)
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("saturate", help="close a structure under depth-bounded definability")
     p.add_argument("--structure", required=True)
     p.add_argument("--depth", type=int, default=1)
-    common_caps(p)
+    p.add_argument("--cap-tables", type=_cap, default=None)
+    p.add_argument("--cap-formulas", type=_cap, default=DEFAULT_FORMULA_CAP)
+    p.set_defaults(run=_cmd_saturate)
 
     p = sub.add_parser("build-model", help="build a permutation model from a model spec")
     p.add_argument("--structure", required=True, help="spec with individuals, group, filter")
     p.add_argument("--max-arity", type=int, default=2)
-    common_caps(p)
+    p.add_argument("--cap-tables", type=_cap, default=None)
+    p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
+    p.set_defaults(run=_cmd_build_model)
 
     p = sub.add_parser("fraenkel", help="symbolic atom-universe commands")
     fsub = p.add_subparsers(dest="fraenkel_cmd", required=True)
@@ -376,37 +357,25 @@ def _build_argparser() -> argparse.ArgumentParser:
     q = fsub.add_parser("sweep", help="exhaust small-support binary predicates for orders")
     q.add_argument("--max-support", type=int, default=3)
     q.add_argument("--reflexive", action="store_true")
-    common_caps(q)
+    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.set_defaults(run=_cmd_fraenkel_sweep)
 
     q = fsub.add_parser("eval", help="stratified evaluation over the atom universe")
     q.add_argument("--formula", required=True)
     q.add_argument("--bind", default=None)
     q.add_argument("--strat", type=int, default=2)
-    common_caps(q)
+    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.set_defaults(run=_cmd_fraenkel_eval)
 
     q = fsub.add_parser("choice", help="search a uniform witness for a choice instance")
     q.add_argument("--n", type=int, default=1)
     q.add_argument("--m", type=int, default=1)
     q.add_argument("--h", required=True)
     q.add_argument("--strat", type=int, default=2)
-    common_caps(q)
+    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.set_defaults(run=_cmd_fraenkel_choice)
 
     return top
-
-
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "saturate": _cmd_saturate,
-    "build-model": _cmd_build_model,
-}
-
-_FRAENKEL_HANDLERS = {
-    "sweep": _cmd_fraenkel_sweep,
-    "eval": _cmd_fraenkel_eval,
-    "choice": _cmd_fraenkel_choice,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -414,26 +383,26 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     report = RunReport(command=" ".join(["henkin", *argv]))
     try:
-        args = _build_argparser().parse_args(argv)
-        report.seed = args.seed
-        if args.cmd == "fraenkel":
-            handler = _FRAENKEL_HANDLERS[args.fraenkel_cmd]
-        else:
-            handler = _HANDLERS[args.cmd]
-        return handler(args, report, started)
-    except CapExceeded as exc:
-        report.flags.append(f"cap exceeded: {exc}")
-        report.result = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
-        _emit(report, f"cap exceeded: {exc}", started)
-        return 3
+        try:
+            args = _build_argparser().parse_args(argv)
+            report.seed = args.seed
+            code, summary = args.run(args, report)
+        except CapExceeded as exc:
+            report.flags.append(f"cap exceeded: {exc}")
+            report.result = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
+            code, summary = 3, f"cap exceeded: {exc}"
+        text = report.to_json(started)
     except Exception as exc:
-        # the exit-code contract: no failure may leak out as a traceback
+        # the exit-code contract: no failure may leak out as a traceback,
+        # not even one while the report is serialised
         report.result = {"error": f"{type(exc).__name__}: {exc}"}
-        _emit(report, f"error: {exc}", started)
-        return 2
+        code, summary, text = 2, f"error: {exc}", report.to_json(started)
     except SystemExit:
         # --help printed the usage text
         return 0
+    print(text)
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

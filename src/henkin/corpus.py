@@ -194,7 +194,6 @@ def payload_corpus(
     max_depth: int = 3,
     *,
     require_choice_var: bool = True,
-    applicative_only: bool = False,
 ) -> list[Formula]:
     """Payload formulas whose free variables stay inside x1..xn and A0^m.
 
@@ -210,13 +209,7 @@ def payload_corpus(
     corpus: list[Formula] = []
     seen: set[Formula] = set()
     while len(corpus) < count:
-        f = random_formula(
-            rng,
-            max_depth,
-            xs + extras,
-            [dvar, helper],
-            allow_pred_equality=not applicative_only,
-        )
+        f = random_formula(rng, max_depth, xs + extras, [dvar, helper])
         if not f.free_vars <= allowed:
             continue
         if allowed & f.bound_vars:

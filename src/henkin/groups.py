@@ -23,6 +23,7 @@ from .structures import (
     StructureError,
     Table,
     all_tables,
+    json_labels,
     json_shape,
 )
 from .syntax import Formula, Var
@@ -535,7 +536,7 @@ def model_spec_from_dict(data: dict, *, group_cap: int = DEFAULT_GROUP_CAP) -> M
     """Read ``individuals``, ``group: {generators: [...]}`` and ``filter:
     {kind, generators?}`` from a structure document, whose only other key is ``domains``."""
     data = json_shape(data, "model spec", keys=("individuals", "domains", "group", "filter"))
-    labels = tuple(json_shape(data.get("individuals"), "individuals", list))
+    labels = json_labels(data.get("individuals"))
     group_doc = json_shape(data.get("group", {}), "group", keys=("generators",))
     generators = json_shape(group_doc.get("generators", []), "generators", list)
     gens = [perm_from_cycles(text, labels) for text in generators]

@@ -267,11 +267,20 @@ def json_shape(
     return data
 
 
+def json_labels(data) -> tuple[str, ...]:
+    """The labels of an ``individuals`` array, which must all be strings."""
+    labels = tuple(json_shape(data, "individuals", list))
+    for label in labels:
+        if not isinstance(label, str):
+            raise StructureError(f"individual labels must be strings, got {type(label).__name__}")
+    return labels
+
+
 def structure_from_dict(data: dict) -> Structure:
     data = json_shape(data, "structure document")
     if "individuals" not in data or "domains" not in data:
         raise StructureError("structure document needs individuals and domains")
-    individuals = tuple(json_shape(data["individuals"], "individuals", list))
+    individuals = json_labels(data["individuals"])
     domains = {}
     for key, bitstrings in json_shape(data["domains"], "domains").items():
         try:

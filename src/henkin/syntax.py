@@ -7,8 +7,7 @@ application ``A x1 ... xn``, equality at either sort, the connectives
 
 Quantifier construction enforces the grammar's side condition: the bound
 variable must not be bound again anywhere in the body.  Violations are
-rejected rather than silently repaired; :func:`rename_bound_away` is the
-explicit repair used by schema construction.
+rejected rather than silently repaired.
 
 Every node records its depth, and construction rejects a formula deeper than
 :data:`MAX_DEPTH`.  The bound keeps every recursive walk over a formula (the
@@ -416,29 +415,6 @@ def lower_predicate_application(
         return Atom(target, prefix + g.args)
 
     return _rewrite(f, var, leaf, frozenset((target, *prefix)))
-
-
-def rename_bound_away(f: Formula, forbidden: Iterable[Var]) -> Formula:
-    """Rename bound variables so none of ``forbidden`` is bound in the result.
-
-    Fresh indices are allocated per arity, above everything used in the
-    formula or listed as forbidden.
-    """
-    forbidden = frozenset(forbidden)
-    if not (f.bound_vars & forbidden):
-        return f
-    taken: dict[int, int] = {}
-    for v in all_vars(f) | forbidden:
-        taken[v.arity] = max(taken.get(v.arity, -1), v.index)
-
-    def rename(g: Formula, kids: list[Formula]) -> Formula:
-        if isinstance(g, _Quantifier) and g.var in forbidden:
-            taken[g.var.arity] += 1
-            fresh = Var(taken[g.var.arity], g.var.arity)
-            return type(g)(fresh, substitute(kids[0], g.var, fresh))
-        return _rebuild(g, kids)
-
-    return fold(f, rename)
 
 
 # ---------------------------------------------------------------------------

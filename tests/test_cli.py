@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from henkin import cli
 from henkin.cli import main
 from henkin.corpus import default_vocabulary, random_formula
 from henkin.evaluate import DEFAULT_FORMULA_CAP
@@ -12,6 +17,7 @@ from henkin.fraenkel import MAX_TYPES
 from henkin.structures import save_structure, standard_structure, Structure, Table
 from henkin.syntax import format_formula
 
+ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture()
 def std2_file(tmp_path, std2):
@@ -348,6 +354,73 @@ class TestTableCapEnvironment:
         assert code2 == 0
 
 
+CAP_FLAGS = ("--cap-tables", "--cap-group", "--cap-preds", "--cap-assignments", "--cap-formulas")
+
+# each leaf command line, and the caps its handler reads; the files are
+# never opened, since the command line is rejected before the handler runs
+COMMAND_CAPS = {
+    "parse": (["parse", "--text", "x1 = x1"], set()),
+    "eval": (["eval", "--structure", "s.json", "--formula", "f.fml"], set()),
+    "check": (["check", "--structure", "s.json", "--schema", "ac"], {"--cap-assignments"}),
+    "saturate": (["saturate", "--structure", "s.json"], {"--cap-tables", "--cap-formulas"}),
+    "build-model": (["build-model", "--structure", "spec.json"], {"--cap-tables", "--cap-group"}),
+    "fraenkel-sweep": (["fraenkel", "sweep"], {"--cap-preds"}),
+    "fraenkel-eval": (["fraenkel", "eval", "--formula", "f.fml"], {"--cap-preds"}),
+    "fraenkel-choice": (["fraenkel", "choice", "--h", "f.fml"], {"--cap-preds"}),
+}
+
+
+class TestCapFlags:
+    @pytest.mark.parametrize("name", sorted(COMMAND_CAPS))
+    def test_each_command_takes_only_the_caps_it_reads(self, capsys, name):
+        argv, caps = COMMAND_CAPS[name]
+        for flag in CAP_FLAGS:
+            if flag in caps:
+                # the flag is known: its value is checked
+                code, report, _ = run(capsys, *argv, flag, "-1")
+                assert code == 2
+                assert f"argument {flag}: caps must be >= 0" in report["result"]["error"]
+            else:
+                code, report, _ = run(capsys, *argv, flag, "5")
+                assert code == 2
+                assert report["result"] == {
+                    "error": f"UsageError: henkin: unrecognized arguments: {flag} 5"
+                }
+
+
+class TestProcess:
+    """``python -m henkin`` keeps the contract: the exit code, one JSON
+    report on stdout, and no traceback."""
+
+    @pytest.mark.parametrize("expected", [0, 1, 2, 3])
+    def test_exit_code_and_one_report(self, tmp_path, expected):
+        structure = write(tmp_path, "s.json", FALSE_EVAL[0]["s.json"])
+        false = write(tmp_path, "f.fml", FALSE_EVAL[0]["f.fml"])
+        # the antecedent enumerates 3 distinct predicates at stratum 2
+        h = write(tmp_path, "h.fml", "all x2 . (A0^1 x2 <-> x2 = x1)\n")
+        argv = {
+            0: ["parse", "--text", "x1 = x1"],
+            1: ["eval", "--structure", structure, "--formula", false],
+            2: ["parse", "--text", "x1 = x1", "--cap-preds", "5"],
+            3: ["fraenkel", "choice", "--h", h, "--strat", "2", "--cap-preds", "2"],
+        }[expected]
+        env = dict(os.environ)
+        path = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        done = subprocess.run(
+            [sys.executable, "-m", "henkin", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == expected, done.stderr
+        report = json.loads(done.stdout)
+        assert report["command"] == " ".join(["henkin", *argv])
+        assert isinstance(report["result"], dict)
+        assert "Traceback" not in done.stderr
+
+
 class TestReportDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, std2_file, tmp_path):
         f = tmp_path / "f.fml"
@@ -467,6 +540,14 @@ MISSHAPEN = {
     "structure-individuals-string": (
         eval_with('{"individuals": "ab", "domains": {}}'), "StructureError"
     ),
+    # labels are strings: 1 and {"a": 1} are not read as "1" and "{'a': 1}"
+    "structure-label-number": (
+        eval_with('{"individuals": [1, "b"], "domains": {"1": ["10"]}}'), "StructureError"
+    ),
+    "structure-label-object": (
+        eval_with('{"individuals": [{"a": 1}, null], "domains": {"1": ["10"]}}'), "StructureError"
+    ),
+    "model-spec-label-number": (build_model_with('{"individuals": [1, 2]}'), "StructureError"),
     "structure-bitstrings-number": (
         eval_with('{"individuals": ["a"], "domains": {"1": 7}}'), "StructureError"
     ),
@@ -536,6 +617,14 @@ class TestMalformedInput:
     def test_help_still_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    def test_a_report_json_cannot_encode_is_an_error_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "format_formula", lambda f: object())
+        code, report, _ = run(capsys, "parse", "--text", "x1 = x1")
+        assert code == 2
+        assert report["result"] == {
+            "error": "TypeError: Object of type object is not JSON serializable"
+        }
 
     @pytest.mark.parametrize("name", sorted(MISSHAPEN))
     def test_misshapen_json_is_a_typed_error(self, capsys, tmp_path, name):
@@ -621,16 +710,20 @@ def files_mostly(name):
 
 numbers = st.integers(-2, 2).map(str)
 COMMANDS = [
-    # command, required options, optional options
+    # command with its own small caps, required options, optional options
     (["parse"], ["--text"], []),
     (["parse"], ["--formula"], []),
     (["eval"], ["--structure", "--formula"], ["--assignment"]),
-    (["check"], ["--structure", "--schema"], ["--n", "--m", "--h", "--reflexive"]),
-    (["saturate"], ["--structure"], ["--depth"]),
+    (
+        ["check", "--cap-assignments", "5000"],
+        ["--structure", "--schema"],
+        ["--n", "--m", "--h", "--reflexive"],
+    ),
+    (["saturate", "--cap-formulas", "500"], ["--structure"], ["--depth"]),
     (["build-model"], ["--structure"], ["--max-arity", "--cap-tables", "--cap-group"]),
-    (["fraenkel", "sweep"], [], ["--max-support", "--reflexive"]),
-    (["fraenkel", "eval"], ["--formula"], ["--bind", "--strat"]),
-    (["fraenkel", "choice"], ["--h"], ["--n", "--m", "--strat"]),
+    (["fraenkel", "sweep", "--cap-preds", "2000"], [], ["--max-support", "--reflexive"]),
+    (["fraenkel", "eval", "--cap-preds", "2000"], ["--formula"], ["--bind", "--strat"]),
+    (["fraenkel", "choice", "--cap-preds", "2000"], ["--h"], ["--n", "--m", "--strat"]),
 ]
 OPTION_VALUES = {
     "--text": formula_texts,
@@ -661,8 +754,8 @@ def command_lines(draw):
     chosen = [o for o in required if draw(mostly)] + [o for o in optional if draw(st.booleans())]
     if not draw(mostly):
         chosen.append(draw(st.sampled_from(["--bogus", "--seed", "--n", "--cap-preds"])))
-    # small caps first, so the drawn options can still override them
-    argv = command + ["--cap-preds", "2000", "--cap-assignments", "5000", "--cap-formulas", "500"]
+    # the command's own small caps come first, so drawn options can still override them
+    argv = list(command)
     for option in chosen:
         argv.append(option)
         value = draw(OPTION_VALUES.get(option, numbers))

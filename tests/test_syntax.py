@@ -36,7 +36,6 @@ from henkin.syntax import (
     ind,
     lower_predicate_application,
     pred,
-    rename_bound_away,
     subformulas,
     substitute,
 )
@@ -222,18 +221,6 @@ class TestSubstitution:
             substitute(Atom(A, (x1,)), A, R)
 
 
-class TestRenameBoundAway:
-    def test_renames_only_forbidden(self):
-        f = Forall(x1, Exists(x2, Eq(x1, x2)))
-        g = rename_bound_away(f, {x1})
-        assert x1 not in g.bound_vars
-        assert x2 in g.bound_vars
-
-    def test_noop_when_disjoint(self):
-        f = Forall(x1, Eq(x1, x1))
-        assert rename_bound_away(f, {x3}) is f
-
-
 class TestExistsUnique:
     def test_single_variable_shape(self):
         f = exists_unique((x1,), Atom(A, (x1,)))
@@ -359,8 +346,6 @@ class TestDepthBound:
         point = standard_structure(("a",), 1)
         assert evaluate(point, Assignment({}), f) == naive_eval(point, {}, f)
         assert derivation(f)[-1] == (derivation(f)[-1][0], f)
-        renamed = rename_bound_away(f, f.bound_vars)
-        assert depth(renamed) == MAX_DEPTH and not renamed.bound_vars & f.bound_vars
 
     def test_deepest_printed_nesting_reparses(self):
         # a quantifier as the left operand of & and a conjunction as a
