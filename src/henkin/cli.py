@@ -99,7 +99,10 @@ def _table_cap(args) -> int:
     if args.cap_tables is not None:
         return args.cap_tables
     env = os.environ.get("HENKIN_CAP_TABLES")
-    return _cap(env) if env else DEFAULT_TABLE_CAP
+    try:
+        return _cap(env) if env else DEFAULT_TABLE_CAP
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"HENKIN_CAP_TABLES must be an integer >= 0, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ bound in the candidate body.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .structures import CapExceeded
 from .syntax import (
@@ -25,7 +26,6 @@ from .syntax import (
     Not,
     Or,
     Var,
-    all_vars,
     ind,
     pred,
 )
@@ -88,8 +88,66 @@ def enumerate_formulas(
 
 
 # ---------------------------------------------------------------------------
-# Seeded random sampling.
+# Seeded random sampling: a draw is a light shape and masks, built on demand.
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _sampler(ind_vars: tuple, pred_vars: tuple, pred_quantifiers: bool, pred_equality: bool):
+    """``(draw, bits)`` over one vocabulary.  ``bits`` gives each distinct variable
+    a bit; ``draw(rng, budget, atom_bias)`` returns ``(shape, free, bound)``: the
+    formula as nested ``(class, *fields)`` tuples, equal exactly when the formulas
+    are, and the masks of its free and bound variables.  Its RNG calls are those of
+    the reference sampler in ``tests/oracle.py``, which builds every node it draws."""
+    bits = {v: 1 << i for i, v in enumerate(dict.fromkeys(ind_vars + pred_vars))}
+    inds = [(v, bits[v]) for v in ind_vars]
+    preds = [(p, bits[p]) for p in pred_vars]
+    atom_kinds = ["app"] * 4 * bool(pred_vars) + ["eq_ind"] * 2
+    if pred_equality and len(pred_vars) >= 2:
+        atom_kinds.append("eq_pred")
+    arities = sorted({p.arity for p in pred_vars})
+    same_arity = [[e for e in preds if e[0].arity == n] for n in arities]
+    node_kinds = [(cls, None) for cls in (Not, And, Or, Implies, Iff)]
+    node_kinds += [(Forall, inds), (Exists, inds)]
+    if pred_quantifiers:
+        node_kinds += [(Forall, preds), (Exists, preds)]
+
+    def draw(rng: random.Random, budget: int, atom_bias: float) -> tuple[tuple, int, int]:
+        if budget == 0 or rng.random() < atom_bias:
+            kind = rng.choice(atom_kinds)
+            if kind == "app":
+                p, free = rng.choice(preds)
+                args = tuple([rng.choice(ind_vars) for _ in range(p.arity)])
+                return (Atom, p, args), free | sum({bits[v] for v in args}), 0
+            same = inds if kind == "eq_ind" else rng.choice(same_arity)
+            (a, abit), (b, bbit) = rng.choice(same), rng.choice(same)
+            return (Eq, a, b), abit | bbit, 0
+        cls, vocab = rng.choice(node_kinds)
+        shape, free, bound = draw(rng, budget - 1, atom_bias)
+        if cls is Not:
+            return (Not, shape), free, bound
+        if vocab is None:
+            right, rfree, rbound = draw(rng, budget - 1, atom_bias)
+            return (cls, shape, right), free | rfree, bound | rbound
+        candidates = [e for e in vocab if not bound & e[1]]
+        if not candidates:
+            return shape, free, bound
+        v, bit = rng.choice(candidates)
+        return (cls, v, shape), free & ~bit, bound | bit
+
+    return draw, bits
+
+
+def _build(shape: tuple) -> Formula:
+    """The formula a draw's shape stands for."""
+    cls = shape[0]
+    if cls is Atom or cls is Eq:
+        return cls(shape[1], shape[2])
+    if cls is Not:
+        return Not(_build(shape[1]))
+    if cls is Forall or cls is Exists:
+        return cls(shape[1], _build(shape[2]))
+    return cls(_build(shape[1]), _build(shape[2]))
 
 
 def random_formula(
@@ -103,45 +161,8 @@ def random_formula(
     atom_bias: float = 0.3,
 ) -> Formula:
     """One random formula of AST depth <= max_depth over the vocabulary."""
-
-    def atom() -> Formula:
-        kinds = []
-        if pred_vars:
-            kinds += ["app"] * 4
-        kinds += ["eq_ind"] * 2
-        if allow_pred_equality and len(pred_vars) >= 2:
-            kinds.append("eq_pred")
-        kind = rng.choice(kinds)
-        if kind == "app":
-            p = rng.choice(pred_vars)
-            return Atom(p, tuple(rng.choice(ind_vars) for _ in range(p.arity)))
-        if kind == "eq_ind":
-            return Eq(rng.choice(ind_vars), rng.choice(ind_vars))
-        arity = rng.choice(sorted({p.arity for p in pred_vars}))
-        same = [p for p in pred_vars if p.arity == arity]
-        return Eq(rng.choice(same), rng.choice(same))
-
-    def go(budget: int) -> Formula:
-        if budget == 0 or rng.random() < atom_bias:
-            return atom()
-        kinds = ["not", "and", "or", "implies", "iff", "forall_ind", "exists_ind"]
-        if allow_pred_quantifiers:
-            kinds += ["forall_pred", "exists_pred"]
-        kind = rng.choice(kinds)
-        if kind == "not":
-            return Not(go(budget - 1))
-        if kind in ("and", "or", "implies", "iff"):
-            cls = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
-            return cls(go(budget - 1), go(budget - 1))
-        body = go(budget - 1)
-        vocab = ind_vars if kind.endswith("_ind") else pred_vars
-        candidates = [v for v in vocab if v not in body.bound_vars]
-        if not candidates:
-            return body
-        v = rng.choice(candidates)
-        return Forall(v, body) if kind.startswith("forall") else Exists(v, body)
-
-    return go(max_depth)
+    vocabulary = (tuple(ind_vars), tuple(pred_vars), allow_pred_quantifiers, allow_pred_equality)
+    return _build(_sampler(*vocabulary)[0](rng, max_depth, atom_bias)[0])
 
 
 def default_vocabulary(max_arity: int = 2) -> tuple[list[Var], list[Var]]:
@@ -149,6 +170,18 @@ def default_vocabulary(max_arity: int = 2) -> tuple[list[Var], list[Var]]:
     ind_vars = [ind(i) for i in (1, 2, 3)]
     pred_vars = [pred(j, n) for n in range(1, max_arity + 1) for j in (0, 1)]
     return ind_vars, pred_vars
+
+
+def _distinct_draws(draw: Callable, seed: int, count: int, max_depth: int, keep) -> list[Formula]:
+    """The first ``count`` distinct draws whose masks ``keep`` accepts, built."""
+    if count < 0 or max_depth < 0:
+        raise ValueError(f"need count >= 0 and max_depth >= 0, got {count} and {max_depth}")
+    rng, kept = random.Random(seed), {}
+    while len(kept) < count:
+        shape, free, bound = draw(rng, max_depth, 0.3)  # random_formula's atom_bias
+        if shape not in kept and keep(free, bound):
+            kept[shape] = _build(shape)
+    return list(kept.values())
 
 
 def comprehension_corpus(
@@ -163,27 +196,27 @@ def comprehension_corpus(
     parameters are left over), the tuple length stays within ``max_arity``,
     and the comprehension witness variable of the matching arity does not
     occur, so each entry is a ready-made comprehension instance.
+
+    ``count`` must not exceed the number of distinct such formulas of depth
+    <= ``max_depth``, or the draw never ends.
     """
+    if max_arity < 1:
+        raise ValueError(f"comprehension instances need max_arity >= 1, got {max_arity}")
     ind_vars, pred_vars = default_vocabulary(max_arity)
-    rng = random.Random(seed)
-    corpus: list[tuple[Formula, tuple[Var, ...]]] = []
-    seen: set[Formula] = set()
-    while len(corpus) < count:
-        f = random_formula(rng, max_depth, ind_vars, pred_vars)
-        xs = tuple(sorted(v for v in f.free_vars if v.is_individual))
-        if not 1 <= len(xs) <= max_arity:
-            continue
+    draw, bit = _sampler(tuple(ind_vars), tuple(pred_vars), True, True)
+    individuals = sum(bit[v] for v in ind_vars)
+
+    def keep(free: int, bound: int) -> bool:
         # a sibling branch may bind a variable that is free elsewhere; the
-        # distinguished tuple must occur only free
-        if any(v in f.bound_vars for v in xs):
-            continue
-        if Var(0, len(xs)) in all_vars(f):
-            continue
-        if f in seen:
-            continue
-        seen.add(f)
-        corpus.append((f, xs))
-    return corpus
+        # distinguished tuple must occur only free, and A0^arity not at all
+        xs = free & individuals
+        arity = xs.bit_count()
+        return 0 < arity <= max_arity and not xs & bound and not (free | bound) & bit[Var(0, arity)]
+
+    return [
+        (f, tuple(sorted(v for v in f.free_vars if v.is_individual)))
+        for f in _distinct_draws(draw, seed, count, max_depth, keep)
+    ]
 
 
 def payload_corpus(
@@ -199,25 +232,17 @@ def payload_corpus(
 
     These feed the parameterized choice schemas: extra vocabulary variables
     may appear only bound.
+
+    ``count`` must not exceed the number of distinct such formulas of depth
+    <= ``max_depth``, or the draw never ends.
     """
     xs = [ind(i) for i in range(1, n + 1)]
-    extras = [ind(n + 1), ind(n + 2)]
     dvar = pred(0, m)
-    helper = pred(1, m)
-    allowed = set(xs) | {dvar}
-    rng = random.Random(seed)
-    corpus: list[Formula] = []
-    seen: set[Formula] = set()
-    while len(corpus) < count:
-        f = random_formula(rng, max_depth, xs + extras, [dvar, helper])
-        if not f.free_vars <= allowed:
-            continue
-        if allowed & f.bound_vars:
-            continue
-        if require_choice_var and dvar not in f.free_vars:
-            continue
-        if f in seen:
-            continue
-        seen.add(f)
-        corpus.append(f)
-    return corpus
+    draw, bit = _sampler((*xs, ind(n + 1), ind(n + 2)), (dvar, pred(1, m)), True, True)
+    allowed = sum(bit[v] for v in xs) | bit[dvar]
+    needed = bit[dvar] if require_choice_var else 0
+
+    def keep(free: int, bound: int) -> bool:
+        return not free & ~allowed and not bound & allowed and (free & needed) == needed
+
+    return _distinct_draws(draw, seed, count, max_depth, keep)

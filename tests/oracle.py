@@ -23,14 +23,18 @@ domains; only the formula enumeration and the report type are shared.
 
 The two structure builders near the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
-against, and the closure of a structure under permutations.  Last come the
+against, and the closure of a structure under permutations.  Then come the
 seeded random structures and assignments the oracle comparisons run on.
+Last are the reference samplers for ``henkin.corpus``: ``random_formula``,
+``comprehension_corpus`` and ``payload_corpus`` as rejection samplers that
+build every formula they draw.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from henkin.corpus import enumerate_formulas
+from henkin.corpus import default_vocabulary, enumerate_formulas
 from henkin.evaluate import DEFAULT_FORMULA_CAP, SaturationReport
 from henkin.fraenkel import (
     DEFAULT_PRED_CAP,
@@ -49,7 +53,9 @@ from henkin.structures import (
     Table,
     all_tables,
 )
-from henkin.syntax import And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, ind, pred
+from henkin.syntax import (
+    And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Var, all_vars, ind, pred,
+)
 
 
 def _points(size, arity):
@@ -366,3 +372,107 @@ def random_assignment(rng, structure, variables):
         else:
             values[v] = rng.choice(structure.domain(v.arity))
     return Assignment(values)
+
+
+# ---------------------------------------------------------------------------
+# Reference samplers: the seeded corpora as first written, drawing and
+# building every node, then rejecting.  The package's samplers make the same
+# draws on light shapes and must give identical corpora.
+# ---------------------------------------------------------------------------
+
+
+def ref_random_formula(
+    rng, max_depth, ind_vars, pred_vars, *,
+    allow_pred_quantifiers=True, allow_pred_equality=True, atom_bias=0.3,
+):
+    """The reference for ``corpus.random_formula``: builds every node as it draws."""
+
+    def atom():
+        kinds = []
+        if pred_vars:
+            kinds += ["app"] * 4
+        kinds += ["eq_ind"] * 2
+        if allow_pred_equality and len(pred_vars) >= 2:
+            kinds.append("eq_pred")
+        kind = rng.choice(kinds)
+        if kind == "app":
+            p = rng.choice(pred_vars)
+            return Atom(p, tuple(rng.choice(ind_vars) for _ in range(p.arity)))
+        if kind == "eq_ind":
+            return Eq(rng.choice(ind_vars), rng.choice(ind_vars))
+        arity = rng.choice(sorted({p.arity for p in pred_vars}))
+        same = [p for p in pred_vars if p.arity == arity]
+        return Eq(rng.choice(same), rng.choice(same))
+
+    def go(budget):
+        if budget == 0 or rng.random() < atom_bias:
+            return atom()
+        kinds = ["not", "and", "or", "implies", "iff", "forall_ind", "exists_ind"]
+        if allow_pred_quantifiers:
+            kinds += ["forall_pred", "exists_pred"]
+        kind = rng.choice(kinds)
+        if kind == "not":
+            return Not(go(budget - 1))
+        if kind in ("and", "or", "implies", "iff"):
+            cls = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
+            return cls(go(budget - 1), go(budget - 1))
+        body = go(budget - 1)
+        vocab = ind_vars if kind.endswith("_ind") else pred_vars
+        candidates = [v for v in vocab if v not in body.bound_vars]
+        if not candidates:
+            return body
+        v = rng.choice(candidates)
+        return Forall(v, body) if kind.startswith("forall") else Exists(v, body)
+
+    return go(max_depth)
+
+
+def ref_comprehension_corpus(seed=20240817, count=200, max_depth=4, max_arity=2):
+    """The reference for ``corpus.comprehension_corpus``: a rejection
+    sampler over built formulas."""
+    ind_vars, pred_vars = default_vocabulary(max_arity)
+    rng = random.Random(seed)
+    corpus = []
+    seen = set()
+    while len(corpus) < count:
+        f = ref_random_formula(rng, max_depth, ind_vars, pred_vars)
+        xs = tuple(sorted(v for v in f.free_vars if v.is_individual))
+        if not 1 <= len(xs) <= max_arity:
+            continue
+        # a sibling branch may bind a variable that is free elsewhere; the
+        # distinguished tuple must occur only free
+        if any(v in f.bound_vars for v in xs):
+            continue
+        if Var(0, len(xs)) in all_vars(f):
+            continue
+        if f in seen:
+            continue
+        seen.add(f)
+        corpus.append((f, xs))
+    return corpus
+
+
+def ref_payload_corpus(seed, count, n=1, m=1, max_depth=3, *, require_choice_var=True):
+    """The reference for ``corpus.payload_corpus``: a rejection sampler over
+    built formulas."""
+    xs = [ind(i) for i in range(1, n + 1)]
+    extras = [ind(n + 1), ind(n + 2)]
+    dvar = pred(0, m)
+    helper = pred(1, m)
+    allowed = set(xs) | {dvar}
+    rng = random.Random(seed)
+    corpus = []
+    seen = set()
+    while len(corpus) < count:
+        f = ref_random_formula(rng, max_depth, xs + extras, [dvar, helper])
+        if not f.free_vars <= allowed:
+            continue
+        if allowed & f.bound_vars:
+            continue
+        if require_choice_var and dvar not in f.free_vars:
+            continue
+        if f in seen:
+            continue
+        seen.add(f)
+        corpus.append(f)
+    return corpus

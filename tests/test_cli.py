@@ -353,8 +353,17 @@ class TestTableCapEnvironment:
         )
         assert code2 == 0
 
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_var_is_a_usage_error(self, capsys, std2_file, monkeypatch, value):
+        monkeypatch.setenv("HENKIN_CAP_TABLES", value)
+        code, report, _ = run(capsys, "saturate", "--structure", str(std2_file))
+        assert code == 2
+        assert report["result"] == {
+            "error": f"UsageError: HENKIN_CAP_TABLES must be an integer >= 0, got '{value}'"
+        }
 
-CAP_FLAGS = ("--cap-tables", "--cap-group", "--cap-preds", "--cap-assignments", "--cap-formulas")
+
+CAP_FLAGS =("--cap-tables", "--cap-group", "--cap-preds", "--cap-assignments", "--cap-formulas")
 
 # each leaf command line, and the caps its handler reads; the files are
 # never opened, since the command line is rejected before the handler runs

@@ -1,0 +1,102 @@
+"""The seeded corpora against the reference samplers in ``oracle``: the same
+formulas, the same text, in the same order, from the same seeds."""
+
+import random
+
+import pytest
+
+from oracle import ref_comprehension_corpus, ref_payload_corpus, ref_random_formula
+
+from henkin.corpus import (
+    comprehension_corpus,
+    default_vocabulary,
+    payload_corpus,
+    random_formula,
+)
+from henkin.syntax import ind, pred
+
+SEEDS = range(20)
+x1, x2, x3 = ind(1), ind(2), ind(3)
+
+
+def assert_identical(got, want):
+    assert got == want
+    assert [str(f) for f in got] == [str(f) for f in want]
+
+
+# vocabulary, options: the duplicated pool of tests/test_evaluate.py, no
+# predicate variables, mixed arities, and each option away from its default
+VOCABULARIES = {
+    "default-1": (*default_vocabulary(1), {}),
+    "default-2": (*default_vocabulary(2), {}),
+    "duplicated": ([x1, x2, x3], [pred(0, 1), pred(0, 1), pred(1, 1), pred(2, 2)], {"atom_bias": 0.25}),
+    "no-predicates": ([x1, x2, x3], [], {}),
+    "mixed-arities": ([x1, x2], [pred(0, 3), pred(1, 1), pred(2, 2), pred(3, 1)], {}),
+    "no-pred-quantifiers": (*default_vocabulary(2), {"allow_pred_quantifiers": False}),
+    "no-pred-equality": (*default_vocabulary(2), {"allow_pred_equality": False}),
+    "flat": ([x1, x2], [pred(0, 1)], {"allow_pred_quantifiers": False, "allow_pred_equality": False}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VOCABULARIES))
+def test_random_formula_matches_the_reference(name):
+    ind_vars, pred_vars, options = VOCABULARIES[name]
+    for seed in SEEDS:
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for max_depth in (0, 1, 2, 4, 6):
+            got = [random_formula(rng, max_depth, ind_vars, pred_vars, **options) for _ in range(10)]
+            want = [ref_random_formula(ref_rng, max_depth, ind_vars, pred_vars, **options) for _ in range(10)]
+            assert_identical(got, want)
+        # the same RNG calls, not just the same formulas
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("count, max_depth, max_arity", [(40, 3, 1), (40, 4, 2), (25, 2, 3), (5, 0, 1)])
+def test_comprehension_corpus_matches_the_reference(count, max_depth, max_arity):
+    for seed in SEEDS:
+        got = comprehension_corpus(seed, count, max_depth, max_arity)
+        want = ref_comprehension_corpus(seed, count, max_depth, max_arity)
+        assert [xs for _, xs in got] == [xs for _, xs in want]
+        assert_identical([f for f, _ in got], [f for f, _ in want])
+
+
+@pytest.mark.parametrize(
+    "count, n, m, max_depth, require_choice_var",
+    [(30, 1, 1, 3, True), (30, 1, 1, 3, False), (20, 2, 1, 2, True), (20, 1, 2, 3, True), (2, 1, 1, 0, True)],
+)
+def test_payload_corpus_matches_the_reference(count, n, m, max_depth, require_choice_var):
+    for seed in SEEDS:
+        got = payload_corpus(seed, count, n, m, max_depth, require_choice_var=require_choice_var)
+        want = ref_payload_corpus(seed, count, n, m, max_depth, require_choice_var=require_choice_var)
+        assert_identical(got, want)
+
+
+def test_benchmark_sized_corpora_match_the_reference():
+    got, want = comprehension_corpus(1, 1600, 3, 1), ref_comprehension_corpus(1, 1600, 3, 1)
+    assert got == want
+    assert_identical([f for f, _ in got], [f for f, _ in want])
+    assert_identical(
+        payload_corpus(1, 600, 1, 1, 3, require_choice_var=False),
+        ref_payload_corpus(1, 600, 1, 1, 3, require_choice_var=False),
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: comprehension_corpus(1, 1, 3, 0),
+        lambda: comprehension_corpus(1, -1, 3, 1),
+        lambda: comprehension_corpus(1, 1, -1, 1),
+        lambda: payload_corpus(1, -1, 1, 1, 3),
+        lambda: payload_corpus(1, 1, 1, 1, -1),
+    ],
+    ids=["max_arity-0", "comprehension-count", "comprehension-depth", "payload-count", "payload-depth"],
+)
+def test_arguments_no_draw_can_satisfy_are_rejected_up_front(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_empty_corpora():
+    assert comprehension_corpus(1, 0, 3, 1) == []
+    assert payload_corpus(1, 0, 1, 1, 3) == []
