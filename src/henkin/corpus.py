@@ -8,9 +8,9 @@ bound in the candidate body.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Sequence
 
 from .structures import CapExceeded
@@ -47,7 +47,7 @@ def enumerate_formulas(
     """
     atoms: list[Formula] = []
     for p in pred_vars:
-        for args in product(ind_vars, repeat=p.arity):
+        for args in itertools.product(ind_vars, repeat=p.arity):
             atoms.append(Atom(p, args))
     for a in ind_vars:
         for b in ind_vars:
@@ -161,6 +161,8 @@ def random_formula(
     atom_bias: float = 0.3,
 ) -> Formula:
     """One random formula of AST depth <= max_depth over the vocabulary."""
+    if max_depth < 0:
+        raise ValueError(f"need max_depth >= 0, got {max_depth}")
     vocabulary = (tuple(ind_vars), tuple(pred_vars), allow_pred_quantifiers, allow_pred_equality)
     return _build(_sampler(*vocabulary)[0](rng, max_depth, atom_bias)[0])
 
@@ -172,15 +174,24 @@ def default_vocabulary(max_arity: int = 2) -> tuple[list[Var], list[Var]]:
     return ind_vars, pred_vars
 
 
-def _distinct_draws(draw: Callable, seed: int, count: int, max_depth: int, keep) -> list[Formula]:
-    """The first ``count`` distinct draws whose masks ``keep`` accepts, built."""
-    if count < 0 or max_depth < 0:
-        raise ValueError(f"need count >= 0 and max_depth >= 0, got {count} and {max_depth}")
-    rng, kept = random.Random(seed), {}
-    while len(kept) < count:
+# draws in a row that add nothing before a corpus gives up; the longest run
+# measured on the tests', the benchmark's and 600-payload corpora is 579
+BARREN_DRAWS = 10_000
+
+
+def _distinct_draws(draw: Callable, seed: int, wanted: int, max_depth: int, keep) -> list[Formula]:
+    """The first ``wanted`` distinct draws whose masks ``keep`` accepts, built."""
+    if wanted < 0 or max_depth < 0:
+        raise ValueError(f"need count >= 0 and max_depth >= 0, got {wanted} and {max_depth}")
+    rng, kept, last = random.Random(seed), {}, -1
+    for i in itertools.count() if wanted else ():
         shape, free, bound = draw(rng, max_depth, 0.3)  # random_formula's atom_bias
         if shape not in kept and keep(free, bound):
-            kept[shape] = _build(shape)
+            kept[shape], last = _build(shape), i
+            if len(kept) == wanted:
+                break
+        elif i - last == BARREN_DRAWS:
+            raise ValueError(f"{BARREN_DRAWS} draws in a row added nothing; kept {len(kept)} of {wanted}")
     return list(kept.values())
 
 
@@ -197,8 +208,9 @@ def comprehension_corpus(
     and the comprehension witness variable of the matching arity does not
     occur, so each entry is a ready-made comprehension instance.
 
-    ``count`` must not exceed the number of distinct such formulas of depth
-    <= ``max_depth``, or the draw never ends.
+    A ``count`` above the number of distinct such formulas of depth <=
+    ``max_depth`` raises ``ValueError`` once ``BARREN_DRAWS`` draws in a row
+    add nothing.
     """
     if max_arity < 1:
         raise ValueError(f"comprehension instances need max_arity >= 1, got {max_arity}")
@@ -233,8 +245,9 @@ def payload_corpus(
     These feed the parameterized choice schemas: extra vocabulary variables
     may appear only bound.
 
-    ``count`` must not exceed the number of distinct such formulas of depth
-    <= ``max_depth``, or the draw never ends.
+    A ``count`` above the number of distinct such formulas of depth <=
+    ``max_depth`` raises ``ValueError`` once ``BARREN_DRAWS`` draws in a row
+    add nothing.
     """
     xs = [ind(i) for i in range(1, n + 1)]
     dvar = pred(0, m)

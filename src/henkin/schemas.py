@@ -19,6 +19,7 @@ Variable allocation is deterministic so built formulas are byte-stable:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
@@ -278,26 +279,27 @@ def build_wo1(*, strict: bool = True) -> Formula:
 
 def build(schema: SchemaId, *, strict: bool = True) -> Formula:
     """The schema formula, with tuples expanded and unique existence and
-    lambda sections lowered to the plain language."""
+    lambda sections lowered to the plain language.  A payload-free schema is
+    built once per process, and every later call returns that formula."""
     if schema.family == CHOICE:
         return _build_choice(schema.n, schema.m, schema.payload)
     if schema.family == CHOICE_H:
         return _build_choice_h(schema.n, schema.m, schema.payload)
-    if schema.family == AC:
-        return _build_ac(schema.n, schema.m)
-    if schema.family == AC_STAR:
-        return _build_ac_star(schema.n, schema.m)
     if schema.family == CHOICE_STAR:
         return _build_choice_star(schema.m, schema.payload)
     if schema.family == COMPREHENSION:
         return _build_comprehension(schema.n, schema.payload)
-    if schema.family == WO1:
-        return build_wo1(strict=strict)
-    if schema.family == LO:
-        return build_lo(strict=strict)
-    if schema.family == WO:
-        return build_wo(strict=strict)
-    raise SignatureError(f"unknown schema family {schema.family!r}")
+    return _shared_parts(schema, strict)[0]
+
+
+@lru_cache(maxsize=64)
+def _shared_parts(schema: SchemaId, strict: bool) -> tuple:
+    """A payload-free schema's ``_parts``, built at its first use and shared."""
+    if schema.family == AC:
+        return _parts(_build_ac(schema.n, schema.m))
+    if schema.family == AC_STAR:
+        return _parts(_build_ac_star(schema.n, schema.m))
+    return _parts({WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=strict))
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +326,17 @@ class SchemaCheck:
     searched: tuple[Var, ...]
 
 
+def _parts(formula: Formula) -> tuple[Formula, Formula, tuple[Var, ...], tuple[Var, ...]]:
+    """A check's formula, matrix, searched and predicate variables."""
+    peeled: list[Var] = []
+    matrix = formula
+    while isinstance(matrix, Forall):
+        peeled.append(matrix.var)
+        matrix = matrix.body
+    searched = tuple(peeled) + tuple(sorted(matrix.free_vars - set(peeled)))
+    return formula, matrix, searched, tuple(v for v in all_vars(formula) if v.is_predicate)
+
+
 def check_schema(
     structure: Structure,
     schema: SchemaId | Formula,
@@ -333,16 +346,14 @@ def check_schema(
 ) -> SchemaCheck:
     """Search all assignments of the outer universal prefix and the free
     variables for a falsifying one."""
-    formula = schema if isinstance(schema, Formula) else build(schema, strict=strict)
-    for v in all_vars(formula):
-        if v.is_predicate and v.arity not in structure.domains:
+    if isinstance(schema, SchemaId) and schema.payload is None:
+        formula, matrix, searched, predicates = _shared_parts(schema, strict)
+    else:
+        formula = schema if isinstance(schema, Formula) else build(schema, strict=strict)
+        formula, matrix, searched, predicates = _parts(formula)
+    for v in predicates:
+        if v.arity not in structure.domains:
             raise EvalError(f"arity shortfall: {v} needs a domain of arity {v.arity}")
-    peeled: list[Var] = []
-    matrix = formula
-    while isinstance(matrix, Forall):
-        peeled.append(matrix.var)
-        matrix = matrix.body
-    searched = tuple(peeled) + tuple(sorted(matrix.free_vars - set(peeled)))
 
     pools = []
     total = 1

@@ -21,6 +21,11 @@ defined table built point by point with ``naive_eval`` and a dict
 environment, as a ``Table``, and tested for membership in the round's
 domains; only the formula enumeration and the report type are shared.
 
+``ref_check_schema`` is ``schemas.check_schema`` as it was before the
+payload-free schemas were shared: every call builds its formula anew
+(``fresh_build`` calls the family's own builder), checks its arities and
+peels its prefix; only the compiled search is the package's.
+
 The two structure builders near the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
 against, and the closure of a structure under permutations.  Then come the
@@ -35,7 +40,9 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from henkin.corpus import default_vocabulary, enumerate_formulas
-from henkin.evaluate import DEFAULT_FORMULA_CAP, SaturationReport
+from henkin.evaluate import (
+    DEFAULT_FORMULA_CAP, EvalError, FiniteSemantics, SaturationReport, compile_formula,
+)
 from henkin.fraenkel import (
     DEFAULT_PRED_CAP,
     EqType,
@@ -45,6 +52,10 @@ from henkin.fraenkel import (
     fresh_atoms,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
+from henkin.schemas import (
+    AC, AC_STAR, DEFAULT_ASSIGNMENT_CAP, LO, WO, WO1, SchemaCheck, _build_ac, _build_ac_star,
+    build, build_lo, build_wo, build_wo1,
+)
 from henkin.structures import (
     DEFAULT_TABLE_CAP,
     Assignment,
@@ -54,7 +65,7 @@ from henkin.structures import (
     all_tables,
 )
 from henkin.syntax import (
-    And, Atom, Eq, Exists, Forall, Iff, Implies, Not, Or, Var, all_vars, ind, pred,
+    And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, all_vars, ind, pred,
 )
 
 
@@ -167,6 +178,48 @@ def naive_saturate(
         depth_bound, rounds, len(jobs), {n: k for n, k in added.items() if k}
     )
     return Structure(structure.individuals, domains), report
+
+
+def fresh_build(schema, strict=True):
+    """A payload-free schema, built anew by its family's builder."""
+    if schema.family in (AC, AC_STAR):
+        return (_build_ac if schema.family == AC else _build_ac_star)(schema.n, schema.m)
+    return {WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=strict)
+
+
+def ref_check_schema(structure, schema, *, strict=True, assignment_cap=DEFAULT_ASSIGNMENT_CAP):
+    """The reference for ``schemas.check_schema``: build, arity check, peel
+    and search on every call."""
+    if isinstance(schema, Formula):
+        formula = schema
+    elif schema.payload is None:
+        formula = fresh_build(schema, strict)
+    else:
+        formula = build(schema, strict=strict)
+    for v in all_vars(formula):
+        if v.is_predicate and v.arity not in structure.domains:
+            raise EvalError(f"arity shortfall: {v} needs a domain of arity {v.arity}")
+    peeled = []
+    matrix = formula
+    while isinstance(matrix, Forall):
+        peeled.append(matrix.var)
+        matrix = matrix.body
+    searched = tuple(peeled) + tuple(sorted(matrix.free_vars - set(peeled)))
+    pools = []
+    total = 1
+    for v in searched:
+        pool = range(structure.size) if v.is_individual else structure.domain(v.arity)
+        pools.append(pool)
+        total *= len(pool)
+        if total > assignment_cap:
+            raise CapExceeded("schema check assignments", total, assignment_cap)
+    body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
+    k = len(searched)
+    for env[:k] in product(*pools):
+        if not body(env):
+            counterexample = Assignment(dict(zip(searched, env)))
+            return SchemaCheck(False, counterexample, formula, matrix, searched)
+    return SchemaCheck(True, None, formula, matrix, searched)
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 formulas, the same text, in the same order, from the same seeds."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from oracle import ref_comprehension_corpus, ref_payload_corpus, ref_random_formula
 
 from henkin.corpus import (
+    BARREN_DRAWS,
     comprehension_corpus,
     default_vocabulary,
     payload_corpus,
@@ -100,3 +103,42 @@ def test_arguments_no_draw_can_satisfy_are_rejected_up_front(call):
 def test_empty_corpora():
     assert comprehension_corpus(1, 0, 3, 1) == []
     assert payload_corpus(1, 0, 1, 1, 3) == []
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: payload_corpus(1, 50, 1, 1, 0),  # two distinct depth-0 payloads exist
+        lambda: payload_corpus(5, 10_000, 1, 1, 1, require_choice_var=False),
+        lambda: comprehension_corpus(1, 50, 0, 1),
+        lambda: comprehension_corpus(7, 10_000, 1, 2),
+    ],
+    ids=["payload-depth-0", "payload-depth-1", "comprehension-depth-0", "comprehension-depth-1"],
+)
+def test_a_corpus_larger_than_its_filters_allow_raises(call):
+    with time_limit(30), pytest.raises(ValueError, match=f"{BARREN_DRAWS} draws in a row added nothing"):
+        call()
+
+
+def test_negative_depth_is_rejected_before_any_draw():
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_formula(rng, -1, *default_vocabulary(2))
+    assert rng.getstate() == state

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from oracle import fresh_build, random_structure, ref_check_schema
 
 from henkin.corpus import payload_corpus
 from henkin.evaluate import EvalError, evaluate
@@ -10,8 +14,11 @@ from henkin.schemas import (
     CHOICE_H,
     CHOICE_STAR,
     COMPREHENSION,
+    LO,
+    WO,
     WO1,
     SchemaId,
+    _shared_parts,
     build,
     build_lo,
     build_wo1,
@@ -247,3 +254,75 @@ class TestRelativeStrengthProbe:
             if not star_m and ac_star:
                 print(f"recorded: choice-star fails while ac-star holds on {structure.individuals}")
         assert len(observed) == 3
+
+
+PAYLOAD_FREE = (AC, AC_STAR, WO1, LO, WO)
+ARITIES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestSharedPayloadFreeSchemas:
+    """A payload-free schema is built once per process: ``build`` returns the
+    one formula, and ``check_schema`` reads its matrix, searched variables and
+    predicate variables from the same record."""
+
+    @pytest.mark.parametrize("family", PAYLOAD_FREE)
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("n, m", ARITIES)
+    def test_build_is_the_family_builder_shared(self, family, strict, n, m):
+        sid = SchemaId(family, n, m)
+        shared = build(sid, strict=strict)
+        fresh = fresh_build(sid, strict)
+        assert shared == fresh
+        assert format_formula(shared) == format_formula(fresh)
+        assert build(sid, strict=strict) is shared
+
+    @pytest.mark.parametrize("family", PAYLOAD_FREE)
+    def test_strict_and_reflexive_readings_are_separate_entries(self, family):
+        sid = SchemaId(family)
+        _shared_parts.cache_clear()
+        strict, reflexive = build(sid, strict=True), build(sid, strict=False)
+        assert _shared_parts.cache_info().currsize == 2
+        assert strict is not reflexive
+        # only the order families read ``strict``
+        assert (strict == reflexive) == (family in (AC, AC_STAR))
+
+    def test_checks_agree_with_the_rebuilding_reference(self, std2, std3, a4_model):
+        rng = random.Random(20240917)
+        boards = [std2, std3, a4_model]
+        for size in (1, 2, 3):
+            for _ in range(3):
+                boards.append(random_structure(rng, "abc"[:size], (1, 2), max_tables=4))
+        wide = [random_structure(rng, "a", (1, 2, 3, 4)) for _ in range(2)]
+        wide += [random_structure(rng, "ab", (1, 2, 3), max_tables=4) for _ in range(3)]
+        cases = [(s, SchemaId(f), strict) for s in boards for f in PAYLOAD_FREE for strict in (True, False)]
+        cases += [
+            (s, SchemaId(f, n, m), True)
+            for s in wide
+            for f in (AC, AC_STAR)
+            for n, m in ARITIES
+            if n + m in s.domains
+        ]
+        assert len(cases) > 100
+        for structure, sid, strict in cases:
+            for _ in range(2):  # the second check reads the shared record
+                got = check_schema(structure, sid, strict=strict)
+                want = ref_check_schema(structure, sid, strict=strict)
+                assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
+                assert (got.formula, got.matrix, got.searched) == (want.formula, want.matrix, want.searched)
+
+    def test_shared_schema_still_checks_arities(self, std2):
+        sid = SchemaId(AC_STAR, 1, 1)
+        assert check_schema(std2, sid).holds
+        unary_only = standard_structure(("a", "b"), 1)
+        with pytest.raises(EvalError, match="arity shortfall"):
+            check_schema(unary_only, sid)
+
+    def test_payload_checks_leave_the_cache_alone(self, std2):
+        check_schema(std2, SchemaId(AC))
+        before = _shared_parts.cache_info().currsize
+        for family in (CHOICE, CHOICE_H):
+            check_schema(std2, SchemaId(family, 1, 1, parse("A0^1 x1")))
+        check_schema(std2, SchemaId(CHOICE_STAR, 1, 1, parse("ex x1 . A0^1 x1")))
+        check_schema(std2, SchemaId(COMPREHENSION, 1, 1, parse("x1 = x2")))
+        check_schema(std2, build_lo())
+        assert _shared_parts.cache_info().currsize == before
