@@ -9,6 +9,7 @@ bound in the candidate body.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -95,44 +96,83 @@ def enumerate_formulas(
 @lru_cache(maxsize=64)
 def _sampler(ind_vars: tuple, pred_vars: tuple, pred_quantifiers: bool, pred_equality: bool):
     """``(draw, bits)`` over one vocabulary.  ``bits`` gives each distinct variable
-    a bit; ``draw(rng, budget, atom_bias)`` returns ``(shape, free, bound)``: the
-    formula as nested ``(class, *fields)`` tuples, equal exactly when the formulas
-    are, and the masks of its free and bound variables.  Its RNG calls are those of
-    the reference sampler in ``tests/oracle.py``, which builds every node it draws."""
+    a bit; ``draw(random, getrandbits, budget, atom_bias)``, given those two methods
+    of a ``random.Random``, returns ``(shape, free, bound)``: the formula as nested
+    ``(class, *fields)`` tuples, equal exactly when the formulas are, and the masks
+    of its free and bound variables.  Its RNG calls are those of the reference
+    sampler in ``tests/oracle.py``, which builds every node it draws.
+
+    A pick from a table of ``n`` entries is ``Random.choice`` written out: entry
+    ``r`` for the first ``r = getrandbits(k)`` below ``n``, ``k = n.bit_length()``,
+    so it reads the same words as ``choice`` does."""
+    if not ind_vars:
+        raise ValueError("a random formula needs at least one individual variable")
     bits = {v: 1 << i for i, v in enumerate(dict.fromkeys(ind_vars + pred_vars))}
-    inds = [(v, bits[v]) for v in ind_vars]
-    preds = [(p, bits[p]) for p in pred_vars]
+
+    def table(entries: list) -> tuple:
+        return tuple(entries), len(entries), len(entries).bit_length()
+
+    inds, n_ind, k_ind = table([(v, bits[v]) for v in ind_vars])
+    preds, n_pred, k_pred = table([(p, bits[p]) for p in pred_vars])
     atom_kinds = ["app"] * 4 * bool(pred_vars) + ["eq_ind"] * 2
     if pred_equality and len(pred_vars) >= 2:
         atom_kinds.append("eq_pred")
+    atom_kinds, n_atom, k_atom = table(atom_kinds)
     arities = sorted({p.arity for p in pred_vars})
-    same_arity = [[e for e in preds if e[0].arity == n] for n in arities]
+    same_arity = [table([e for e in preds if e[0].arity == a]) for a in arities]
+    same_arity, n_same, k_same = table(same_arity)
     node_kinds = [(cls, None) for cls in (Not, And, Or, Implies, Iff)]
     node_kinds += [(Forall, inds), (Exists, inds)]
     if pred_quantifiers:
         node_kinds += [(Forall, preds), (Exists, preds)]
+    node_kinds, n_node, k_node = table(node_kinds)
 
-    def draw(rng: random.Random, budget: int, atom_bias: float) -> tuple[tuple, int, int]:
-        if budget == 0 or rng.random() < atom_bias:
-            kind = rng.choice(atom_kinds)
+    def draw(random, getrandbits, budget: int, atom_bias: float) -> tuple[tuple, int, int]:
+        # each `while (r := getrandbits(k)) >= n: pass` is one pick below n
+        if budget == 0 or random() < atom_bias:
+            while (r := getrandbits(k_atom)) >= n_atom:
+                pass
+            kind = atom_kinds[r]
             if kind == "app":
-                p, free = rng.choice(preds)
-                args = tuple([rng.choice(ind_vars) for _ in range(p.arity)])
-                return (Atom, p, args), free | sum({bits[v] for v in args}), 0
-            same = inds if kind == "eq_ind" else rng.choice(same_arity)
-            (a, abit), (b, bbit) = rng.choice(same), rng.choice(same)
+                while (r := getrandbits(k_pred)) >= n_pred:
+                    pass
+                p, free = preds[r]
+                args = []
+                for _ in range(p.arity):
+                    while (r := getrandbits(k_ind)) >= n_ind:
+                        pass
+                    v, bit = inds[r]
+                    args.append(v)
+                    free |= bit
+                return (Atom, p, tuple(args)), free, 0
+            same, n, k = inds, n_ind, k_ind
+            if kind == "eq_pred":
+                while (r := getrandbits(k_same)) >= n_same:
+                    pass
+                same, n, k = same_arity[r]
+            while (r := getrandbits(k)) >= n:
+                pass
+            a, abit = same[r]
+            while (r := getrandbits(k)) >= n:
+                pass
+            b, bbit = same[r]
             return (Eq, a, b), abit | bbit, 0
-        cls, vocab = rng.choice(node_kinds)
-        shape, free, bound = draw(rng, budget - 1, atom_bias)
+        while (r := getrandbits(k_node)) >= n_node:
+            pass
+        cls, vocab = node_kinds[r]
+        shape, free, bound = draw(random, getrandbits, budget - 1, atom_bias)
         if cls is Not:
             return (Not, shape), free, bound
         if vocab is None:
-            right, rfree, rbound = draw(rng, budget - 1, atom_bias)
+            right, rfree, rbound = draw(random, getrandbits, budget - 1, atom_bias)
             return (cls, shape, right), free | rfree, bound | rbound
         candidates = [e for e in vocab if not bound & e[1]]
         if not candidates:
             return shape, free, bound
-        v, bit = rng.choice(candidates)
+        n, k = len(candidates), len(candidates).bit_length()
+        while (r := getrandbits(k)) >= n:
+            pass
+        v, bit = candidates[r]
         return (cls, v, shape), free & ~bit, bound | bit
 
     return draw, bits
@@ -150,6 +190,17 @@ def _build(shape: tuple) -> Formula:
     return cls(_build(shape[1]), _build(shape[2]))
 
 
+def _natural(name: str, value: int, least: int = 0) -> int:
+    """``value`` as an int, if it is one and at least ``least``; else ``ValueError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"need an integer {name}, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
+
+
 def random_formula(
     rng: random.Random,
     max_depth: int,
@@ -160,11 +211,11 @@ def random_formula(
     allow_pred_equality: bool = True,
     atom_bias: float = 0.3,
 ) -> Formula:
-    """One random formula of AST depth <= max_depth over the vocabulary."""
-    if max_depth < 0:
-        raise ValueError(f"need max_depth >= 0, got {max_depth}")
+    """One random formula of AST depth <= max_depth over the vocabulary, drawn
+    from ``rng``, a ``random.Random``."""
+    max_depth = _natural("max_depth", max_depth)
     vocabulary = (tuple(ind_vars), tuple(pred_vars), allow_pred_quantifiers, allow_pred_equality)
-    return _build(_sampler(*vocabulary)[0](rng, max_depth, atom_bias)[0])
+    return _build(_sampler(*vocabulary)[0](rng.random, rng.getrandbits, max_depth, atom_bias)[0])
 
 
 def default_vocabulary(max_arity: int = 2) -> tuple[list[Var], list[Var]]:
@@ -181,11 +232,11 @@ BARREN_DRAWS = 10_000
 
 def _distinct_draws(draw: Callable, seed: int, wanted: int, max_depth: int, keep) -> list[Formula]:
     """The first ``wanted`` distinct draws whose masks ``keep`` accepts, built."""
-    if wanted < 0 or max_depth < 0:
-        raise ValueError(f"need count >= 0 and max_depth >= 0, got {wanted} and {max_depth}")
+    wanted, max_depth = _natural("count", wanted), _natural("max_depth", max_depth)
     rng, kept, last = random.Random(seed), {}, -1
     for i in itertools.count() if wanted else ():
-        shape, free, bound = draw(rng, max_depth, 0.3)  # random_formula's atom_bias
+        # random_formula's atom_bias
+        shape, free, bound = draw(rng.random, rng.getrandbits, max_depth, 0.3)
         if shape not in kept and keep(free, bound):
             kept[shape], last = _build(shape), i
             if len(kept) == wanted:
@@ -212,9 +263,7 @@ def comprehension_corpus(
     ``max_depth`` raises ``ValueError`` once ``BARREN_DRAWS`` draws in a row
     add nothing.
     """
-    if max_arity < 1:
-        raise ValueError(f"comprehension instances need max_arity >= 1, got {max_arity}")
-    ind_vars, pred_vars = default_vocabulary(max_arity)
+    ind_vars, pred_vars = default_vocabulary(_natural("max_arity", max_arity, 1))
     draw, bit = _sampler(tuple(ind_vars), tuple(pred_vars), True, True)
     individuals = sum(bit[v] for v in ind_vars)
 
@@ -249,6 +298,7 @@ def payload_corpus(
     ``max_depth`` raises ``ValueError`` once ``BARREN_DRAWS`` draws in a row
     add nothing.
     """
+    n, m = _natural("n", n), _natural("m", m, 1)
     xs = [ind(i) for i in range(1, n + 1)]
     dvar = pred(0, m)
     draw, bit = _sampler((*xs, ind(n + 1), ind(n + 2)), (dvar, pred(1, m)), True, True)

@@ -26,6 +26,7 @@ from itertools import product
 from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
 from .structures import Assignment, CapExceeded, Structure
 from .syntax import (
+    MAX_DEPTH,
     And,
     Atom,
     Eq,
@@ -62,6 +63,11 @@ WO = "wo"
 
 FAMILIES = (CHOICE, CHOICE_H, AC, AC_STAR, CHOICE_STAR, COMPREHENSION, WO1, LO, WO)
 _PAYLOAD_FAMILIES = (CHOICE, CHOICE_H, CHOICE_STAR, COMPREHENSION)
+# the arities a family binds as one block of nested quantifiers; ``choice``
+# binds ``m`` so only in its bridged form, which ``choice_h_parts`` checks
+_NESTED = {
+    CHOICE: "n", CHOICE_H: "nm", AC: "nm", AC_STAR: "nm", CHOICE_STAR: "m", COMPREHENSION: "n",
+}
 
 
 @dataclass(frozen=True)
@@ -77,15 +83,22 @@ class SchemaId:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise SignatureError(f"unknown schema family {self.family!r}")
-        _check_arities(self.n, self.m)
+        _check_arities(self.n, self.m, _NESTED.get(self.family, ""))
         if (self.payload is not None) != (self.family in _PAYLOAD_FAMILIES):
             wanted = "requires" if self.family in _PAYLOAD_FAMILIES else "does not take"
             raise SignatureError(f"family {self.family!r} {wanted} a payload formula")
 
 
-def _check_arities(n: int, m: int) -> None:
+def _check_arities(n: int, m: int, nested: str) -> None:
+    """Reject arities below 1, and before any building, a ``nested`` arity
+    whose quantifier block alone would pass the depth bound."""
     if n < 1 or m < 1:
         raise SignatureError("schema arities must be >= 1")
+    for name, arity in zip("nm", (n, m)):
+        if name in nested and arity > MAX_DEPTH:
+            raise SignatureError(
+                f"schema arity {name} = {arity} nests quantifiers past the depth bound {MAX_DEPTH}"
+            )
 
 
 def _max_index(f: Formula, arity: int = 0) -> int:
@@ -113,7 +126,7 @@ def _check_payload(payload: Formula, allowed: set[Var], what: str) -> None:
 def choice_h_parts(n: int, m: int, payload: Formula) -> tuple[Formula, Var, Formula]:
     """Antecedent, witness variable, and witness matrix of the bridged
     choice axiom: the full axiom is ``antecedent -> ex S . matrix``."""
-    _check_arities(n, m)
+    _check_arities(n, m, "nm")
     xs = _x_tuple(n)
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")

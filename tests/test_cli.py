@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,22 @@ class TestFraenkelCommands:
             code, report, _ = run(capsys, *argv, *arities)
             assert code == 2
             assert report["result"] == {"error": "SignatureError: schema arities must be >= 1"}
+
+    @pytest.mark.parametrize("arity", ["--n", "--m"])
+    def test_arity_past_the_depth_bound_exit_2_before_the_build(self, capsys, tmp_path, std2_file, arity):
+        # a block of a million quantifiers used to be built, at 3.4 GB, before
+        # the depth bound stopped it
+        h = tmp_path / "h.fml"
+        h.write_text("all x1 . x1 = x1\n")
+        for argv in (
+            ["fraenkel", "choice", "--h", str(h)],
+            ["check", "--structure", std2_file, "--schema", "ac"],
+        ):
+            start = time.perf_counter()
+            code, report, _ = run(capsys, *argv, arity, "1000000")
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert report["result"]["error"].startswith(f"SignatureError: schema arity {arity[2:]} = 1000000")
 
     def test_cap_exit_3(self, capsys, tmp_path):
         # the antecedent enumerates 3 distinct predicates at stratum 2

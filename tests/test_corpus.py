@@ -28,8 +28,14 @@ def assert_identical(got, want):
 
 
 # vocabulary, options: the duplicated pool of tests/test_evaluate.py, no
-# predicate variables, mixed arities, and each option away from its default
+# predicate variables, mixed arities, each option away from its default, and
+# tables of 1, 2, 4, 5, 8 and 9 entries, every width of the sampler's
+# rejection loop (a table of 1 still reads a word per pick)
 VOCABULARIES = {
+    **{
+        f"tables-of-{k}": ([ind(i) for i in range(1, k + 1)], [pred(j, 1 + j % 2) for j in range(k)], {})
+        for k in (1, 2, 4, 5, 8, 9)
+    },
     "default-1": (*default_vocabulary(1), {}),
     "default-2": (*default_vocabulary(2), {}),
     "duplicated": ([x1, x2, x3], [pred(0, 1), pred(0, 1), pred(1, 1), pred(2, 2)], {"atom_bias": 0.25}),
@@ -92,8 +98,22 @@ def test_benchmark_sized_corpora_match_the_reference():
         lambda: comprehension_corpus(1, 1, -1, 1),
         lambda: payload_corpus(1, -1, 1, 1, 3),
         lambda: payload_corpus(1, 1, 1, 1, -1),
+        lambda: payload_corpus(1, 3, 1, 1, 2.5),
+        lambda: payload_corpus(1, 2.5, 1, 1, 3),
+        lambda: payload_corpus(1, 5, -1, 1),
+        lambda: payload_corpus(1, 5, 1, 0),
     ],
-    ids=["max_arity-0", "comprehension-count", "comprehension-depth", "payload-count", "payload-depth"],
+    ids=[
+        "max_arity-0",
+        "comprehension-count",
+        "comprehension-depth",
+        "payload-count",
+        "payload-depth",
+        "payload-depth-not-integer",
+        "payload-count-not-integer",
+        "payload-n-negative",
+        "payload-m-0",
+    ],
 )
 def test_arguments_no_draw_can_satisfy_are_rejected_up_front(call):
     with pytest.raises(ValueError):
@@ -136,9 +156,20 @@ def test_a_corpus_larger_than_its_filters_allow_raises(call):
         call()
 
 
-def test_negative_depth_is_rejected_before_any_draw():
-    rng = random.Random(0)
+@pytest.mark.parametrize(
+    "max_depth, ind_vars, pred_vars, options",
+    [
+        (-1, *default_vocabulary(2), {}),
+        # the budget would never reach 0
+        (1.5, [x1], [], {"atom_bias": 0}),
+        # no individual variable: a pick from an empty table would never end
+        (2, [], [pred(0, 1)], {}),
+    ],
+    ids=["negative-depth", "depth-not-integer", "no-individual-variables"],
+)
+def test_bad_arguments_are_rejected_before_any_draw(max_depth, ind_vars, pred_vars, options):
+    rng = random.Random(3)
     state = rng.getstate()
-    with pytest.raises(ValueError):
-        random_formula(rng, -1, *default_vocabulary(2))
+    with time_limit(5), pytest.raises(ValueError):
+        random_formula(rng, max_depth, ind_vars, pred_vars, **options)
     assert rng.getstate() == state

@@ -17,6 +17,7 @@ from henkin.schemas import (
     LO,
     WO,
     WO1,
+    _PAYLOAD_FAMILIES,
     SchemaId,
     _shared_parts,
     build,
@@ -26,6 +27,7 @@ from henkin.schemas import (
 )
 from henkin.structures import Assignment, Table, standard_structure
 from henkin.syntax import (
+    MAX_DEPTH,
     SignatureError,
     format_formula,
     free_vars,
@@ -44,6 +46,28 @@ class TestSchemaId:
             SchemaId(CHOICE_H)
         with pytest.raises(SignatureError):
             SchemaId("zermelo")
+
+    @pytest.mark.parametrize(
+        "family, nested",
+        [(AC, "nm"), (AC_STAR, "nm"), (CHOICE_H, "nm"), (CHOICE, "n"), (CHOICE_STAR, "m"),
+         (COMPREHENSION, "n"), (WO1, ""), (LO, ""), (WO, "")],
+    )
+    def test_an_arity_nested_past_the_depth_bound_is_rejected(self, family, nested):
+        payload = parse("all x1 . x1 = x1") if family in _PAYLOAD_FAMILIES else None
+        for name in "nm":
+            arities = {"n": 1, "m": 1, name: MAX_DEPTH + 1}
+            if name in nested:
+                with pytest.raises(SignatureError, match=f"arity {name} = {MAX_DEPTH + 1} nests"):
+                    SchemaId(family, payload=payload, **arities)
+            else:
+                SchemaId(family, payload=payload, **arities)
+            SchemaId(family, payload=payload, **{**arities, name: MAX_DEPTH})
+
+    def test_choice_checks_m_before_building_its_bridged_form(self):
+        # a choice variable under equality has no application form
+        payload = parse(f"ex A1^{MAX_DEPTH + 1} . A0^{MAX_DEPTH + 1} = A1^{MAX_DEPTH + 1}")
+        with pytest.raises(SignatureError, match=f"arity m = {MAX_DEPTH + 1} nests"):
+            build(SchemaId(CHOICE, 1, MAX_DEPTH + 1, payload))
 
     def test_payload_signature_enforced_at_build(self):
         stray = parse("A0^1 x2")  # x2 is outside the n=1 tuple
