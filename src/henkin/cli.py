@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -38,34 +37,28 @@ from .structures import (
     assignment_from_dict,
     assignment_to_dict,
     json_shape,
+    json_var,
     load_structure,
     structure_to_dict,
 )
 from .syntax import depth as formula_depth, format_formula
 
 
-@dataclass
 class RunReport:
-    """One command's outcome: echo, input digests, verdicts, and caveats."""
+    """One command's outcome: echo, input digests, verdicts, and caveats.
+    The handlers fill it in, and its attributes are the report's keys."""
 
-    command: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    result: dict = field(default_factory=dict)
-    flags: list[str] = field(default_factory=list)
-    stratum: int | None = None
-    seed: int | None = None
+    def __init__(self, command: str):
+        self.command = command
+        self.inputs: dict[str, str] = {}
+        self.result: dict = {}
+        self.flags: list[str] = []
+        self.stratum: int | None = None
+        self.seed: int | None = None
 
     def to_json(self, started: float) -> str:
         """The report as JSON, timed from ``started`` (a ``perf_counter``)."""
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "flags": self.flags,
-            "stratum": self.stratum,
-            "seed": self.seed,
-            "timing_s": round(time.perf_counter() - started, 6),
-        }
+        payload = {**vars(self), "timing_s": round(time.perf_counter() - started, 6)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -231,15 +224,14 @@ def _cmd_fraenkel_sweep(args, report: RunReport) -> tuple[int, str]:
 
 
 def _load_binding(path: str | Path) -> dict:
-    from .parser import parse_var
-
     shape = partial(json_shape, error=fraenkel.FraenkelError)
+    var = partial(json_var, error=fraenkel.FraenkelError)
     data = shape(_load_json(path), "binding document", keys=ASSIGNMENT_KEYS)
     binding = {}
     for name, atom in shape(data.get("individuals", {}), "individuals").items():
-        binding[parse_var(name)] = atom
+        binding[var(name)] = atom
     for name, doc in shape(data.get("predicates", {}), "predicates").items():
-        binding[parse_var(name)] = fraenkel.symbolic_from_dict(doc)
+        binding[var(name)] = fraenkel.symbolic_from_dict(doc)
     return binding
 
 
@@ -256,11 +248,7 @@ def _cmd_fraenkel_eval(args, report: RunReport) -> tuple[int, str]:
     report.stratum = args.strat if verdict.stratified else None
     if verdict.stratified:
         report.flags.append("stratified: predicate quantifiers bounded by support size")
-    report.result = {
-        "truth": verdict.truth,
-        "stratified": verdict.stratified,
-        "support_bound": verdict.support_bound,
-    }
+    report.result = verdict._asdict()
     label = "true" if verdict.truth else "false"
     tag = f" (stratified at {args.strat})" if verdict.stratified else ""
     return (0 if verdict.truth else 1), f"evaluates {label}{tag}"

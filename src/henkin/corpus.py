@@ -14,6 +14,7 @@ import random
 from functools import lru_cache
 from typing import Callable, Sequence
 
+from .evaluate import DEFAULT_FORMULA_CAP
 from .structures import CapExceeded
 from .syntax import (
     And,
@@ -37,7 +38,7 @@ def enumerate_formulas(
     ind_vars: Sequence[Var],
     pred_vars: Sequence[Var],
     *,
-    cap: int = 50_000,
+    cap: int = DEFAULT_FORMULA_CAP,
 ) -> list[Formula]:
     """Every formula of AST depth <= max_depth over the vocabulary, using the
     complete connective basis {~, &} plus both quantifier sorts.

@@ -14,9 +14,8 @@ decided by one run of its body as an int mask with a bit per table.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .structures import (
     Assignment,
@@ -383,8 +382,7 @@ def evaluate(structure: Structure, assignment: Assignment, formula: Formula) -> 
     return body(env)
 
 
-@dataclass(frozen=True)
-class DefinedPredicate:
+class DefinedPredicate(NamedTuple):
     """A table defined by a formula, its distinguished variables, and the
     assignment of its remaining free variables."""
 
@@ -436,8 +434,7 @@ def _bit_row(body, env: list, size: int, arity: int) -> tuple[bool, ...]:
     return tuple([body(env) for env[:arity] in product(points, repeat=arity)])
 
 
-@dataclass(frozen=True)
-class ComprehensionResult:
+class ComprehensionResult(NamedTuple):
     """Outcome of a single comprehension check; ``table`` is the defined
     predicate, present in the structure iff ``holds``."""
 
@@ -494,8 +491,7 @@ def check_comprehension(
 DEFAULT_FORMULA_CAP = 200_000
 
 
-@dataclass
-class SaturationReport:
+class SaturationReport(NamedTuple):
     depth_bound: int
     rounds: int
     formulas_used: int

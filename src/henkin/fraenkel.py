@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, filterfalse, permutations, product
 from operator import eq, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
 from .structures import CapExceeded, Table, json_shape
@@ -59,24 +58,24 @@ def fresh_atoms(count: int, avoid: Iterable[str] = ()) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class EqType:
+class EqType(namedtuple("EqType", "entries")):
     """Canonical equality type: each entry is a support atom name or a fresh
     class number, classes numbered in first-occurrence order."""
 
-    entries: tuple[str | int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __new__(cls, entries: Iterable[str | int]) -> EqType:
+        entries = tuple(entries)
         seen = 0
-        for e in self.entries:
+        for e in entries:
             if isinstance(e, int):
                 if e < 0 or e > seen:
-                    raise FraenkelError(f"non-canonical fresh classes in {self.entries}")
+                    raise FraenkelError(f"non-canonical fresh classes in {entries}")
                 if e == seen:
                     seen += 1
             elif not isinstance(e, str):
                 raise FraenkelError(f"bad type entry {e!r}")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def arity(self) -> int:
@@ -311,8 +310,7 @@ def _non_minimal_masks(arity: int, size: int) -> frozenset[int]:
 DEFAULT_PRED_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class SymbolicVerdict:
+class SymbolicVerdict(NamedTuple):
     """Truth value over the symbolic universe; stratified marks that some
     predicate quantifier was bounded by the support-size stratum."""
 
@@ -494,15 +492,13 @@ def evaluation_pool(formula: Formula, binding: Mapping[Var, object]) -> tuple[st
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderVerdict:
+class OrderVerdict(NamedTuple):
     is_order: bool
     failed_axiom: str | None
     witness: tuple[str, ...] | None
 
 
-@dataclass(frozen=True)
-class _OrderContext:
+class _OrderContext(NamedTuple):
     strict: bool
     pool: tuple[str, ...]
     pair_type: tuple[tuple[int, ...], ...]
@@ -531,23 +527,24 @@ def _order_context(support: tuple[str, ...], strict: bool) -> _OrderContext:
 
 def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] | None:
     """First failing axiom with an atom witness, or None for a linear order."""
-    for (tij, tjl, til), (i, j, l) in ctx.transitivity:
+    strict, pool, _, transitivity, pairs, diagonal = ctx  # one unpacking per mask
+    for (tij, tjl, til), (i, j, l) in transitivity:
         if mask >> tij & 1 and mask >> tjl & 1 and not mask >> til & 1:
-            return "transitivity", (ctx.pool[i], ctx.pool[j], ctx.pool[l])
-    for (tij, tji), (i, j) in ctx.pairs:
+            return "transitivity", (pool[i], pool[j], pool[l])
+    for (tij, tji), (i, j) in pairs:
         if mask >> tij & 1 and mask >> tji & 1:
-            return "antisymmetry", (ctx.pool[i], ctx.pool[j])
-    for (tij, tji), (i, j) in ctx.pairs:
+            return "antisymmetry", (pool[i], pool[j])
+    for (tij, tji), (i, j) in pairs:
         if not mask >> tij & 1 and not mask >> tji & 1:
-            return "totality", (ctx.pool[i], ctx.pool[j])
-    if ctx.strict:
-        for t, i in ctx.diagonal:
+            return "totality", (pool[i], pool[j])
+    if strict:
+        for t, i in diagonal:
             if mask >> t & 1:
-                return "irreflexivity", (ctx.pool[i],)
+                return "irreflexivity", (pool[i],)
     else:
-        for t, i in ctx.diagonal:
+        for t, i in diagonal:
             if not mask >> t & 1:
-                return "reflexivity", (ctx.pool[i],)
+                return "reflexivity", (pool[i],)
     return None
 
 
@@ -567,16 +564,14 @@ def is_linear_order(sigma: SymbolicPredicate, *, strict: bool = True) -> OrderVe
     return OrderVerdict(False, result[0], result[1])
 
 
-@dataclass
-class SweepBucket:
+class SweepBucket(NamedTuple):
     support_size: int
     support: tuple[str, ...]
     predicate_count: int
     failure_counts: dict[str, int]
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     max_support: int
     strict: bool
     total_predicates: int
@@ -589,7 +584,7 @@ def wellorder_counterexample_sweep(
     max_support: int = 3,
     *,
     strict: bool = True,
-    cap: int = 2_000_000,
+    cap: int = DEFAULT_PRED_CAP,
 ) -> SweepReport:
     """Exhaust every canonical binary symbolic predicate with support size up
     to the bound and test each for being a linear order.
@@ -611,6 +606,8 @@ def wellorder_counterexample_sweep(
         if total + count > cap:
             raise CapExceeded("sweep predicates", total + count, cap)
         failures: dict[str, int] = {}
+        # the types of both orientations of the pool's last, fresh pair
+        forward, backward = ctx.pair_type[-2][-1], ctx.pair_type[-1][-2]
         for mask in range(count):
             result = _order_check(mask, ctx)
             if result is None:
@@ -622,10 +619,7 @@ def wellorder_counterexample_sweep(
             # swap argument: both orientations of a fresh pair share a type,
             # so either both hold (antisymmetry fails there) or neither does
             # (totality fails there)
-            i, j = len(ctx.pool) - 2, len(ctx.pool) - 1
-            forward = bool(mask >> ctx.pair_type[i][j] & 1)
-            backward = bool(mask >> ctx.pair_type[j][i] & 1)
-            all_witnessed = all_witnessed and forward == backward
+            all_witnessed = all_witnessed and (mask >> forward & 1) == (mask >> backward & 1)
         total += count
         buckets.append(SweepBucket(size, support, count, failures))
     return SweepReport(
@@ -643,8 +637,7 @@ def wellorder_counterexample_sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ChoiceInstanceReport:
+class ChoiceInstanceReport(NamedTuple):
     """Outcome of a bridged-choice instance check.
 
     ``witnessed`` carries an explicit uniform predicate; ``vacuous`` means

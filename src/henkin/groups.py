@@ -9,10 +9,10 @@ holds at a tuple exactly when the original held at the preimage tuple.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .evaluate import att, evaluate
 from .structures import (
@@ -31,16 +31,16 @@ from .syntax import Formula, Var
 DEFAULT_GROUP_CAP = 10_000
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "mapping")):
     """A bijection on {0, ..., degree-1}, stored as the image array."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mapping", tuple(self.mapping))
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise StructureError(f"not a permutation: {self.mapping}")
+    def __new__(cls, mapping: Iterable[int]) -> Permutation:
+        mapping = tuple(mapping)
+        if sorted(mapping) != list(range(len(mapping))):
+            raise StructureError(f"not a permutation: {mapping}")
+        return tuple.__new__(cls, (mapping,))
 
     @property
     def degree(self) -> int:
@@ -124,17 +124,16 @@ def perm_from_cycles(text: str, labels: Sequence[str]) -> Permutation:
     return Permutation(tuple(mapping))
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(namedtuple("Group", "degree elements")):
     """A finite permutation group, materialized as its full element set."""
 
-    degree: int
-    elements: frozenset[Permutation]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", frozenset(self.elements))
-        if not self.elements:
+    def __new__(cls, degree: int, elements: Iterable[Permutation]) -> Group:
+        elements = frozenset(elements)
+        if not elements:
             raise StructureError("a group needs at least the identity")
+        return tuple.__new__(cls, (degree, elements))
 
     @property
     def order(self) -> int:
@@ -275,15 +274,25 @@ def structure_closed_under(structure: Structure, perm: Permutation) -> bool:
 
 
 class Filter:
-    """Marker base for subgroup filters."""
+    """Base for subgroup filters.  A filter without fields equals every
+    filter of its kind, and hashes as its empty tuple of fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
 class AllSubgroups(Filter):
     """Every subgroup belongs; yields the full standard structure."""
 
 
-@dataclass(frozen=True)
 class FiniteSupports(Filter):
     """Subgroups containing the pointwise stabilizer of some finite set.
 
@@ -292,20 +301,20 @@ class FiniteSupports(Filter):
     """
 
 
-@dataclass(frozen=True)
-class PrincipalNormal(Filter):
+class PrincipalNormal(namedtuple("PrincipalNormal", "generators"), Filter):
     """The filter of subgroups containing the normal core of the generating
     family, the family being closed under conjugation first."""
 
-    generators: tuple[Group, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not self.generators:
+    def __new__(cls, generators: Iterable[Group]) -> PrincipalNormal:
+        generators = tuple(generators)
+        if not generators:
             raise StructureError("a principal filter needs at least one generating subgroup")
-        degrees = {g.degree for g in self.generators}
+        degrees = {g.degree for g in generators}
         if len(degrees) != 1:
             raise StructureError("generating subgroups must share a degree")
+        return tuple.__new__(cls, (generators,))
 
 
 @lru_cache(maxsize=128)
@@ -421,8 +430,7 @@ def build_permutation_model(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportReport:
+class TransportReport(NamedTuple):
     """Outcome of the transport check for one (structure, permutation,
     assignment, formula) quadruple."""
 
@@ -461,8 +469,7 @@ def check_transport(
     return TransportReport(True, None, truth_preserved, att_transported)
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
+class StabilizerReport(NamedTuple):
     """Outcome of the stabilizer lower bound for one defined predicate."""
 
     holds: bool
@@ -525,8 +532,7 @@ def check_stabilizer_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     labels: tuple[str, ...]
     group: Group
     filt: Filter

@@ -18,9 +18,11 @@ Variable allocation is deterministic so built formulas are byte-stable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
 from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
@@ -70,28 +72,30 @@ _NESTED = {
 }
 
 
-@dataclass(frozen=True)
-class SchemaId:
+class SchemaId(namedtuple("SchemaId", "family n m payload")):
     """Which axiom to build: family, arities, and the payload formula for the
     parameterized families."""
 
-    family: str
-    n: int = 1
-    m: int = 1
-    payload: Formula | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise SignatureError(f"unknown schema family {self.family!r}")
-        _check_arities(self.n, self.m, _NESTED.get(self.family, ""))
-        if (self.payload is not None) != (self.family in _PAYLOAD_FAMILIES):
-            wanted = "requires" if self.family in _PAYLOAD_FAMILIES else "does not take"
-            raise SignatureError(f"family {self.family!r} {wanted} a payload formula")
+    def __new__(cls, family: str, n: int = 1, m: int = 1, payload: Formula | None = None):
+        if family not in FAMILIES:
+            raise SignatureError(f"unknown schema family {family!r}")
+        n, m = _check_arities(n, m, _NESTED.get(family, ""))
+        if (payload is not None) != (family in _PAYLOAD_FAMILIES):
+            wanted = "requires" if family in _PAYLOAD_FAMILIES else "does not take"
+            raise SignatureError(f"family {family!r} {wanted} a payload formula")
+        return tuple.__new__(cls, (family, n, m, payload))
 
 
-def _check_arities(n: int, m: int, nested: str) -> None:
-    """Reject arities below 1, and before any building, a ``nested`` arity
-    whose quantifier block alone would pass the depth bound."""
+def _check_arities(n: int, m: int, nested: str) -> tuple[int, int]:
+    """``(n, m)`` as ints.  Reject non-integers, arities below 1, and before
+    any building, a ``nested`` arity whose quantifier block alone would pass
+    the depth bound."""
+    try:
+        n, m = operator.index(n), operator.index(m)
+    except TypeError:
+        raise SignatureError(f"schema arities must be integers, got {n!r}, {m!r}") from None
     if n < 1 or m < 1:
         raise SignatureError("schema arities must be >= 1")
     for name, arity in zip("nm", (n, m)):
@@ -99,6 +103,7 @@ def _check_arities(n: int, m: int, nested: str) -> None:
             raise SignatureError(
                 f"schema arity {name} = {arity} nests quantifiers past the depth bound {MAX_DEPTH}"
             )
+    return n, m
 
 
 def _max_index(f: Formula, arity: int = 0) -> int:
@@ -126,7 +131,7 @@ def _check_payload(payload: Formula, allowed: set[Var], what: str) -> None:
 def choice_h_parts(n: int, m: int, payload: Formula) -> tuple[Formula, Var, Formula]:
     """Antecedent, witness variable, and witness matrix of the bridged
     choice axiom: the full axiom is ``antecedent -> ex S . matrix``."""
-    _check_arities(n, m, "nm")
+    n, m = _check_arities(n, m, "nm")
     xs = _x_tuple(n)
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")
@@ -323,8 +328,7 @@ def _shared_parts(schema: SchemaId, strict: bool) -> tuple:
 DEFAULT_ASSIGNMENT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class SchemaCheck:
+class SchemaCheck(NamedTuple):
     """Outcome of an exhaustive schema check.
 
     ``matrix`` is the formula left after peeling the outer universal prefix;

@@ -9,7 +9,7 @@ format: position of (i1, ..., in) is i1*k^(n-1) + ... + in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -33,25 +33,23 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True, order=True)
-class Table:
+class Table(namedtuple("Table", "size arity bits")):
     """Truth table of an n-ary predicate over a universe of ``size`` individuals."""
 
-    size: int
-    arity: int
-    bits: tuple[bool, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
-        if self.size < 1:
+    def __new__(cls, size: int, arity: int, bits: Iterable[bool]) -> Table:
+        bits = tuple(bool(b) for b in bits)
+        if size < 1:
             raise StructureError("table needs a nonempty universe")
-        if self.arity < 1:
+        if arity < 1:
             raise StructureError("table arity must be >= 1")
-        if len(self.bits) != self.size**self.arity:
+        if len(bits) != size**arity:
             raise StructureError(
-                f"table of arity {self.arity} over {self.size} individuals "
-                f"needs {self.size ** self.arity} entries, got {len(self.bits)}"
+                f"table of arity {arity} over {size} individuals "
+                f"needs {size ** arity} entries, got {len(bits)}"
             )
+        return tuple.__new__(cls, (size, arity, bits))
 
     def __call__(self, point: tuple[int, ...]) -> bool:
         if len(point) != self.arity:
@@ -109,18 +107,13 @@ def all_tables(size: int, arity: int, *, cap: int = DEFAULT_TABLE_CAP) -> list[T
     ]
 
 
-@dataclass(frozen=True, eq=True)
 class Structure:
-    """A finite predicate structure: individuals plus per-arity table domains."""
+    """A finite predicate structure: individuals plus per-arity table domains.
+    Structures compare by value and, as they hold dicts, are unhashable."""
 
-    individuals: tuple[str, ...]
-    domains: Mapping[int, frozenset[Table]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "individuals", tuple(str(a) for a in self.individuals))
-        object.__setattr__(
-            self, "domains", {int(n): frozenset(ts) for n, ts in self.domains.items()}
-        )
+    def __init__(self, individuals: Iterable[str], domains: Mapping[int, Iterable[Table]]):
+        self.individuals = tuple(str(a) for a in individuals)
+        self.domains = {int(n): frozenset(ts) for n, ts in domains.items()}
         if not self.individuals:
             raise StructureError("the universe must be nonempty")
         if len(set(self.individuals)) != len(self.individuals):
@@ -133,20 +126,18 @@ class Structure:
             for t in tables:
                 if t.arity != n or t.size != len(self.individuals):
                     raise StructureError(f"table {t.bitstring()} does not fit arity {n}")
-        object.__setattr__(
-            self, "_sorted", {n: tuple(sorted(ts)) for n, ts in self.domains.items()}
-        )
-        object.__setattr__(
-            self, "_by_bits", {n: {t.bits: t for t in ts} for n, ts in self.domains.items()}
-        )
-        object.__setattr__(
-            self, "_index", {a: i for i, a in enumerate(self.individuals)}
-        )
-        object.__setattr__(self, "_columns", {})
+        self._sorted = {n: tuple(sorted(ts)) for n, ts in self.domains.items()}
+        self._by_bits = {n: {t.bits: t for t in ts} for n, ts in self.domains.items()}
+        self._index = {a: i for i, a in enumerate(self.individuals)}
+        self._columns: dict[int, tuple[int, ...]] = {}
 
-    # dict-valued fields make the generated hash unusable; structures are
-    # compared by value only.
-    __hash__ = None  # type: ignore[assignment]
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.individuals, self.domains) == (other.individuals, other.domains)
+
+    def __repr__(self) -> str:
+        return f"Structure(individuals={self.individuals!r}, domains={self.domains!r})"
 
     @property
     def size(self) -> int:
@@ -155,18 +146,18 @@ class Structure:
     def domain(self, arity: int) -> tuple[Table, ...]:
         """The arity-n domain in increasing table order."""
         try:
-            return self._sorted[arity]  # type: ignore[attr-defined]
+            return self._sorted[arity]
         except KeyError:
             raise StructureError(f"no domain of arity {arity}") from None
 
     def by_bits(self, arity: int) -> dict[tuple[bool, ...], Table]:
         """The arity-n domain's own tables by their bits, empty if it has none."""
-        return self._by_bits.get(arity, {})  # type: ignore[attr-defined]
+        return self._by_bits.get(arity, {})
 
     def columns(self, arity: int) -> tuple[int, ...]:
         """The arity-n domain by row-major point: bit j of entry i is bit i
         of the j-th table of ``domain(arity)``.  Computed on first use."""
-        columns = self._columns  # type: ignore[attr-defined]
+        columns = self._columns
         if arity not in columns:
             rows = (t.bits for t in self.domain(arity))
             columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
@@ -174,7 +165,7 @@ class Structure:
 
     def label_index(self, label: str) -> int:
         try:
-            return self._index[label]  # type: ignore[attr-defined]
+            return self._index[label]
         except KeyError:
             raise StructureError(f"unknown individual {label!r}") from None
 
@@ -196,15 +187,15 @@ def standard_structure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=True)
-class Assignment:
+class Assignment(namedtuple("Assignment", "values")):
     """Partial explicit assignment; unmentioned variables fall back to the
-    evaluator's deterministic defaults (first individual, least table)."""
+    evaluator's deterministic defaults (first individual, least table).
+    As it holds a dict, it is unhashable."""
 
-    values: Mapping[Var, object]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = dict(self.values)
+    def __new__(cls, values: Mapping[Var, object]) -> Assignment:
+        vals = dict(values)
         for var, value in vals.items():
             if not isinstance(var, Var):
                 raise StructureError(f"assignment keys must be variables, got {var!r}")
@@ -214,9 +205,7 @@ class Assignment:
             else:
                 if not isinstance(value, Table) or value.arity != var.arity:
                     raise StructureError(f"{var} needs a table of arity {var.arity}")
-        object.__setattr__(self, "values", vals)
-
-    __hash__ = None  # type: ignore[assignment]
+        return tuple.__new__(cls, (vals,))
 
     def get(self, var: Var):
         return self.values.get(var)
@@ -286,7 +275,10 @@ def structure_from_dict(data: dict) -> Structure:
         try:
             n = int(key)
         except ValueError:
-            raise StructureError(f"domain key {key!r} is not an arity") from None
+            n = None
+        # one spelling per arity: "01" or " 1" would merge with "1"
+        if n is None or str(n) != key:
+            raise StructureError(f"domain key {key!r} is not an arity")
         domains[n] = frozenset(
             Table.from_bitstring(len(individuals), n, s)
             for s in json_shape(bitstrings, f"domain {key}", list)
@@ -317,18 +309,27 @@ def assignment_to_dict(assignment: Assignment, structure: Structure) -> dict:
     return {"individuals": individuals, "predicates": predicates}
 
 
-def assignment_from_dict(data: dict, structure: Structure) -> Assignment:
+def json_var(name: str, error: type[Exception] = StructureError) -> Var:
+    """The variable a document key names, which must be spelled as it
+    prints: ``x01`` would merge with ``x1``."""
     from .parser import parse_var
 
+    var = parse_var(name)
+    if str(var) != name:
+        raise error(f"variable key {name!r} is not spelled {str(var)!r}")
+    return var
+
+
+def assignment_from_dict(data: dict, structure: Structure) -> Assignment:
     data = json_shape(data, "assignment document", keys=ASSIGNMENT_KEYS)
     values: dict[Var, object] = {}
     for name, label in json_shape(data.get("individuals", {}), "individuals").items():
-        var = parse_var(name)
+        var = json_var(name)
         if not var.is_individual:
             raise StructureError(f"{name} is not an individual variable")
         values[var] = structure.label_index(label)
     for name, bitstring in json_shape(data.get("predicates", {}), "predicates").items():
-        var = parse_var(name)
+        var = json_var(name)
         if not var.is_predicate:
             raise StructureError(f"{name} is not a predicate variable")
         values[var] = Table.from_bitstring(structure.size, var.arity, bitstring)

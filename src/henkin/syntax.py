@@ -18,7 +18,7 @@ walks need no explicit stack.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index as _index, itemgetter
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -55,6 +55,11 @@ class Var(tuple):
     arity = property(itemgetter(1))
 
     def __new__(cls, index: int, arity: int = 0) -> Var:
+        try:
+            index, arity = _index(index), _index(arity)
+        except TypeError:
+            what = f"{index!r}, {arity!r}"
+            raise FormulaError(f"variable index and arity must be integers, got {what}") from None
         if index < 0 or arity < 0:
             raise FormulaError(f"variable index and arity must be >= 0, got {index}, {arity}")
         return tuple.__new__(cls, (index, arity))

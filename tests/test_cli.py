@@ -447,6 +447,16 @@ class TestProcess:
         assert "Traceback" not in done.stderr
 
 
+def test_imports_leave_out_dataclasses():
+    # the value types are tuples, so start-up need not import dataclasses
+    code = "import sys, henkin, henkin.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
 class TestReportDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, std2_file, tmp_path):
         f = tmp_path / "f.fml"
@@ -617,6 +627,21 @@ MISSHAPEN = {
     # text where a number belongs, a string where an array belongs
     "structure-domain-key-text": (
         eval_with('{"individuals": ["a"], "domains": {"x": ["1"]}}'), "StructureError"
+    ),
+    # a second spelling of an arity or a variable would merge with the first
+    # and drop one of them
+    "structure-domain-key-leading-zero": (
+        eval_with('{"individuals": ["a", "b"], "domains": {"1": ["10"], "01": ["01"]}}'),
+        "StructureError",
+    ),
+    "structure-domain-key-space": (
+        eval_with('{"individuals": ["a", "b"], "domains": {" 2": ["1001"]}}'), "StructureError"
+    ),
+    "assignment-variable-leading-zero": (
+        eval_with(None, '{"individuals": {"x1": "a", "x01": "b"}}'), "StructureError"
+    ),
+    "binding-variable-leading-zero": (
+        bind_with('{"individuals": {"x1": "p", "x01": "q"}}'), "FraenkelError"
     ),
     "symbolic-arity-text": (bind_with(symbolic_binding('"one"', "[]")), "FraenkelError"),
     "symbolic-arity-float": (bind_with(symbolic_binding("1.7", "[]")), "FraenkelError"),

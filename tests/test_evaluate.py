@@ -549,13 +549,14 @@ class TestSaturate:
 
 def _count_tables(monkeypatch) -> list:
     """Every ``Table`` constructed from here on, in order."""
-    built, check = [], Table.__post_init__
+    built, new = [], Table.__new__
 
-    def counting(table):
+    def counting(cls, *args):
+        table = new(cls, *args)
         built.append(table)
-        check(table)
+        return table
 
-    monkeypatch.setattr(Table, "__post_init__", counting)
+    monkeypatch.setattr(Table, "__new__", counting)
     return built
 
 

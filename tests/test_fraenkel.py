@@ -9,6 +9,7 @@ import pytest
 
 from henkin.fraenkel import (
     CHOICE_SUITE,
+    DEFAULT_PRED_CAP,
     EqType,
     FraenkelError,
     SymbolicPredicate,
@@ -407,6 +408,13 @@ class TestSweep:
 
         with pytest.raises(CapExceeded):
             wellorder_counterexample_sweep(3, cap=1000)
+
+    def test_default_cap_is_the_predicate_cap(self):
+        from henkin.structures import CapExceeded
+
+        with pytest.raises(CapExceeded) as err:
+            wellorder_counterexample_sweep(4)
+        assert (err.value.needed, err.value.cap) == (67_240_996, DEFAULT_PRED_CAP)
 
 
 class TestChoiceInstances:

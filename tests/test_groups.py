@@ -202,6 +202,14 @@ class TestFilters:
         for filt in (AllSubgroups(), FiniteSupports(), PrincipalNormal((Group.alternating(4),))):
             assert filter_contains(filt, s4, s4)
 
+    def test_filters_are_equal_by_kind_and_fields(self):
+        # two field-less tuples would be equal whatever their kind
+        core = PrincipalNormal((Group.alternating(4),))
+        assert AllSubgroups() == AllSubgroups() != FiniteSupports()
+        assert core == PrincipalNormal([Group.alternating(4)]) != AllSubgroups()
+        assert len({AllSubgroups(), AllSubgroups(), FiniteSupports(), core, core}) == 3
+        assert repr(FiniteSupports()) == "FiniteSupports()"
+
     def test_finite_supports_degenerate(self):
         s4 = Group.symmetric(4)
         assert filter_contains(FiniteSupports(), s4, Group.trivial(4))

@@ -69,6 +69,11 @@ class TestSchemaId:
         with pytest.raises(SignatureError, match=f"arity m = {MAX_DEPTH + 1} nests"):
             build(SchemaId(CHOICE, 1, MAX_DEPTH + 1, payload))
 
+    def test_non_integer_arity_rejected(self):
+        # it used to pass the arity check and fail in the build with a TypeError
+        with pytest.raises(SignatureError, match="must be integers"):
+            build(SchemaId(AC, n=1.5))
+
     def test_payload_signature_enforced_at_build(self):
         stray = parse("A0^1 x2")  # x2 is outside the n=1 tuple
         with pytest.raises(SignatureError):

@@ -1,7 +1,12 @@
+import copy
 import json
+import pickle
 
 import pytest
 
+from henkin.fraenkel import EqType
+from henkin.groups import Group, Permutation
+from henkin.schemas import SchemaId
 from henkin.structures import (
     Assignment,
     CapExceeded,
@@ -46,6 +51,11 @@ class TestTable:
         t = equality_table(3)
         assert t.tuples() == frozenset({(i, i) for i in range(3)})
 
+    def test_hashes_as_its_fields(self):
+        # so sets and dicts of tables iterate in the same order as tuples would
+        for t in all_tables(2, 2):
+            assert hash(t) == hash((t.size, t.arity, t.bits))
+
     def test_all_tables_counts_and_cap(self):
         assert len(all_tables(2, 1)) == 4
         assert len(all_tables(2, 2)) == 16
@@ -77,6 +87,16 @@ class TestStructure:
     def test_domain_sorted_deterministic(self):
         s = standard_structure(("a", "b"), 1)
         assert [t.bitstring() for t in s.domain(1)] == ["00", "01", "10", "11"]
+
+    def test_equal_by_value_and_unhashable(self):
+        s = standard_structure(("a", "b"), 1)
+        assert s == standard_structure(("a", "b"), 1) != standard_structure(("a", "c"), 1)
+        with pytest.raises(TypeError):
+            hash(s)
+        assert repr(Structure(("a",), {1: [Table(1, 1, (True,))]})) == (
+            "Structure(individuals=('a',), domains={1: frozenset({Table(size=1, arity=1, "
+            "bits=(True,))})})"
+        )
 
     def test_label_index(self):
         s = standard_structure(("a", "b"), 1)
@@ -119,3 +139,33 @@ class TestAssignment:
             Assignment({ind(1): equality_table(2)})
         with pytest.raises(StructureError):
             Assignment({pred(0, 1): equality_table(2)})
+
+    def test_equal_by_value_and_unhashable(self):
+        assert Assignment({ind(1): 1}) == Assignment({ind(1): 1}) != Assignment({ind(1): 0})
+        with pytest.raises(TypeError):
+            hash(Assignment({}))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Table(2, 1, (True, False)),
+        Permutation((1, 0, 2)),
+        Group.symmetric(3),
+        EqType((0, "p", 1)),
+        SchemaId("ac", n=2),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_copies_and_pickles_rebuild_through_new(monkeypatch, value):
+    """A copy or unpickled value is validated again, like one built anew."""
+    cls, new, calls = type(value), type(value).__new__, []
+
+    def counting(cls, *args):
+        calls.append(args)
+        return new(cls, *args)
+
+    monkeypatch.setattr(cls, "__new__", counting)
+    twins = (copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+    assert all(twin == value and type(twin) is cls for twin in twins)
+    assert calls == [tuple(value)] * 2

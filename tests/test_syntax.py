@@ -63,6 +63,14 @@ class TestVar:
         with pytest.raises(FormulaError):
             Var(0, -1)
 
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(FormulaError, match="must be integers"):
+            ind(2.5)  # would print as x2.5
+
+    def test_non_integer_arity_rejected(self):
+        with pytest.raises(FormulaError, match="must be integers"):
+            pred(0, 1.5)  # would print as A0^1.5
+
     def test_a_variable_behaves_as_its_pair(self):
         # order, hash and so set iteration order are those of (index, arity)
         pairs = [(i, a) for i in range(6) for a in range(4)]
