@@ -201,9 +201,7 @@ def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
 
 
 def _cmd_fraenkel_sweep(args, report: RunReport) -> tuple[int, str]:
-    sweep = fraenkel.wellorder_counterexample_sweep(
-        args.max_support, strict=not args.reflexive, cap=args.cap_preds
-    )
+    sweep = fraenkel.wellorder_counterexample_sweep(args.max_support, cap=args.cap_preds)
     report.result = {
         "max_support": sweep.max_support,
         "total_predicates": sweep.total_predicates,
@@ -347,7 +345,6 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     q = fsub.add_parser("sweep", help="exhaust small-support binary predicates for orders")
     q.add_argument("--max-support", type=int, default=3)
-    q.add_argument("--reflexive", action="store_true")
     q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_sweep)
 

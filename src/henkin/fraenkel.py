@@ -18,14 +18,13 @@ that involve a predicate quantifier are always labelled stratified.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, filterfalse, permutations, product
 from operator import eq, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
-from .structures import CapExceeded, Table, json_shape
+from .structures import CapExceeded, Table, json_shape, value_tuple
 from .syntax import Eq, Exists, Forall, Formula, Var, subformulas
 
 
@@ -58,7 +57,7 @@ def fresh_atoms(count: int, avoid: Iterable[str] = ()) -> tuple[str, ...]:
     return tuple(out)
 
 
-class EqType(namedtuple("EqType", "entries")):
+class EqType(value_tuple("EqType", "entries")):
     """Canonical equality type: each entry is a support atom name or a fresh
     class number, classes numbered in first-occurrence order."""
 
@@ -151,7 +150,7 @@ def _type_index(support: tuple[str, ...], atoms: tuple[str, ...]) -> int:
     return _type_positions(len(atoms), support)[classify(atoms, support)]
 
 
-class SymbolicPredicate(namedtuple("SymbolicPredicate", "arity support mask")):
+class SymbolicPredicate(value_tuple("SymbolicPredicate", "arity support mask")):
     """A finite-support predicate, built from any support and the accepted
     equality types (or their mask), and stored canonical: ``support`` is the
     least support, sorted, and bit k of ``mask`` is set iff the predicate
@@ -487,8 +486,8 @@ def evaluation_pool(formula: Formula, binding: Mapping[Var, object]) -> tuple[st
 # The axioms are quantifier-free conditions over at most three atoms at a
 # time, so the support atoms plus three fresh atoms decide them.  Checks run
 # on the precomputed type indices of all pool pairs; the reported failure is
-# the first in the order transitivity, antisymmetry, totality, then the
-# reflexivity condition of the variant.
+# the first in the order transitivity, antisymmetry, totality, then
+# irreflexivity.
 # ---------------------------------------------------------------------------
 
 
@@ -499,7 +498,6 @@ class OrderVerdict(NamedTuple):
 
 
 class _OrderContext(NamedTuple):
-    strict: bool
     pool: tuple[str, ...]
     pair_type: tuple[tuple[int, ...], ...]
     transitivity: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
@@ -508,7 +506,7 @@ class _OrderContext(NamedTuple):
 
 
 @lru_cache(maxsize=256)
-def _order_context(support: tuple[str, ...], strict: bool) -> _OrderContext:
+def _order_context(support: tuple[str, ...]) -> _OrderContext:
     pool = support + fresh_atoms(3, avoid=support)
     k = len(pool)
     pair_type = tuple(tuple(_type_index(support, (a, b)) for b in pool) for a in pool)
@@ -522,12 +520,12 @@ def _order_context(support: tuple[str, ...], strict: bool) -> _OrderContext:
     for i in range(k):
         diagonal.setdefault(pair_type[i][i], i)
     tables = (tuple(d.items()) for d in (transitivity, pairs, diagonal))
-    return _OrderContext(strict, pool, pair_type, *tables)
+    return _OrderContext(pool, pair_type, *tables)
 
 
 def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] | None:
     """First failing axiom with an atom witness, or None for a linear order."""
-    strict, pool, _, transitivity, pairs, diagonal = ctx  # one unpacking per mask
+    pool, _, transitivity, pairs, diagonal = ctx  # one unpacking per mask
     for (tij, tjl, til), (i, j, l) in transitivity:
         if mask >> tij & 1 and mask >> tjl & 1 and not mask >> til & 1:
             return "transitivity", (pool[i], pool[j], pool[l])
@@ -537,28 +535,24 @@ def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] |
     for (tij, tji), (i, j) in pairs:
         if not mask >> tij & 1 and not mask >> tji & 1:
             return "totality", (pool[i], pool[j])
-    if strict:
-        for t, i in diagonal:
-            if mask >> t & 1:
-                return "irreflexivity", (pool[i],)
-    else:
-        for t, i in diagonal:
-            if not mask >> t & 1:
-                return "reflexivity", (pool[i],)
+    for t, i in diagonal:
+        if mask >> t & 1:
+            return "irreflexivity", (pool[i],)
     return None
 
 
-def is_linear_order(sigma: SymbolicPredicate, *, strict: bool = True) -> OrderVerdict:
-    """Decide whether the binary predicate linearly orders the atoms.
+def is_linear_order(sigma: SymbolicPredicate) -> OrderVerdict:
+    """Decide whether the binary predicate strictly linearly orders the atoms.
 
-    Strict reading checks irreflexivity, transitivity, and totality on
-    distinct atoms, plus antisymmetry for failure reporting; the reflexive
-    reading swaps irreflexivity for reflexivity and reads antisymmetry with
-    equality.  A failure carries concrete witness atoms.
+    Checks irreflexivity, transitivity, and totality on distinct atoms, plus
+    antisymmetry for failure reporting.  A failure carries concrete witness
+    atoms.  The reflexive reading needs no check of its own: two fresh atoms
+    have one equality type in both orders, so every predicate fails
+    antisymmetry or totality on them before the diagonal is read.
     """
     if sigma.arity != 2:
         raise FraenkelError("linear-order testing needs a binary predicate")
-    result = _order_check(sigma.mask, _order_context(sigma.support, strict))
+    result = _order_check(sigma.mask, _order_context(sigma.support))
     if result is None:
         return OrderVerdict(True, None, None)
     return OrderVerdict(False, result[0], result[1])
@@ -573,7 +567,6 @@ class SweepBucket(NamedTuple):
 
 class SweepReport(NamedTuple):
     max_support: int
-    strict: bool
     total_predicates: int
     linear_orders_found: int
     all_swap_witnessed: bool
@@ -581,10 +574,7 @@ class SweepReport(NamedTuple):
 
 
 def wellorder_counterexample_sweep(
-    max_support: int = 3,
-    *,
-    strict: bool = True,
-    cap: int = DEFAULT_PRED_CAP,
+    max_support: int = 3, *, cap: int = DEFAULT_PRED_CAP
 ) -> SweepReport:
     """Exhaust every canonical binary symbolic predicate with support size up
     to the bound and test each for being a linear order.
@@ -598,36 +588,30 @@ def wellorder_counterexample_sweep(
     buckets: list[SweepBucket] = []
     total = 0
     found = 0
-    all_witnessed = True
+    swapped = True
     for size in range(max_support + 1):
         support = tuple(f"p{i}" for i in range(1, size + 1))
-        ctx = _order_context(support, strict)
+        ctx = _order_context(support)
         count = 1 << len(enumerate_types(2, support))
         if total + count > cap:
             raise CapExceeded("sweep predicates", total + count, cap)
+        # swap argument: both orientations of the pool's last, fresh pair
+        # share a type, so on every predicate either both hold (antisymmetry
+        # fails there) or neither does (totality fails there)
+        swapped = swapped and ctx.pair_type[-2][-1] == ctx.pair_type[-1][-2]
         failures: dict[str, int] = {}
-        # the types of both orientations of the pool's last, fresh pair
-        forward, backward = ctx.pair_type[-2][-1], ctx.pair_type[-1][-2]
         for mask in range(count):
             result = _order_check(mask, ctx)
-            if result is None:
-                found += 1
-                failures["none"] = failures.get("none", 0) + 1
-                all_witnessed = False
-                continue
-            failures[result[0]] = failures.get(result[0], 0) + 1
-            # swap argument: both orientations of a fresh pair share a type,
-            # so either both hold (antisymmetry fails there) or neither does
-            # (totality fails there)
-            all_witnessed = all_witnessed and (mask >> forward & 1) == (mask >> backward & 1)
+            axiom = "none" if result is None else result[0]
+            failures[axiom] = failures.get(axiom, 0) + 1
+        found += failures.get("none", 0)
         total += count
         buckets.append(SweepBucket(size, support, count, failures))
     return SweepReport(
         max_support=max_support,
-        strict=strict,
         total_predicates=total,
         linear_orders_found=found,
-        all_swap_witnessed=all_witnessed,
+        all_swap_witnessed=swapped and not found,
         buckets=buckets,
     )
 

@@ -9,9 +9,9 @@ holds at a tuple exactly when the original held at the preimage tuple.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .evaluate import att, evaluate
@@ -22,16 +22,16 @@ from .structures import (
     Structure,
     StructureError,
     Table,
-    all_tables,
     json_labels,
     json_shape,
+    value_tuple,
 )
 from .syntax import Formula, Var
 
 DEFAULT_GROUP_CAP = 10_000
 
 
-class Permutation(namedtuple("Permutation", "mapping")):
+class Permutation(value_tuple("Permutation", "mapping")):
     """A bijection on {0, ..., degree-1}, stored as the image array."""
 
     __slots__ = ()
@@ -124,7 +124,7 @@ def perm_from_cycles(text: str, labels: Sequence[str]) -> Permutation:
     return Permutation(tuple(mapping))
 
 
-class Group(namedtuple("Group", "degree elements")):
+class Group(value_tuple("Group", "degree elements")):
     """A finite permutation group, materialized as its full element set."""
 
     __slots__ = ()
@@ -274,7 +274,8 @@ def structure_closed_under(structure: Structure, perm: Permutation) -> bool:
 
 
 class Filter:
-    """Base for subgroup filters.  A filter without fields equals every
+    """Base for subgroup filters.  A filter is its normal core: a subgroup
+    belongs iff it contains the core.  A filter without fields equals every
     filter of its kind, and hashes as its empty tuple of fields."""
 
     __slots__ = ()
@@ -288,6 +289,10 @@ class Filter:
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
+    def core(self, group: Group) -> Group:
+        """The least member over the acting group: here the trivial group."""
+        return Group.trivial(group.degree)
+
 
 class AllSubgroups(Filter):
     """Every subgroup belongs; yields the full standard structure."""
@@ -296,12 +301,13 @@ class AllSubgroups(Filter):
 class FiniteSupports(Filter):
     """Subgroups containing the pointwise stabilizer of some finite set.
 
-    Over a finite universe every subgroup qualifies (take the whole universe
-    as the set), so this filter is degenerate here; reports flag it.
+    Over a finite universe the stabilizer of the whole universe is trivial,
+    so every subgroup qualifies and this filter is degenerate here; reports
+    flag it.
     """
 
 
-class PrincipalNormal(namedtuple("PrincipalNormal", "generators"), Filter):
+class PrincipalNormal(value_tuple("PrincipalNormal", "generators"), Filter):
     """The filter of subgroups containing the normal core of the generating
     family, the family being closed under conjugation first."""
 
@@ -315,6 +321,9 @@ class PrincipalNormal(namedtuple("PrincipalNormal", "generators"), Filter):
         if len(degrees) != 1:
             raise StructureError("generating subgroups must share a degree")
         return tuple.__new__(cls, (generators,))
+
+    def core(self, group: Group) -> Group:
+        return principal_core(self, group)
 
 
 @lru_cache(maxsize=128)
@@ -336,25 +345,13 @@ def filter_contains(filt: Filter, group: Group, subgroup: Group) -> bool:
     """Membership of the subgroup in the filter over the acting group."""
     if not subgroup.is_subgroup_of(group):
         raise StructureError("membership is only defined for subgroups of the acting group")
-    if isinstance(filt, AllSubgroups):
-        return True
-    if isinstance(filt, FiniteSupports):
-        # finite universe: the stabilizer of all points is trivial, hence below
-        # every subgroup
-        return True
-    if isinstance(filt, PrincipalNormal):
-        return principal_core(filt, group).is_subgroup_of(subgroup)
-    raise StructureError(f"unknown filter {type(filt).__name__}")
+    return filt.core(group).is_subgroup_of(subgroup)
 
 
 def filter_degenerate(filt: Filter, group: Group) -> bool:
     """Whether the filter unintendedly admits every subgroup of this (finite)
     acting group; the everything-filter itself is not flagged."""
-    if isinstance(filt, FiniteSupports):
-        return True
-    if isinstance(filt, AllSubgroups):
-        return False
-    return principal_core(filt, group).order == 1
+    return not isinstance(filt, AllSubgroups) and filt.core(group).order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +359,18 @@ def filter_degenerate(filt: Filter, group: Group) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _orbits(perms: Iterable[Permutation], size: int, arity: int) -> list[list[tuple[int, ...]]]:
-    perms = tuple(perms)
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbits: list[list[tuple[int, ...]]] = []
-    for point in product(range(size), repeat=arity):
-        if point in orbit_of:
-            continue
-        orbit = [point]
-        orbit_of[point] = len(orbits)
-        frontier = [point]
-        while frontier:
-            q = frontier.pop()
-            for p in perms:
-                image = p.apply_tuple(q)
-                if image not in orbit_of:
-                    orbit_of[image] = len(orbits)
-                    orbit.append(image)
-                    frontier.append(image)
-        orbits.append(orbit)
-    return orbits
+def _orbits(group: Group, arity: int) -> list[int]:
+    """The orbit number of each row-major tuple under the group, orbits
+    numbered in the order of their least tuple."""
+    maps = [_action_index_map(p, group.degree, arity) for p in group.elements]
+    orbit = [-1] * group.degree**arity
+    count = 0
+    for start in range(len(orbit)):
+        if orbit[start] < 0:
+            for index_map in maps:
+                orbit[index_map[start]] = count
+            count += 1
+    return orbit
 
 
 def build_permutation_model(
@@ -393,34 +382,29 @@ def build_permutation_model(
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> Structure:
     """The structure whose arity-n domain holds exactly the tables whose
-    symmetry subgroup belongs to the filter.
-
-    For a principal filter those are the tables invariant under the normal
-    core, assembled as unions of core orbits; the degenerate filters give the
-    full standard structure.
+    symmetry subgroup belongs to the filter: the tables invariant under the
+    filter's core, assembled as unions of core orbits.  A trivial core gives
+    the full standard structure.
     """
     labels = tuple(labels)
-    if group.degree != len(labels):
+    size = len(labels)
+    if group.degree != size:
         raise StructureError("group degree does not match the universe")
     if max_arity < 1:
         raise StructureError(f"a model needs max arity >= 1, got {max_arity}")
+    core = filt.core(group)
+    fixed = [sum(p(i) == i for i in range(size)) for p in core.elements]
     domains: dict[int, frozenset[Table]] = {}
     for n in range(1, max_arity + 1):
-        if isinstance(filt, PrincipalNormal):
-            core = principal_core(filt, group)
-            orbits = _orbits(core.elements, len(labels), n)
-            if 2 ** len(orbits) > table_cap:
-                raise CapExceeded(f"invariant tables of arity {n}", 2 ** len(orbits), table_cap)
-            tables = []
-            for mask in range(2 ** len(orbits)):
-                accepted = set()
-                for k, orbit in enumerate(orbits):
-                    if mask >> k & 1:
-                        accepted.update(orbit)
-                tables.append(Table.from_tuples(len(labels), n, accepted))
-            domains[n] = frozenset(tables)
-        else:
-            domains[n] = frozenset(all_tables(len(labels), n, cap=table_cap))
+        # Burnside: the orbits of n-tuples, counted before any is built
+        count = sum(k**n for k in fixed) // core.order
+        if 2**count > table_cap:
+            raise CapExceeded(f"invariant tables of arity {n}", 2**count, table_cap)
+        rows = product((False, True), repeat=count)
+        orbit = _orbits(core, n)
+        if count < len(orbit):
+            rows = map(itemgetter(*orbit), rows)
+        domains[n] = frozenset(Table(size, n, bits) for bits in rows)
     return Structure(labels, domains)
 
 
@@ -511,7 +495,7 @@ def check_stabilizer_bound(
         if filter_contains(filt, group, sym):
             piece, choice = sym, "sym"
         else:
-            piece, choice = principal_core(filt, group), "filter-core"  # type: ignore[arg-type]
+            piece, choice = filt.core(group), "filter-core"
         choices.append((str(var), choice))
         bound = bound.intersect(piece)
     if ind_params:

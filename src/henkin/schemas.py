@@ -19,14 +19,13 @@ Variable allocation is deterministic so built formulas are byte-stable:
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
 from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
-from .structures import Assignment, CapExceeded, Structure
+from .structures import Assignment, CapExceeded, Structure, value_tuple
 from .syntax import (
     MAX_DEPTH,
     And,
@@ -72,7 +71,7 @@ _NESTED = {
 }
 
 
-class SchemaId(namedtuple("SchemaId", "family n m payload")):
+class SchemaId(value_tuple("SchemaId", "family n m payload")):
     """Which axiom to build: family, arities, and the payload formula for the
     parameterized families."""
 

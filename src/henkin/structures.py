@@ -33,7 +33,16 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-class Table(namedtuple("Table", "size arity bits")):
+def value_tuple(name: str, fields: str) -> type:
+    """``namedtuple(name, fields)`` for a value type that validates in
+    ``__new__``: its ``_make``, and so ``_replace``, build through the
+    subclass's constructor instead of around it."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class Table(value_tuple("Table", "size arity bits")):
     """Truth table of an n-ary predicate over a universe of ``size`` individuals."""
 
     __slots__ = ()
@@ -187,7 +196,7 @@ def standard_structure(
 # ---------------------------------------------------------------------------
 
 
-class Assignment(namedtuple("Assignment", "values")):
+class Assignment(value_tuple("Assignment", "values")):
     """Partial explicit assignment; unmentioned variables fall back to the
     evaluator's deterministic defaults (first individual, least table).
     As it holds a dict, it is unhashable."""
@@ -327,6 +336,8 @@ def assignment_from_dict(data: dict, structure: Structure) -> Assignment:
         var = json_var(name)
         if not var.is_individual:
             raise StructureError(f"{name} is not an individual variable")
+        if not isinstance(label, str):
+            raise StructureError(f"individual labels must be strings, got {type(label).__name__}")
         values[var] = structure.label_index(label)
     for name, bitstring in json_shape(data.get("predicates", {}), "predicates").items():
         var = json_var(name)

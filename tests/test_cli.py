@@ -219,6 +219,11 @@ class TestBuildModelCommand:
         assert (report["result"]["needed"], report["result"]["cap"]) == (24, 5)
         code, report, _ = run(capsys, *argv, "24")
         assert (code, report["result"]["group_order"]) == (0, 24)
+        # a generated group stops at the first element past the cap
+        path.write_text(a4_spec())
+        code, report, _ = run(capsys, *argv, "5")
+        assert code == 3
+        assert (report["result"]["needed"], report["result"]["cap"]) == (6, 5)
 
     def test_finite_supports_flagged_degenerate(self, capsys, tmp_path):
         spec = {
@@ -232,6 +237,18 @@ class TestBuildModelCommand:
         assert code == 0
         assert report["result"]["degenerate_filter"] is True
         assert report["flags"]
+
+    @pytest.mark.parametrize("kind", ["all", "finite-supports"])
+    def test_table_cap_counts_the_invariant_tables(self, capsys, tmp_path, kind):
+        # a trivial core leaves every one of the 9 pairs its own orbit
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"individuals": ["a", "b", "c"], "filter": {"kind": kind}}))
+        argv = ("build-model", "--structure", str(path), "--cap-tables", "10")
+        code, report, _ = run(capsys, *argv)
+        assert code == 3
+        assert report["result"] == {
+            "error": "invariant tables of arity 2: needs 512, cap is 10", "cap": 10, "needed": 512
+        }
 
 
 class TestFraenkelCommands:
@@ -524,6 +541,8 @@ MALFORMED = {
     "abbreviated-help-h": lambda d: ["parse", "--text", "x1 = x1", "--h"],
     "abbreviated-help-he": lambda d: ["parse", "--text", "x1 = x1", "--he"],
     "abbreviated-help-hel": lambda d: ["fraenkel", "sweep", "--hel"],
+    # the sweep has one reading; only the finite-side check takes --reflexive
+    "sweep-reflexive": lambda d: ["fraenkel", "sweep", "--reflexive"],
 }
 
 
@@ -648,6 +667,58 @@ MISSHAPEN = {
     "symbolic-arity-bool": (bind_with(symbolic_binding("true", "[]")), "FraenkelError"),
     "symbolic-support-string": (bind_with(symbolic_binding("1", '"pq"')), "FraenkelError"),
     "symbolic-support-number": (bind_with(symbolic_binding("1", "[1]")), "FraenkelError"),
+    # well-shaped documents and command lines whose content is wrong
+    "assignment-label-list": (eval_with(None, '{"individuals": {"x1": ["a"]}}'), "StructureError"),
+    "assignment-predicate-as-individual": (
+        eval_with(None, '{"individuals": {"A0^1": "a"}}'), "StructureError"
+    ),
+    "assignment-individual-as-predicate": (
+        eval_with(None, '{"predicates": {"x1": "10"}}'), "StructureError"
+    ),
+    "structure-no-individuals": (eval_with('{"individuals": [], "domains": {}}'), "StructureError"),
+    "structure-domain-key-zero": (
+        eval_with('{"individuals": ["a"], "domains": {"0": []}}'), "StructureError"
+    ),
+    "model-spec-unclosed-cycle": (
+        build_model_with(a4_spec(group='{"generators": ["(1 2 3 4", "(1 2)"]}')), "StructureError"
+    ),
+    "model-spec-filter-kind-unknown": (
+        build_model_with(a4_spec(filter='{"kind": "bogus"}')), "StructureError"
+    ),
+    "model-spec-filter-no-generators": (
+        build_model_with(a4_spec(filter='{"kind": "principal-normal", "generators": []}')),
+        "StructureError",
+    ),
+    "model-spec-filter-outside-group": (
+        build_model_with(a4_spec(
+            group='{"generators": ["(1 2)"]}',
+            filter='{"kind": "principal-normal", "generators": ["(1 2 3)"]}',
+        )),
+        "StructureError",
+    ),
+    "binding-atom-number": (bind_with('{"individuals": {"x1": 5}}'), "FraenkelError"),
+    "symbolic-no-accepted": (
+        bind_with('{"predicates": {"A0^1": {"arity": 1, "support": []}}}'), "FraenkelError"
+    ),
+    "symbolic-arity-zero": (bind_with(symbolic_binding("0", "[]")), "FraenkelError"),
+    "symbolic-type-arity": (
+        bind_with('{"predicates": {"A0^1": {"arity": 1, "support": [], "accepted": ["f1,f2"]}}}'),
+        "FraenkelError",
+    ),
+    "comprehension-payload-mentions-its-predicate": (
+        lambda d: [
+            "check", "--structure", small_structure_file(d), "--schema", "comprehension",
+            "--h", write(d, "h.fml", "A0^1 x1\n"),
+        ],
+        "SignatureError",
+    ),
+    "saturate-depth-zero": (
+        lambda d: ["saturate", "--structure", small_structure_file(d), "--depth", "0"], "EvalError"
+    ),
+    "parse-unclosed-parenthesis": (lambda d: ["parse", "--text", "(x1 = x1"], "ParseError"),
+    "parse-quantifier-without-variable": (
+        lambda d: ["parse", "--text", "all . x1 = x1"], "ParseError"
+    ),
 }
 
 
@@ -772,7 +843,7 @@ COMMANDS = [
     ),
     (["saturate", "--cap-formulas", "500"], ["--structure"], ["--depth"]),
     (["build-model"], ["--structure"], ["--max-arity", "--cap-tables", "--cap-group"]),
-    (["fraenkel", "sweep", "--cap-preds", "2000"], [], ["--max-support", "--reflexive"]),
+    (["fraenkel", "sweep", "--cap-preds", "2000"], [], ["--max-support"]),
     (["fraenkel", "eval", "--cap-preds", "2000"], ["--formula"], ["--bind", "--strat"]),
     (["fraenkel", "choice", "--cap-preds", "2000"], ["--h"], ["--n", "--m", "--strat"]),
 ]

@@ -224,6 +224,18 @@ class TestFilters:
         assert not filter_contains(filt, s4, small)
         assert filter_contains(filt, s4, Group.alternating(4))
 
+    def test_each_filter_is_its_normal_core(self):
+        s4 = Group.symmetric(4)
+        for filt in (AllSubgroups(), FiniteSupports()):
+            assert filt.core(s4) == Group.trivial(4)
+        # generated by (1 2 3) and (2 3 4): the core is A4 itself, which is normal
+        generated = Group.from_generators(4, [Permutation((1, 2, 0, 3)), Permutation((0, 2, 3, 1))])
+        filt = PrincipalNormal((generated,))
+        assert filt.core(s4) == principal_core(filt, s4) == Group.alternating(4)
+        # over the rotations of a triangle, the core of the identity is the identity
+        rotations = Group.from_generators(3, [Permutation((1, 2, 0))])
+        assert PrincipalNormal((Group.trivial(3),)).core(rotations) == Group.trivial(3)
+
     def test_core_is_normal(self):
         s4 = Group.symmetric(4)
         h = pointwise_stabilizer(s4, [0])  # not normal on its own
@@ -261,10 +273,18 @@ class TestBuildModel:
         assert equality_table(4).complement() in a4_model.domains[2]
         assert len(a4_model.domains[2]) == 4
 
-    def test_bruteforce_builder_agrees_on_three_points(self):
+    @pytest.mark.parametrize(
+        "filt",
+        [
+            AllSubgroups(),
+            FiniteSupports(),
+            PrincipalNormal((Group.from_generators(3, [Permutation((1, 2, 0))]),)),
+            PrincipalNormal((Group.from_generators(3, [Permutation((1, 0, 2))]),)),
+        ],
+        ids=["all", "finite-supports", "principal-normal-rotations", "principal-normal-swap"],
+    )
+    def test_bruteforce_builder_agrees_on_three_points(self, filt):
         s3 = Group.symmetric(3)
-        rotations = Group.from_generators(3, [Permutation((1, 2, 0))])
-        filt = PrincipalNormal((rotations,))
         fast = build_permutation_model(("a", "b", "c"), s3, filt, 2)
         brute = build_permutation_model_bruteforce(("a", "b", "c"), s3, filt, 2)
         assert fast == brute

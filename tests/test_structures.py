@@ -4,9 +4,10 @@ import pickle
 
 import pytest
 
-from henkin.fraenkel import EqType
-from henkin.groups import Group, Permutation
+from henkin.fraenkel import EqType, FraenkelError, SymbolicPredicate
+from henkin.groups import Group, Permutation, PrincipalNormal
 from henkin.schemas import SchemaId
+from henkin.syntax import SignatureError
 from henkin.structures import (
     Assignment,
     CapExceeded,
@@ -169,3 +170,29 @@ def test_copies_and_pickles_rebuild_through_new(monkeypatch, value):
     twins = (copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
     assert all(twin == value and type(twin) is cls for twin in twins)
     assert calls == [tuple(value)] * 2
+
+
+# a valid value, one field, a bad value for it, and the error it raises
+INVALID_FIELDS = [
+    (Table(2, 1, (True, False)), "bits", (True,), StructureError),
+    (Assignment({ind(1): 0}), "values", {"x1": 0}, StructureError),
+    (EqType((0, "p")), "entries", (1, "p"), FraenkelError),
+    (SymbolicPredicate(1, ["p"], 1), "mask", 99, FraenkelError),
+    (Permutation((1, 0)), "mapping", (0, 0), StructureError),
+    (Group.symmetric(2), "elements", (), StructureError),
+    (PrincipalNormal((Group.trivial(2),)), "generators", (), StructureError),
+    (SchemaId("ac"), "family", "bogus", SignatureError),
+]
+
+
+@pytest.mark.parametrize(
+    "value, field, bad, error", INVALID_FIELDS, ids=[type(c[0]).__name__ for c in INVALID_FIELDS]
+)
+def test_make_and_replace_validate(value, field, bad, error):
+    """``_make`` and ``_replace`` build through the validating constructor."""
+    cls = type(value)
+    assert cls._make(value) == value and type(cls._make(value)) is cls
+    with pytest.raises(error):
+        value._replace(**{field: bad})
+    with pytest.raises(error):
+        cls._make(bad if name == field else old for name, old in zip(cls._fields, value))
