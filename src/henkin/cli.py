@@ -136,7 +136,7 @@ def _schema_id(args) -> schemas.SchemaId:
     payload = None
     if args.h:
         payload = parse(_read_formula_file(args.h))
-    return schemas.SchemaId(args.schema, n=args.n, m=args.m, payload=payload)
+    return schemas.SchemaId(args.schema, args.n, args.m, payload, strict=not args.reflexive)
 
 
 def _cmd_check(args, report: RunReport) -> tuple[int, str]:
@@ -144,10 +144,7 @@ def _cmd_check(args, report: RunReport) -> tuple[int, str]:
     if args.h:
         report.inputs[str(args.h)] = _digest(args.h)
     structure = load_structure(args.structure)
-    schema = _schema_id(args)
-    check = schemas.check_schema(
-        structure, schema, strict=not args.reflexive, assignment_cap=args.cap_assignments
-    )
+    check = schemas.check_schema(structure, _schema_id(args), assignment_cap=args.cap_assignments)
     counterexample = None
     if check.counterexample is not None:
         counterexample = assignment_to_dict(check.counterexample, structure)
@@ -322,7 +319,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--h", default=None, help="payload formula file")
-    p.add_argument("--reflexive", action="store_true", help="reflexive order variant")
+    p.add_argument("--reflexive", action="store_true", help="reflexive reading of lo, wo, wo1")
     p.add_argument("--cap-assignments", type=_cap, default=schemas.DEFAULT_ASSIGNMENT_CAP)
     p.set_defaults(run=_cmd_check)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
 from .structures import CapExceeded, Table, json_shape, value_tuple
-from .syntax import Eq, Exists, Forall, Formula, Var, subformulas
+from .syntax import Formula, Var
 
 
 class FraenkelError(Exception):
@@ -462,24 +462,6 @@ def truncate_predicate(sigma: SymbolicPredicate, atoms: Sequence[str]) -> Table:
     )
 
 
-def evaluation_pool(formula: Formula, binding: Mapping[Var, object]) -> tuple[str, ...]:
-    """The finite universe a truncation oracle needs: all binding atoms plus
-    one fresh atom per individual quantifier.
-
-    Predicate equality widens the requirement: two unequal predicates of
-    arity n with supports inside the pool always differ on a tuple using at
-    most n fresh atoms, so the pool carries that many.
-    """
-    atoms = _atom_pool(binding.values(), 0)
-    subs = subformulas(formula)
-    count = max(
-        sum(isinstance(g, (Forall, Exists)) and g.var.is_individual for g in subs),
-        *(g.left.arity for g in subs if isinstance(g, Eq) and g.left.is_predicate),
-        0 if atoms else 1,
-    )
-    return tuple(atoms) + fresh_atoms(count, avoid=atoms)
-
-
 # ---------------------------------------------------------------------------
 # Linear-order testing.
 #
@@ -643,7 +625,6 @@ def check_choice_instance_sigma0(
     support_bound: int = 2,
     *,
     pred_cap: int = DEFAULT_PRED_CAP,
-    candidate_cap: int | None = None,
 ) -> ChoiceInstanceReport:
     """Search for a uniform witness for the bridged choice axiom over the
     symbolic universe.
@@ -651,19 +632,18 @@ def check_choice_instance_sigma0(
     The antecedent is evaluated at the given stratum; if it holds, candidate
     witnesses are enumerated over fresh supports of size up to the same
     bound (the payload mentions no atoms, so nothing larger can be forced)
-    and each is verified against the witness matrix.
+    and each is verified against the witness matrix.  At most ``pred_cap``
+    candidates are tried.
     """
     from .schemas import choice_h_parts
 
-    if candidate_cap is None:
-        candidate_cap = pred_cap
     antecedent, svar, matrix = choice_h_parts(n, m, payload)
     if not symbolic_evaluate(antecedent, {}, support_bound, pred_cap=pred_cap).truth:
         return ChoiceInstanceReport("vacuous", None, support_bound, 0, False)
     verify = _SymbolicRun(matrix, (svar,), support_bound, pred_cap)
     tried = 0
     for candidate in _candidate_predicates(n + m, fresh_atoms(support_bound), support_bound):
-        if tried >= candidate_cap:
+        if tried >= pred_cap:
             return ChoiceInstanceReport("inconclusive", None, support_bound, tried, True)
         tried += 1
         if verify((candidate,)).truth:
@@ -702,8 +682,9 @@ def symbolic_to_dict(sigma: SymbolicPredicate) -> dict:
 
 
 def symbolic_from_dict(data: dict) -> SymbolicPredicate:
-    data = json_shape(data, "symbolic predicate document", error=FraenkelError)
-    missing = sorted({"arity", "support", "accepted"} - set(data))
+    keys = ("arity", "support", "accepted")
+    data = json_shape(data, "symbolic predicate document", error=FraenkelError, keys=keys)
+    missing = sorted(set(keys) - set(data))
     if missing:
         raise FraenkelError(f"symbolic predicate document needs {', '.join(missing)}")
     arity = data["arity"]

@@ -101,6 +101,8 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def perm_from_cycles(text: str, labels: Sequence[str]) -> Permutation:
     """Parse one-line cycle notation such as ``(a b)(c d)`` over the labels."""
+    if not isinstance(text, str):
+        raise StructureError(f"cycle notation must be a string, got {type(text).__name__}")
     index = {a: i for i, a in enumerate(labels)}
     stripped = text.replace(" ", "")
     body = "".join(m.group(0) for m in _CYCLE_RE.finditer(text))
@@ -125,13 +127,17 @@ def perm_from_cycles(text: str, labels: Sequence[str]) -> Permutation:
 
 
 class Group(value_tuple("Group", "degree elements")):
-    """A finite permutation group, materialized as its full element set."""
+    """A finite permutation group, materialized as its full element set.
+    Closure under composition is not checked: it would cost ``order**2``
+    compositions."""
 
     __slots__ = ()
 
     def __new__(cls, degree: int, elements: Iterable[Permutation]) -> Group:
         elements = frozenset(elements)
-        if not elements:
+        if any(e.degree != degree for e in elements):
+            raise StructureError(f"group elements must all have degree {degree}")
+        if Permutation.identity(degree) not in elements:
             raise StructureError("a group needs at least the identity")
         return tuple.__new__(cls, (degree, elements))
 

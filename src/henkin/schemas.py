@@ -71,20 +71,24 @@ _NESTED = {
 }
 
 
-class SchemaId(value_tuple("SchemaId", "family n m payload")):
-    """Which axiom to build: family, arities, and the payload formula for the
-    parameterized families."""
+class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
+    """Which axiom to build: family, arities, the payload formula of the
+    parameterized families, and the reading of the order families."""
 
     __slots__ = ()
 
-    def __new__(cls, family: str, n: int = 1, m: int = 1, payload: Formula | None = None):
+    def __new__(
+        cls, family: str, n: int = 1, m: int = 1, payload: Formula | None = None, strict: bool = True
+    ):
         if family not in FAMILIES:
             raise SignatureError(f"unknown schema family {family!r}")
         n, m = _check_arities(n, m, _NESTED.get(family, ""))
         if (payload is not None) != (family in _PAYLOAD_FAMILIES):
             wanted = "requires" if family in _PAYLOAD_FAMILIES else "does not take"
             raise SignatureError(f"family {family!r} {wanted} a payload formula")
-        return tuple.__new__(cls, (family, n, m, payload))
+        if not strict and family not in (WO1, LO, WO):
+            raise SignatureError(f"family {family!r} has no reflexive reading")
+        return tuple.__new__(cls, (family, n, m, payload, bool(strict)))
 
 
 def _check_arities(n: int, m: int, nested: str) -> tuple[int, int]:
@@ -242,15 +246,13 @@ def _build_comprehension(n: int, payload: Formula) -> Formula:
     return Exists(witness, forall_many(xs, Iff(Atom(witness, xs), payload)))
 
 
-def build_lo(tvar: Var | None = None, *, strict: bool = True) -> Formula:
-    """The linear-order condition on a binary predicate variable.
+def build_lo(*, strict: bool = True) -> Formula:
+    """The linear-order condition on the binary predicate variable ``A0^2``.
 
     Strict reading: irreflexive, transitive, total on distinct points.
     Reflexive reading: reflexive, antisymmetric, transitive, total.
     """
-    t = tvar if tvar is not None else pred(0, 2)
-    if t.arity != 2:
-        raise SignatureError("the order variable must be binary")
+    t = pred(0, 2)
     a, b, c = ind(1), ind(2), ind(3)
     transitive = forall_many(
         (a, b, c),
@@ -270,10 +272,10 @@ def build_lo(tvar: Var | None = None, *, strict: bool = True) -> Formula:
     return conj([reflexive, antisymmetric, transitive, total])
 
 
-def build_wo(tvar: Var | None = None, *, strict: bool = True) -> Formula:
-    """Well-ordering condition: a linear order in which every nonempty set of
-    the structure has a least element."""
-    t = tvar if tvar is not None else pred(0, 2)
+def build_wo(*, strict: bool = True) -> Formula:
+    """Well-ordering condition: ``A0^2`` is a linear order in which every
+    nonempty set of the structure has a least element."""
+    t = pred(0, 2)
     a = pred(0, 1)
     x, y = ind(1), ind(2)
     least = Exists(
@@ -284,17 +286,16 @@ def build_wo(tvar: Var | None = None, *, strict: bool = True) -> Formula:
         ),
     )
     minimum = Forall(a, Implies(Exists(x, Atom(a, (x,))), least))
-    return And(build_lo(t, strict=strict), minimum)
+    return And(build_lo(strict=strict), minimum)
 
 
 def build_wo1(*, strict: bool = True) -> Formula:
     """Existence of a well-ordering of the individuals, with the least-element
     condition ranging over the structure's unary predicates."""
-    t = pred(0, 2)
-    return Exists(t, build_wo(t, strict=strict))
+    return Exists(pred(0, 2), build_wo(strict=strict))
 
 
-def build(schema: SchemaId, *, strict: bool = True) -> Formula:
+def build(schema: SchemaId) -> Formula:
     """The schema formula, with tuples expanded and unique existence and
     lambda sections lowered to the plain language.  A payload-free schema is
     built once per process, and every later call returns that formula."""
@@ -306,17 +307,17 @@ def build(schema: SchemaId, *, strict: bool = True) -> Formula:
         return _build_choice_star(schema.m, schema.payload)
     if schema.family == COMPREHENSION:
         return _build_comprehension(schema.n, schema.payload)
-    return _shared_parts(schema, strict)[0]
+    return _shared_parts(schema)[0]
 
 
 @lru_cache(maxsize=64)
-def _shared_parts(schema: SchemaId, strict: bool) -> tuple:
+def _shared_parts(schema: SchemaId) -> tuple:
     """A payload-free schema's ``_parts``, built at its first use and shared."""
     if schema.family == AC:
         return _parts(_build_ac(schema.n, schema.m))
     if schema.family == AC_STAR:
         return _parts(_build_ac_star(schema.n, schema.m))
-    return _parts({WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=strict))
+    return _parts({WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=schema.strict))
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +358,14 @@ def check_schema(
     structure: Structure,
     schema: SchemaId | Formula,
     *,
-    strict: bool = True,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> SchemaCheck:
     """Search all assignments of the outer universal prefix and the free
     variables for a falsifying one."""
     if isinstance(schema, SchemaId) and schema.payload is None:
-        formula, matrix, searched, predicates = _shared_parts(schema, strict)
+        formula, matrix, searched, predicates = _shared_parts(schema)
     else:
-        formula = schema if isinstance(schema, Formula) else build(schema, strict=strict)
+        formula = schema if isinstance(schema, Formula) else build(schema)
         formula, matrix, searched, predicates = _parts(formula)
     for v in predicates:
         if v.arity not in structure.domains:

@@ -48,7 +48,7 @@ class Table(value_tuple("Table", "size arity bits")):
     __slots__ = ()
 
     def __new__(cls, size: int, arity: int, bits: Iterable[bool]) -> Table:
-        bits = tuple(bool(b) for b in bits)
+        bits = tuple(map(bool, bits))
         if size < 1:
             raise StructureError("table needs a nonempty universe")
         if arity < 1:

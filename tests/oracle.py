@@ -15,6 +15,8 @@ declared), membership by ``classify``, equality by the atom-dropping
 under every support, with its own cap count.  It shares only the type
 primitives ``EqType``, ``classify`` and ``enumerate_types`` with the
 package; ``ref_predicate`` and ``to_symbolic`` convert at the boundary.
+``evaluation_pool`` is the finite atom universe on which a truncation to
+a finite structure decides a symbolic formula.
 
 ``naive_saturate`` is the reference for definability saturation: every
 defined table built point by point with ``naive_eval`` and a dict
@@ -66,6 +68,7 @@ from henkin.structures import (
 )
 from henkin.syntax import (
     And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, all_vars, ind, pred,
+    subformulas,
 )
 
 
@@ -131,6 +134,24 @@ def naive_eval(structure, env, formula):
     raise TypeError(f"oracle cannot evaluate {type(formula).__name__}")
 
 
+def evaluation_pool(formula, binding):
+    """The finite universe a truncation oracle needs: all binding atoms plus
+    one fresh atom per individual quantifier.
+
+    Predicate equality widens the requirement: two unequal predicates of
+    arity n with supports inside the pool always differ on a tuple using at
+    most n fresh atoms, so the pool carries that many.
+    """
+    atoms = sorted(_env_atoms(binding))
+    subs = subformulas(formula)
+    count = max(
+        sum(isinstance(g, (Forall, Exists)) and g.var.is_individual for g in subs),
+        *(g.left.arity for g in subs if isinstance(g, Eq) and g.left.is_predicate),
+        0 if atoms else 1,
+    )
+    return tuple(atoms) + fresh_atoms(count, avoid=atoms)
+
+
 def naive_saturate(
     structure, depth_bound, *, table_cap=DEFAULT_TABLE_CAP, formula_cap=DEFAULT_FORMULA_CAP
 ):
@@ -180,22 +201,22 @@ def naive_saturate(
     return Structure(structure.individuals, domains), report
 
 
-def fresh_build(schema, strict=True):
+def fresh_build(schema):
     """A payload-free schema, built anew by its family's builder."""
     if schema.family in (AC, AC_STAR):
         return (_build_ac if schema.family == AC else _build_ac_star)(schema.n, schema.m)
-    return {WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=strict)
+    return {WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=schema.strict)
 
 
-def ref_check_schema(structure, schema, *, strict=True, assignment_cap=DEFAULT_ASSIGNMENT_CAP):
+def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP):
     """The reference for ``schemas.check_schema``: build, arity check, peel
     and search on every call."""
     if isinstance(schema, Formula):
         formula = schema
     elif schema.payload is None:
-        formula = fresh_build(schema, strict)
+        formula = fresh_build(schema)
     else:
-        formula = build(schema, strict=strict)
+        formula = build(schema)
     for v in all_vars(formula):
         if v.is_predicate and v.arity not in structure.domains:
             raise EvalError(f"arity shortfall: {v} needs a domain of arity {v.arity}")

@@ -6,7 +6,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from oracle import close_structure_under, naive_eval, random_assignment, random_structure
+from oracle import (
+    close_structure_under, evaluation_pool, naive_eval, random_assignment, random_structure,
+)
 
 from henkin.corpus import (
     comprehension_corpus,
@@ -20,7 +22,6 @@ from henkin.fraenkel import (
     SymbolicPredicate,
     check_choice_instance_sigma0,
     enumerate_types,
-    evaluation_pool,
     symbolic_evaluate,
     truncate_predicate,
     wellorder_counterexample_sweep,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from henkin import cli
+from henkin import cli, schemas
 from henkin.cli import main
 from henkin.corpus import default_vocabulary, random_formula
 from henkin.evaluate import DEFAULT_FORMULA_CAP
@@ -146,6 +146,21 @@ class TestCheckCommand:
         assert "A0^2" in report["result"]["counterexample"]["predicates"]
         code, report, _ = run(capsys, "check", "--structure", std2_file, "--schema", "wo")
         assert code == 1
+
+    @pytest.mark.parametrize("family", schemas.FAMILIES)
+    def test_reflexive_applies_to_the_order_families_only(self, capsys, std2_file, tmp_path, family):
+        argv = ["check", "--structure", std2_file, "--schema", family]
+        if family in schemas._PAYLOAD_FAMILIES:
+            argv += ["--h", write(tmp_path, "h.fml", "A0^1 x1\n")]
+        code, report, _ = run(capsys, *argv, "--reflexive")
+        if family in ("lo", "wo", "wo1"):
+            # std2 has a reflexive well-order, and some binary table is no order
+            assert (code, report["result"]["holds"]) == ((0, True) if family == "wo1" else (1, False))
+            assert report["result"]["matrix"] != run(capsys, *argv)[1]["result"]["matrix"]
+        else:
+            assert code == 2
+            error = f"SignatureError: family '{family}' has no reflexive reading"
+            assert report["result"] == {"error": error}
 
     def test_comprehension_with_payload(self, capsys, std2_file, tmp_path):
         h = tmp_path / "h.fml"
@@ -679,6 +694,14 @@ MISSHAPEN = {
     "structure-domain-key-zero": (
         eval_with('{"individuals": ["a"], "domains": {"0": []}}'), "StructureError"
     ),
+    # a cycle is a string, in the group and in the filter
+    "model-spec-generator-number": (
+        build_model_with(a4_spec(group='{"generators": [5]}')), "StructureError"
+    ),
+    "model-spec-filter-generator-number": (
+        build_model_with(a4_spec(filter='{"kind": "principal-normal", "generators": [5]}')),
+        "StructureError",
+    ),
     "model-spec-unclosed-cycle": (
         build_model_with(a4_spec(group='{"generators": ["(1 2 3 4", "(1 2)"]}')), "StructureError"
     ),
@@ -699,6 +722,13 @@ MISSHAPEN = {
     "binding-atom-number": (bind_with('{"individuals": {"x1": 5}}'), "FraenkelError"),
     "symbolic-no-accepted": (
         bind_with('{"predicates": {"A0^1": {"arity": 1, "support": []}}}'), "FraenkelError"
+    ),
+    "symbolic-unknown-key": (
+        bind_with(
+            '{"individuals": {"x1": "p"}, "predicates": {"A0^1": '
+            '{"arity": 1, "support": [], "accepted": ["f1"], "x": 1}}}'
+        ),
+        "FraenkelError",
     ),
     "symbolic-arity-zero": (bind_with(symbolic_binding("0", "[]")), "FraenkelError"),
     "symbolic-type-arity": (

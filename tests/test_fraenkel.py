@@ -23,7 +23,6 @@ from henkin.fraenkel import (
     empty_symbolic,
     enumerate_types,
     equality_symbolic,
-    evaluation_pool,
     finite_set,
     fresh_atoms,
     full_symbolic,
@@ -39,11 +38,12 @@ from henkin.fraenkel import (
 )
 from henkin.corpus import payload_corpus
 from henkin.parser import parse, parse_var
-from henkin.structures import Structure, all_tables
+from henkin.structures import CapExceeded, Structure, all_tables
 from henkin.syntax import format_formula, free_vars, ind, pred
 
 from oracle import (
     RefPredicate,
+    evaluation_pool,
     naive_eval,
     ref_candidates,
     ref_canonicalize,
@@ -263,8 +263,6 @@ class TestSymbolicEvaluate:
         assert verdict.truth
 
     def test_cap(self):
-        from henkin.structures import CapExceeded
-
         # a tautology under the quantifier forces the full enumeration
         tautology = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)")
         with pytest.raises(CapExceeded):
@@ -393,14 +391,10 @@ class TestSweep:
             assert "none" not in bucket.failure_counts
 
     def test_cap(self):
-        from henkin.structures import CapExceeded
-
         with pytest.raises(CapExceeded):
             wellorder_counterexample_sweep(3, cap=1000)
 
     def test_default_cap_is_the_predicate_cap(self):
-        from henkin.structures import CapExceeded
-
         with pytest.raises(CapExceeded) as err:
             wellorder_counterexample_sweep(4)
         assert (err.value.needed, err.value.cap) == (67_240_996, DEFAULT_PRED_CAP)
@@ -426,17 +420,19 @@ class TestChoiceInstances:
         assert report.status == "vacuous"
 
     def test_cap_reports_inconclusive(self):
-        report = check_choice_instance_sigma0(
-            1, 1, parse("all x2 . (A0^1 x2 <-> x2 = x1)"), 2, candidate_cap=1
-        )
+        # a point other than x1: the antecedent enumerates 5 predicates at
+        # stratum 1, and the search has more than 5 candidates
+        payload = parse("ex x2 . (~(x2 = x1) & (all x3 . (A0^1 x3 <-> x3 = x2)))")
+        report = check_choice_instance_sigma0(1, 1, payload, 1, pred_cap=5)
         assert report.status == "inconclusive" and report.cap_hit
 
 
 class TestChoiceSearchCounts:
     """The search's counters, pinned: candidates are tried in enumeration
-    order, ``candidate_cap`` stops it as inconclusive with the cap flagged,
-    and every candidate's verification counts predicates against
-    ``pred_cap`` on its own."""
+    order, and ``pred_cap`` bounds three counts, each on its own: the
+    antecedent's predicates, the candidates tried (the search stops as
+    inconclusive with the cap flagged), and every candidate verification's
+    predicates."""
 
     # status and candidates_tried of every suite instance at stratum 2
     SUITE_AT_2 = {
@@ -470,47 +466,62 @@ class TestChoiceSearchCounts:
             assert (report.status, report.candidates_tried) == self.SUITE_AT_2[name]
             assert not report.cap_hit
 
+    @staticmethod
+    def outcome(text: str, stratum: int, cap: int) -> tuple:
+        try:
+            report = check_choice_instance_sigma0(1, 1, parse(text), stratum, pred_cap=cap)
+        except CapExceeded as exc:
+            return ("CapExceeded", exc.needed, exc.cap)
+        assert report.witness is None or report.status == "witnessed"
+        return (report.status, report.candidates_tried, report.cap_hit)
+
     @pytest.mark.parametrize(
         "cap, expected",
         [
-            (0, ("inconclusive", 0, True)),
-            (1, ("inconclusive", 1, True)),
-            (2, ("inconclusive", 2, True)),
-            (3, ("witnessed", 3, False)),
+            (0, ("CapExceeded", 1, 0)),
+            (3, ("CapExceeded", 4, 3)),
+            (4, ("witnessed", 3, False)),
             (100, ("witnessed", 3, False)),
         ],
     )
-    def test_candidate_cap(self, cap, expected):
-        payload = parse("all x2 . (A0^1 x2 <-> ~(x2 = x1))")
-        report = check_choice_instance_sigma0(1, 1, payload, 2, candidate_cap=cap)
-        assert (report.status, report.candidates_tried, report.cap_hit) == expected
+    def test_cap_below_the_antecedents_need(self, cap, expected):
+        # the antecedent enumerates 4 predicates, one more than the search
+        # tries, so no cap stops the search itself
+        assert self.outcome("all x2 . (A0^1 x2 <-> ~(x2 = x1))", 2, cap) == expected
 
     @pytest.mark.parametrize(
         "cap, expected",
-        [(None, ("inconclusive", 32, False)), (32, ("inconclusive", 32, False)),
-         (31, ("inconclusive", 31, True))],
+        [
+            (DEFAULT_PRED_CAP, ("inconclusive", 32, False)),
+            (32, ("inconclusive", 32, False)),
+            (31, ("inconclusive", 31, True)),
+            (5, ("inconclusive", 5, True)),
+            (4, ("CapExceeded", 5, 4)),
+        ],
     )
     def test_exhausted_search(self, cap, expected):
         # 4 support-free binary candidates plus 28 whose least support is
-        # one fresh atom: of the 32 masks over it, 4 are support-free again
-        report = check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 1, candidate_cap=cap)
-        assert (report.status, report.candidates_tried, report.cap_hit) == expected
-        assert report.witness is None
+        # one fresh atom: of the 32 masks over it, 4 are support-free again;
+        # the antecedent enumerates 5 predicates
+        assert self.outcome(self.OTHER_POINT, 1, cap) == expected
         assert check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 0).status == "vacuous"
 
     def test_pred_cap_applies_per_verification(self):
-        from henkin.structures import CapExceeded
-
         # the bridged choice variable is never enumerated, so the payload
-        # quantifies a predicate of its own; the antecedent enumerates 27
+        # quantifies a predicate of its own
         text = f"({self.OTHER_POINT}) & (all A1^1 . (A1^1 x1 | ~(A1^1 x1)))"
-        # 126 verifications enumerate 296 predicates together, but none
-        # more than 76 on its own (the last, the witness)
-        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=76, candidate_cap=10**6)
+        # stratum 2: 126 verifications enumerate 296 predicates together,
+        # and the antecedent 27
+        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=126)
         assert (report.status, report.candidates_tried) == ("witnessed", 126)
+        # stratum 3: the antecedent enumerates 57, and 154 verifications
+        # 708 together, but none more than 188 on its own (the last, the
+        # witness)
+        report = check_choice_instance_sigma0(1, 1, parse(text), 3, pred_cap=188)
+        assert (report.status, report.candidates_tried) == ("witnessed", 154)
         with pytest.raises(CapExceeded) as exc:
-            check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=75, candidate_cap=10**6)
-        assert (exc.value.needed, exc.value.cap) == (76, 75)
+            check_choice_instance_sigma0(1, 1, parse(text), 3, pred_cap=187)
+        assert (exc.value.needed, exc.value.cap) == (188, 187)
 
 
 class TestCandidatePredicates:

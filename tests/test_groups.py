@@ -65,6 +65,8 @@ class TestPermutation:
             perm_from_cycles("(a z)", ("a", "b"))
         with pytest.raises(StructureError):
             perm_from_cycles("(a b)(b a)", ("a", "b"))
+        with pytest.raises(StructureError, match="must be a string, got int"):
+            perm_from_cycles(5, ("a", "b"))
 
 
 class TestGroup:
@@ -72,6 +74,19 @@ class TestGroup:
         s3 = Group.from_generators(3, [SWAP12, Permutation((1, 2, 0))])
         assert s3.order == 6
         assert s3.elements == Group.symmetric(3).elements
+
+    def test_elements_are_checked_cheaply(self):
+        # a wrong degree and a missing identity are rejected; closure is not
+        # checked (it would cost order**2 compositions)
+        with pytest.raises(StructureError, match="degree 3"):
+            Group(3, {Permutation.identity(3), Permutation((1, 0))})
+        with pytest.raises(StructureError, match="degree 3"):
+            Group(3, {Permutation((1, 0))})
+        with pytest.raises(StructureError, match="identity"):
+            Group(3, {Permutation((1, 0, 2))})
+        with pytest.raises(StructureError, match="identity"):
+            Group(3, ())
+        assert Group(3, {Permutation.identity(3), Permutation((1, 0, 2))}).order == 2
 
     def test_alternating(self):
         a4 = Group.alternating(4)

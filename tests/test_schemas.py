@@ -74,6 +74,25 @@ class TestSchemaId:
         with pytest.raises(SignatureError, match="must be integers"):
             build(SchemaId(AC, n=1.5))
 
+    @pytest.mark.parametrize("family", [AC, AC_STAR, CHOICE, CHOICE_H, CHOICE_STAR, COMPREHENSION])
+    def test_only_the_order_families_have_a_reflexive_reading(self, family):
+        payload = parse("A0^1 x1") if family in _PAYLOAD_FAMILIES else None
+        strict = SchemaId(family, payload=payload)
+        assert strict.strict is True
+        with pytest.raises(SignatureError, match=f"family '{family}' has no reflexive reading"):
+            SchemaId(family, payload=payload, strict=False)
+        # ``_make`` and ``_replace`` build through the same check
+        with pytest.raises(SignatureError, match="no reflexive reading"):
+            strict._replace(strict=False)
+        with pytest.raises(SignatureError, match="no reflexive reading"):
+            SchemaId._make((family, 1, 1, payload, False))
+
+    def test_the_reading_is_stored_as_a_bool(self):
+        for family in (WO1, LO, WO):
+            assert SchemaId(family, strict=0).strict is False
+            assert SchemaId(family)._replace(strict=0).strict is False
+        assert SchemaId(AC, strict=1).strict is True
+
     def test_payload_signature_enforced_at_build(self):
         stray = parse("A0^1 x2")  # x2 is outside the n=1 tuple
         with pytest.raises(SignatureError):
@@ -286,7 +305,10 @@ class TestRelativeStrengthProbe:
 
 
 PAYLOAD_FREE = (AC, AC_STAR, WO1, LO, WO)
+ORDERS = (WO1, LO, WO)
 ARITIES = [(1, 1), (1, 2), (2, 1), (2, 2)]
+# every payload-free family under every reading it has
+READINGS = [(f, strict) for f in PAYLOAD_FREE for strict in (True, False) if strict or f in ORDERS]
 
 
 class TestSharedPayloadFreeSchemas:
@@ -294,26 +316,23 @@ class TestSharedPayloadFreeSchemas:
     one formula, and ``check_schema`` reads its matrix, searched variables and
     predicate variables from the same record."""
 
-    @pytest.mark.parametrize("family", PAYLOAD_FREE)
-    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("family, strict", READINGS)
     @pytest.mark.parametrize("n, m", ARITIES)
     def test_build_is_the_family_builder_shared(self, family, strict, n, m):
-        sid = SchemaId(family, n, m)
-        shared = build(sid, strict=strict)
-        fresh = fresh_build(sid, strict)
+        sid = SchemaId(family, n, m, strict=strict)
+        shared = build(sid)
+        fresh = fresh_build(sid)
         assert shared == fresh
         assert format_formula(shared) == format_formula(fresh)
-        assert build(sid, strict=strict) is shared
+        assert build(sid) is shared
 
-    @pytest.mark.parametrize("family", PAYLOAD_FREE)
+    @pytest.mark.parametrize("family", ORDERS)
     def test_strict_and_reflexive_readings_are_separate_entries(self, family):
-        sid = SchemaId(family)
         _shared_parts.cache_clear()
-        strict, reflexive = build(sid, strict=True), build(sid, strict=False)
+        strict = build(SchemaId(family))
+        reflexive = build(SchemaId(family, strict=False))
         assert _shared_parts.cache_info().currsize == 2
-        assert strict is not reflexive
-        # only the order families read ``strict``
-        assert (strict == reflexive) == (family in (AC, AC_STAR))
+        assert strict != reflexive
 
     def test_checks_agree_with_the_rebuilding_reference(self, std2, std3, a4_model):
         rng = random.Random(20240917)
@@ -323,19 +342,19 @@ class TestSharedPayloadFreeSchemas:
                 boards.append(random_structure(rng, "abc"[:size], (1, 2), max_tables=4))
         wide = [random_structure(rng, "a", (1, 2, 3, 4)) for _ in range(2)]
         wide += [random_structure(rng, "ab", (1, 2, 3), max_tables=4) for _ in range(3)]
-        cases = [(s, SchemaId(f), strict) for s in boards for f in PAYLOAD_FREE for strict in (True, False)]
+        cases = [(s, SchemaId(f, strict=strict)) for s in boards for f, strict in READINGS]
         cases += [
-            (s, SchemaId(f, n, m), True)
+            (s, SchemaId(f, n, m))
             for s in wide
             for f in (AC, AC_STAR)
             for n, m in ARITIES
             if n + m in s.domains
         ]
         assert len(cases) > 100
-        for structure, sid, strict in cases:
+        for structure, sid in cases:
             for _ in range(2):  # the second check reads the shared record
-                got = check_schema(structure, sid, strict=strict)
-                want = ref_check_schema(structure, sid, strict=strict)
+                got = check_schema(structure, sid)
+                want = ref_check_schema(structure, sid)
                 assert (got.holds, got.counterexample) == (want.holds, want.counterexample)
                 assert (got.formula, got.matrix, got.searched) == (want.formula, want.matrix, want.searched)
 
