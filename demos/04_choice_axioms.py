@@ -5,7 +5,6 @@ checked exhaustively over small structures."""
 from henkin import (
     Structure,
     Table,
-    build_wo1,
     check_schema,
     format_formula,
     parse,
@@ -42,7 +41,7 @@ print()
 print("comprehension instance:")
 print("  ", format_formula(build(SchemaId(COMPREHENSION, 1, 1, parse("x1 = x1")))))
 print("well-ordering statement:")
-print("  ", format_formula(build_wo1()))
+print("  ", format_formula(build(SchemaId(WO1))))
 
 # Exhaustive checking peels the universal prefix and searches for a
 # falsifying assignment.

@@ -69,6 +69,6 @@ from .fraenkel import (
     symbolic_evaluate,
     wellorder_counterexample_sweep,
 )
-from .schemas import SchemaId, build, build_lo, build_wo, build_wo1, check_schema
+from .schemas import SchemaId, build, check_schema
 
 __version__ = "0.1.0"

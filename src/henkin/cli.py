@@ -46,7 +46,8 @@ from .syntax import depth as formula_depth, format_formula
 
 class RunReport:
     """One command's outcome: echo, input digests, verdicts, and caveats.
-    The handlers fill it in, and its attributes are the report's keys."""
+    ``main`` records the digests, the handlers fill in the rest, and its
+    attributes are the report's keys."""
 
     def __init__(self, command: str):
         self.command = command
@@ -60,10 +61,6 @@ class RunReport:
         """The report as JSON, timed from ``started`` (a ``perf_counter``)."""
         payload = {**vars(self), "timing_s": round(time.perf_counter() - started, 6)}
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_formula_file(path: str | Path) -> str:
@@ -104,12 +101,7 @@ def _table_cap(args) -> int:
 
 
 def _cmd_parse(args, report: RunReport) -> tuple[int, str]:
-    if args.formula:
-        report.inputs[str(args.formula)] = _digest(args.formula)
-        text = _read_formula_file(args.formula)
-    else:
-        text = args.text
-    f = parse(text)
+    f = parse(_read_formula_file(args.formula) if args.formula else args.text)
     report.result = {
         "formula": format_formula(f),
         "free_vars": sorted(str(v) for v in f.free_vars),
@@ -119,13 +111,10 @@ def _cmd_parse(args, report: RunReport) -> tuple[int, str]:
 
 
 def _cmd_eval(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.structure)] = _digest(args.structure)
-    report.inputs[str(args.formula)] = _digest(args.formula)
     structure = load_structure(args.structure)
     formula = parse(_read_formula_file(args.formula))
     assignment = Assignment({})
     if args.assignment:
-        report.inputs[str(args.assignment)] = _digest(args.assignment)
         assignment = assignment_from_dict(_load_json(args.assignment), structure)
     truth = evaluate(structure, assignment, formula)
     report.result = {"truth": truth}
@@ -140,9 +129,6 @@ def _schema_id(args) -> schemas.SchemaId:
 
 
 def _cmd_check(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.structure)] = _digest(args.structure)
-    if args.h:
-        report.inputs[str(args.h)] = _digest(args.h)
     structure = load_structure(args.structure)
     check = schemas.check_schema(structure, _schema_id(args), assignment_cap=args.cap_assignments)
     counterexample = None
@@ -161,7 +147,6 @@ def _cmd_check(args, report: RunReport) -> tuple[int, str]:
 
 
 def _cmd_saturate(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.structure)] = _digest(args.structure)
     structure = load_structure(args.structure)
     out, sat = saturate_with_report(
         structure, args.depth, table_cap=_table_cap(args), formula_cap=args.cap_formulas
@@ -178,7 +163,6 @@ def _cmd_saturate(args, report: RunReport) -> tuple[int, str]:
 
 
 def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.structure)] = _digest(args.structure)
     data = _load_json(args.structure)
     spec = groups.model_spec_from_dict(data, group_cap=args.cap_group)
     structure = groups.build_permutation_model(
@@ -231,11 +215,9 @@ def _load_binding(path: str | Path) -> dict:
 
 
 def _cmd_fraenkel_eval(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.formula)] = _digest(args.formula)
     formula = parse(_read_formula_file(args.formula))
     binding = {}
     if args.bind:
-        report.inputs[str(args.bind)] = _digest(args.bind)
         binding = _load_binding(args.bind)
     verdict = fraenkel.symbolic_evaluate(
         formula, binding, args.strat, pred_cap=args.cap_preds
@@ -250,7 +232,6 @@ def _cmd_fraenkel_eval(args, report: RunReport) -> tuple[int, str]:
 
 
 def _cmd_fraenkel_choice(args, report: RunReport) -> tuple[int, str]:
-    report.inputs[str(args.h)] = _digest(args.h)
     payload = parse(_read_formula_file(args.h))
     outcome = fraenkel.check_choice_instance_sigma0(
         args.n, args.m, payload, args.strat, pred_cap=args.cap_preds
@@ -371,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = _build_argparser().parse_args(argv)
             report.seed = args.seed
+            for flag in ("structure", "formula", "assignment", "h", "bind"):
+                path = getattr(args, flag, None)
+                if path:
+                    report.inputs[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
             code, summary = args.run(args, report)
         except CapExceeded as exc:
             report.flags.append(f"cap exceeded: {exc}")

@@ -37,6 +37,8 @@ from .syntax import (
     Or,
     Var,
     all_vars,
+    ind,
+    pred,
 )
 
 
@@ -510,8 +512,8 @@ def saturate_with_report(
     table_cap: int = DEFAULT_TABLE_CAP,
     formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> tuple[Structure, SaturationReport]:
+    # lazy: ``corpus`` imports ``DEFAULT_FORMULA_CAP`` from this module
     from .corpus import enumerate_formulas
-    from .syntax import ind, pred
 
     if depth_bound < 1:
         raise EvalError("depth bound must be >= 1")

@@ -635,9 +635,9 @@ def check_choice_instance_sigma0(
     and each is verified against the witness matrix.  At most ``pred_cap``
     candidates are tried.
     """
-    from .schemas import choice_h_parts
+    from .schemas import CHOICE_H, SchemaId, choice_h_parts
 
-    antecedent, svar, matrix = choice_h_parts(n, m, payload)
+    antecedent, svar, matrix = choice_h_parts(SchemaId(CHOICE_H, n, m, payload))
     if not symbolic_evaluate(antecedent, {}, support_bound, pred_cap=pred_cap).truth:
         return ChoiceInstanceReport("vacuous", None, support_bound, 0, False)
     verify = _SymbolicRun(matrix, (svar,), support_bound, pred_cap)

@@ -14,7 +14,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .evaluate import att, evaluate
+from .evaluate import att, evaluate, resolve
 from .structures import (
     Assignment,
     CapExceeded,
@@ -485,8 +485,6 @@ def check_stabilizer_bound(
     free individual parameters contribute their pointwise stabilizer; with
     no individual parameters the whole group enters the intersection.
     """
-    from .evaluate import resolve
-
     variables = tuple(variables)
     defined = att(structure, formula, variables, assignment)
     free = formula.free_vars

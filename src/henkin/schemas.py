@@ -1,6 +1,13 @@
 """Constructors for the second-order choice axioms, comprehension, and the
 well-ordering statement, plus an exhaustive checker over finite structures.
 
+A ``SchemaId`` names the axiom, and ``build`` is the one way to build it.
+The id checks its arities against what its family reads: ``choice``,
+``choice-h``, ``ac`` and ``ac-star`` read ``n`` and ``m``, ``choice-star``
+reads ``m``, ``comprehension`` reads ``n``, and ``lo``, ``wo`` and ``wo1``
+read neither.  A read arity is an integer from 1 to ``MAX_DEPTH``; an
+unread one must be 1.
+
 Variable allocation is deterministic so built formulas are byte-stable:
 
 * the distinguished tuple is always ``x1 .. xn``;
@@ -62,51 +69,52 @@ WO1 = "wo1"
 LO = "lo"
 WO = "wo"
 
-FAMILIES = (CHOICE, CHOICE_H, AC, AC_STAR, CHOICE_STAR, COMPREHENSION, WO1, LO, WO)
-_PAYLOAD_FAMILIES = (CHOICE, CHOICE_H, CHOICE_STAR, COMPREHENSION)
-# the arities a family binds as one block of nested quantifiers; ``choice``
-# binds ``m`` so only in its bridged form, which ``choice_h_parts`` checks
-_NESTED = {
-    CHOICE: "n", CHOICE_H: "nm", AC: "nm", AC_STAR: "nm", CHOICE_STAR: "m", COMPREHENSION: "n",
+# the arities each family reads; an arity a family does not read stays 1
+_READS = {
+    CHOICE: "nm", CHOICE_H: "nm", AC: "nm", AC_STAR: "nm", CHOICE_STAR: "m", COMPREHENSION: "n",
+    WO1: "", LO: "", WO: "",
 }
+FAMILIES = tuple(_READS)
+_PAYLOAD_FAMILIES = (CHOICE, CHOICE_H, CHOICE_STAR, COMPREHENSION)
 
 
 class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
     """Which axiom to build: family, arities, the payload formula of the
-    parameterized families, and the reading of the order families."""
+    parameterized families, and the reading of the order families.
+
+    An arity the family reads is an integer from 1 to ``MAX_DEPTH``, so its
+    quantifier block is rejected before any building; one it does not read
+    must be 1."""
 
     __slots__ = ()
 
     def __new__(
         cls, family: str, n: int = 1, m: int = 1, payload: Formula | None = None, strict: bool = True
     ):
-        if family not in FAMILIES:
+        if family not in _READS:
             raise SignatureError(f"unknown schema family {family!r}")
-        n, m = _check_arities(n, m, _NESTED.get(family, ""))
+        try:
+            n, m = operator.index(n), operator.index(m)
+        except TypeError:
+            raise SignatureError(f"schema arities must be integers, got {n!r}, {m!r}") from None
+        for name, arity in zip("nm", (n, m)):
+            if name not in _READS[family] and arity != 1:
+                raise SignatureError(
+                    f"family {family!r} does not read {name}, got {name} = {arity}"
+                )
+        if n < 1 or m < 1:
+            raise SignatureError("schema arities must be >= 1")
+        for name, arity in zip("nm", (n, m)):
+            if arity > MAX_DEPTH:
+                raise SignatureError(
+                    f"schema arity {name} = {arity} nests quantifiers past the depth bound {MAX_DEPTH}"
+                )
         if (payload is not None) != (family in _PAYLOAD_FAMILIES):
             wanted = "requires" if family in _PAYLOAD_FAMILIES else "does not take"
             raise SignatureError(f"family {family!r} {wanted} a payload formula")
         if not strict and family not in (WO1, LO, WO):
             raise SignatureError(f"family {family!r} has no reflexive reading")
         return tuple.__new__(cls, (family, n, m, payload, bool(strict)))
-
-
-def _check_arities(n: int, m: int, nested: str) -> tuple[int, int]:
-    """``(n, m)`` as ints.  Reject non-integers, arities below 1, and before
-    any building, a ``nested`` arity whose quantifier block alone would pass
-    the depth bound."""
-    try:
-        n, m = operator.index(n), operator.index(m)
-    except TypeError:
-        raise SignatureError(f"schema arities must be integers, got {n!r}, {m!r}") from None
-    if n < 1 or m < 1:
-        raise SignatureError("schema arities must be >= 1")
-    for name, arity in zip("nm", (n, m)):
-        if name in nested and arity > MAX_DEPTH:
-            raise SignatureError(
-                f"schema arity {name} = {arity} nests quantifiers past the depth bound {MAX_DEPTH}"
-            )
-    return n, m
 
 
 def _max_index(f: Formula, arity: int = 0) -> int:
@@ -131,43 +139,31 @@ def _check_payload(payload: Formula, allowed: set[Var], what: str) -> None:
         raise SignatureError(f"{what} payload must use only free: {names}")
 
 
-def choice_h_parts(n: int, m: int, payload: Formula) -> tuple[Formula, Var, Formula]:
-    """Antecedent, witness variable, and witness matrix of the bridged
-    choice axiom: the full axiom is ``antecedent -> ex S . matrix``."""
-    n, m = _check_arities(n, m, "nm")
+def choice_h_parts(schema: SchemaId) -> tuple[Formula, Var, Formula]:
+    """Antecedent, witness variable, and witness matrix of a ``choice-h`` or
+    ``choice`` id: the full axiom is ``antecedent -> ex S . matrix``.
+
+    ``choice-h`` bridges the choice variable to a section of the witness.
+    ``choice`` lowers the lambda section to direct substitution instead,
+    turning each application of the choice variable into an application of
+    the witness prefixed by the distinguished tuple.  When the choice
+    variable occurs in a predicate equality no application form exists, and
+    ``choice`` bridges too."""
+    n, m, payload = schema.n, schema.m, schema.payload
     xs = _x_tuple(n)
     dvar = pred(0, m)
     _check_payload(payload, set(xs) | {dvar}, "choice")
-    base = max(n, _max_index(payload))
-    ys = _block(base, m)
     svar = pred(max(1, _max_index(payload, n + m) + 1), n + m)
     antecedent = forall_many(xs, Exists(dvar, payload))
+    if schema.family == CHOICE:
+        try:
+            lowered = lower_predicate_application(payload, dvar, svar, xs)
+            return antecedent, svar, forall_many(xs, lowered)
+        except LoweringError:
+            pass
+    ys = _block(max(n, _max_index(payload)), m)
     bridge = forall_many(ys, Iff(Atom(dvar, ys), Atom(svar, xs + ys)))
-    matrix = forall_many(xs, Exists(dvar, And(bridge, payload)))
-    return antecedent, svar, matrix
-
-
-def _build_choice_h(n: int, m: int, payload: Formula) -> Formula:
-    antecedent, svar, matrix = choice_h_parts(n, m, payload)
-    return Implies(antecedent, Exists(svar, matrix))
-
-
-def _build_choice(n: int, m: int, payload: Formula) -> Formula:
-    """Lowered form: the lambda section becomes direct substitution, turning
-    each application of the choice variable into an application of the
-    witness prefixed by the distinguished tuple.  When the choice variable
-    occurs in a predicate equality no application form exists, and the
-    bridged form is used instead."""
-    xs = _x_tuple(n)
-    dvar = pred(0, m)
-    _check_payload(payload, set(xs) | {dvar}, "choice")
-    antecedent = forall_many(xs, Exists(dvar, payload))
-    svar = pred(max(1, _max_index(payload, n + m) + 1), n + m)
-    try:
-        lowered = lower_predicate_application(payload, dvar, svar, xs)
-    except LoweringError:
-        return _build_choice_h(n, m, payload)
-    return Implies(antecedent, Exists(svar, forall_many(xs, lowered)))
+    return antecedent, svar, forall_many(xs, Exists(dvar, And(bridge, payload)))
 
 
 def _choice_body(avar: Var, rvar: Var, svar: Var, xs, ys) -> Formula:
@@ -221,13 +217,7 @@ def _build_choice_star(m: int, payload: Formula) -> Formula:
     h1 = substitute(payload, cvar, c1)
     h2 = substitute(payload, cvar, c2)
     overlap = exists_many(ys, And(Atom(c1, ys), Atom(c2, ys)))
-    pairwise = Forall(
-        c1,
-        Forall(
-            c2,
-            Implies(And(And(h1, h2), Not(Eq(c1, c2))), Not(overlap)),
-        ),
-    )
+    pairwise = forall_many((c1, c2), Implies(And(And(h1, h2), Not(Eq(c1, c2))), Not(overlap)))
     transversal = Exists(
         dvar,
         Forall(
@@ -246,7 +236,7 @@ def _build_comprehension(n: int, payload: Formula) -> Formula:
     return Exists(witness, forall_many(xs, Iff(Atom(witness, xs), payload)))
 
 
-def build_lo(*, strict: bool = True) -> Formula:
+def _build_lo(*, strict: bool = True) -> Formula:
     """The linear-order condition on the binary predicate variable ``A0^2``.
 
     Strict reading: irreflexive, transitive, total on distinct points.
@@ -272,7 +262,7 @@ def build_lo(*, strict: bool = True) -> Formula:
     return conj([reflexive, antisymmetric, transitive, total])
 
 
-def build_wo(*, strict: bool = True) -> Formula:
+def _build_wo(*, strict: bool = True) -> Formula:
     """Well-ordering condition: ``A0^2`` is a linear order in which every
     nonempty set of the structure has a least element."""
     t = pred(0, 2)
@@ -286,23 +276,22 @@ def build_wo(*, strict: bool = True) -> Formula:
         ),
     )
     minimum = Forall(a, Implies(Exists(x, Atom(a, (x,))), least))
-    return And(build_lo(strict=strict), minimum)
+    return And(_build_lo(strict=strict), minimum)
 
 
-def build_wo1(*, strict: bool = True) -> Formula:
+def _build_wo1(*, strict: bool = True) -> Formula:
     """Existence of a well-ordering of the individuals, with the least-element
     condition ranging over the structure's unary predicates."""
-    return Exists(pred(0, 2), build_wo(strict=strict))
+    return Exists(pred(0, 2), _build_wo(strict=strict))
 
 
 def build(schema: SchemaId) -> Formula:
     """The schema formula, with tuples expanded and unique existence and
     lambda sections lowered to the plain language.  A payload-free schema is
     built once per process, and every later call returns that formula."""
-    if schema.family == CHOICE:
-        return _build_choice(schema.n, schema.m, schema.payload)
-    if schema.family == CHOICE_H:
-        return _build_choice_h(schema.n, schema.m, schema.payload)
+    if schema.family in (CHOICE, CHOICE_H):
+        antecedent, svar, matrix = choice_h_parts(schema)
+        return Implies(antecedent, Exists(svar, matrix))
     if schema.family == CHOICE_STAR:
         return _build_choice_star(schema.m, schema.payload)
     if schema.family == COMPREHENSION:
@@ -317,7 +306,7 @@ def _shared_parts(schema: SchemaId) -> tuple:
         return _parts(_build_ac(schema.n, schema.m))
     if schema.family == AC_STAR:
         return _parts(_build_ac_star(schema.n, schema.m))
-    return _parts({WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=schema.strict))
+    return _parts({WO1: _build_wo1, LO: _build_lo, WO: _build_wo}[schema.family](strict=schema.strict))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ declared), membership by ``classify``, equality by the atom-dropping
 under every support, with its own cap count.  It shares only the type
 primitives ``EqType``, ``classify`` and ``enumerate_types`` with the
 package; ``ref_predicate`` and ``to_symbolic`` convert at the boundary.
-``evaluation_pool`` is the finite atom universe on which a truncation to
-a finite structure decides a symbolic formula.
+``ref_order_check`` scans the linear-order axioms atom tuple by atom tuple
+through ``ref_denotes``.  ``evaluation_pool`` is the finite atom universe
+on which a truncation to a finite structure decides a symbolic formula.
 
 ``naive_saturate`` is the reference for definability saturation: every
 defined table built point by point with ``naive_eval`` and a dict
@@ -39,7 +40,7 @@ build every formula they draw.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from henkin.corpus import default_vocabulary, enumerate_formulas
 from henkin.evaluate import (
@@ -56,7 +57,7 @@ from henkin.fraenkel import (
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
 from henkin.schemas import (
     AC, AC_STAR, DEFAULT_ASSIGNMENT_CAP, LO, WO, WO1, SchemaCheck, _build_ac, _build_ac_star,
-    build, build_lo, build_wo, build_wo1,
+    _build_lo, _build_wo, _build_wo1, build,
 )
 from henkin.structures import (
     DEFAULT_TABLE_CAP,
@@ -205,7 +206,7 @@ def fresh_build(schema):
     """A payload-free schema, built anew by its family's builder."""
     if schema.family in (AC, AC_STAR):
         return (_build_ac if schema.family == AC else _build_ac_star)(schema.n, schema.m)
-    return {WO1: build_wo1, LO: build_lo, WO: build_wo}[schema.family](strict=schema.strict)
+    return {WO1: _build_wo1, LO: _build_lo, WO: _build_wo}[schema.family](strict=schema.strict)
 
 
 def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP):
@@ -269,6 +270,28 @@ def to_symbolic(ref):
 
 def ref_denotes(sigma, atoms):
     return classify(atoms, sigma.support) in sigma.accepted
+
+
+def ref_order_check(sigma):
+    """The first linear-order axiom a binary predicate fails, with its
+    witness atoms, or ``(None, None)``: ``ref_denotes`` read over the support
+    and three fresh atoms, in the order transitivity, antisymmetry, totality,
+    then irreflexivity."""
+    pool = tuple(sigma.support) + fresh_atoms(3, avoid=sigma.support)
+    holds = {(a, b): ref_denotes(sigma, (a, b)) for a, b in product(pool, repeat=2)}
+    for a, b, c in product(pool, repeat=3):
+        if holds[a, b] and holds[b, c] and not holds[a, c]:
+            return "transitivity", (a, b, c)
+    for a, b in permutations(pool, 2):
+        if holds[a, b] and holds[b, a]:
+            return "antisymmetry", (a, b)
+    for a, b in permutations(pool, 2):
+        if not holds[a, b] and not holds[b, a]:
+            return "totality", (a, b)
+    for a in pool:
+        if holds[a, a]:
+            return "irreflexivity", (a,)
+    return None, None
 
 
 def _drop_support_atom(sigma, atom):

@@ -162,6 +162,16 @@ class TestCheckCommand:
             error = f"SignatureError: family '{family}' has no reflexive reading"
             assert report["result"] == {"error": error}
 
+    def test_an_arity_the_schema_does_not_read_exit_2(self, capsys, std2_file):
+        # it used to exit 0 and echo n = 7, m = 9 over the matrix of n = m = 1
+        argv = ["check", "--structure", std2_file, "--schema", "wo1"]
+        code, report, _ = run(capsys, *argv, "--n", "7", "--m", "9")
+        assert code == 2
+        error = "SignatureError: family 'wo1' does not read n, got n = 7"
+        assert report["result"] == {"error": error}
+        code, report, _ = run(capsys, *argv, "--n", "1", "--m", "1")
+        assert code == 0 and (report["result"]["n"], report["result"]["m"]) == (1, 1)
+
     def test_comprehension_with_payload(self, capsys, std2_file, tmp_path):
         h = tmp_path / "h.fml"
         h.write_text("x1 = x2\n")

@@ -48,6 +48,8 @@ from oracle import (
     ref_candidates,
     ref_canonicalize,
     ref_denotes,
+    ref_order_check,
+    ref_predicate,
 )
 
 A1 = parse_var("A0^1")
@@ -389,6 +391,35 @@ class TestSweep:
         for bucket in report.buckets:
             assert sum(bucket.failure_counts.values()) == bucket.predicate_count
             assert "none" not in bucket.failure_counts
+
+    def test_first_failure_counts_per_axiom(self):
+        # a faster sweep must keep which axiom each predicate fails first
+        report = wellorder_counterexample_sweep(3)
+        assert [b.failure_counts for b in report.buckets] == [
+            {"transitivity": 1, "antisymmetry": 1, "totality": 2},
+            {"transitivity": 13, "antisymmetry": 7, "totality": 12},
+            {"transitivity": 774, "antisymmetry": 98, "totality": 152},
+            {"transitivity": 125_209, "antisymmetry": 2_359, "totality": 3_504},
+        ]
+
+    def test_first_failures_match_the_reference_scan(self):
+        buckets = wellorder_counterexample_sweep(2).buckets
+        checked = 0
+        for bucket in buckets:
+            types = enumerate_types(2, bucket.support)
+            counts = {}
+            for mask in range(bucket.predicate_count):
+                sigma = SymbolicPredicate(2, bucket.support, mask)
+                verdict = is_linear_order(sigma)
+                want = ref_order_check(ref_predicate(sigma))
+                assert (verdict.failed_axiom, verdict.witness) == want
+                # the sweep reads each mask over the bucket's own support
+                accepted = (t for k, t in enumerate(types) if mask >> k & 1)
+                axiom = ref_order_check(RefPredicate(2, bucket.support, accepted))[0]
+                counts[axiom] = counts.get(axiom, 0) + 1
+                checked += 1
+            assert counts == bucket.failure_counts
+        assert checked == 1_060
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

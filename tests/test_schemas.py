@@ -21,8 +21,6 @@ from henkin.schemas import (
     SchemaId,
     _shared_parts,
     build,
-    build_lo,
-    build_wo1,
     check_schema,
 )
 from henkin.structures import Assignment, Table, standard_structure
@@ -48,26 +46,48 @@ class TestSchemaId:
             SchemaId("zermelo")
 
     @pytest.mark.parametrize(
-        "family, nested",
-        [(AC, "nm"), (AC_STAR, "nm"), (CHOICE_H, "nm"), (CHOICE, "n"), (CHOICE_STAR, "m"),
+        "family, reads",
+        [(AC, "nm"), (AC_STAR, "nm"), (CHOICE_H, "nm"), (CHOICE, "nm"), (CHOICE_STAR, "m"),
          (COMPREHENSION, "n"), (WO1, ""), (LO, ""), (WO, "")],
     )
-    def test_an_arity_nested_past_the_depth_bound_is_rejected(self, family, nested):
+    def test_an_arity_nested_past_the_depth_bound_is_rejected(self, family, reads):
         payload = parse("all x1 . x1 = x1") if family in _PAYLOAD_FAMILIES else None
         for name in "nm":
             arities = {"n": 1, "m": 1, name: MAX_DEPTH + 1}
-            if name in nested:
+            if name in reads:
                 with pytest.raises(SignatureError, match=f"arity {name} = {MAX_DEPTH + 1} nests"):
                     SchemaId(family, payload=payload, **arities)
+                SchemaId(family, payload=payload, **{**arities, name: MAX_DEPTH})
             else:
-                SchemaId(family, payload=payload, **arities)
-            SchemaId(family, payload=payload, **{**arities, name: MAX_DEPTH})
+                unread = f"does not read {name}, got {name} = {MAX_DEPTH + 1}"
+                with pytest.raises(SignatureError, match=unread):
+                    SchemaId(family, payload=payload, **arities)
 
     def test_choice_checks_m_before_building_its_bridged_form(self):
-        # a choice variable under equality has no application form
-        payload = parse(f"ex A1^{MAX_DEPTH + 1} . A0^{MAX_DEPTH + 1} = A1^{MAX_DEPTH + 1}")
-        with pytest.raises(SignatureError, match=f"arity m = {MAX_DEPTH + 1} nests"):
-            build(SchemaId(CHOICE, 1, MAX_DEPTH + 1, payload))
+        # a choice variable under equality has no application form; one that
+        # lowers is bounded alike, although its lowered form binds no m block
+        for text in (f"ex A1^{MAX_DEPTH + 1} . A0^{MAX_DEPTH + 1} = A1^{MAX_DEPTH + 1}", "x1 = x1"):
+            with pytest.raises(SignatureError, match=f"arity m = {MAX_DEPTH + 1} nests"):
+                SchemaId(CHOICE, 1, MAX_DEPTH + 1, parse(text))
+
+    @pytest.mark.parametrize(
+        "family, name",
+        [(CHOICE_STAR, "n"), (COMPREHENSION, "m"), (WO1, "n"), (WO1, "m"), (LO, "n"), (LO, "m"),
+         (WO, "n"), (WO, "m")],
+    )
+    def test_an_arity_the_family_does_not_read_must_be_1(self, family, name):
+        # ``wo1`` with n = 7 used to build the n = 1 formula and echo n = 7
+        payload = parse("all x1 . x1 = x1") if family in _PAYLOAD_FAMILIES else None
+        sid = SchemaId(family, payload=payload)
+        for arity in (0, 2, 7):
+            message = f"family '{family}' does not read {name}, got {name} = {arity}"
+            with pytest.raises(SignatureError, match=message):
+                SchemaId(family, payload=payload, **{name: arity})
+            # ``_make`` and ``_replace`` build through the same check
+            with pytest.raises(SignatureError, match=message):
+                sid._replace(**{name: arity})
+            with pytest.raises(SignatureError, match=message):
+                SchemaId._make((family, *(arity if x == name else 1 for x in "nm"), payload, True))
 
     def test_non_integer_arity_rejected(self):
         # it used to pass the arity check and fail in the build with a TypeError
@@ -131,7 +151,7 @@ class TestBuildShapes:
     def test_schema_formulas_closed(self):
         assert not free_vars(build(SchemaId(AC, 1, 1)))
         assert not free_vars(build(SchemaId(AC_STAR, 2, 1)))
-        assert not free_vars(build_wo1())
+        assert not free_vars(build(SchemaId(WO1)))
         h = parse("all x2 . (A0^1 x2 <-> x2 = x1)")
         assert not free_vars(build(SchemaId(CHOICE_H, 1, 1, h)))
 
@@ -162,7 +182,7 @@ class TestWellOrdering:
     def test_lo_strict_on_finite_orders(self, std2):
         # brute force: a strict total order on two points is one of the two
         # successor tables
-        lo = build_lo()
+        lo = build(SchemaId(LO))
         count = sum(
             evaluate(std2, Assignment({pred(0, 2): t}), lo) for t in std2.domain(2)
         )
@@ -174,7 +194,7 @@ class TestWellOrdering:
 
     def test_wo1_standard_three(self, std3):
         # every finite linear order is a well-order; 3! strict orders exist
-        lo = build_lo()
+        lo = build(SchemaId(LO))
         orders = [
             t
             for t in std3.domain(2)
@@ -184,7 +204,7 @@ class TestWellOrdering:
         assert check_schema(std3, SchemaId(WO1)).holds
 
     def test_reflexive_variant(self, std2):
-        lo = build_lo(strict=False)
+        lo = build(SchemaId(LO, strict=False))
         reflexive_orders = [
             t
             for t in std2.domain(2)
@@ -199,7 +219,7 @@ class TestWellOrdering:
         # linear order
         check = check_schema(a4_model, SchemaId(WO1))
         assert not check.holds
-        lo = build_lo()
+        lo = build(SchemaId(LO))
         assert not any(
             evaluate(a4_model, Assignment({pred(0, 2): t}), lo)
             for t in a4_model.domain(2)
@@ -319,6 +339,12 @@ class TestSharedPayloadFreeSchemas:
     @pytest.mark.parametrize("family, strict", READINGS)
     @pytest.mark.parametrize("n, m", ARITIES)
     def test_build_is_the_family_builder_shared(self, family, strict, n, m):
+        if family in ORDERS and (n, m) != (1, 1):
+            # the order families read no arity, so the cache never holds their
+            # formula under a second id; these ids used to build the (1, 1) one
+            with pytest.raises(SignatureError, match=f"family '{family}' does not read"):
+                SchemaId(family, n, m, strict=strict)
+            return
         sid = SchemaId(family, n, m, strict=strict)
         shared = build(sid)
         fresh = fresh_build(sid)
@@ -372,5 +398,5 @@ class TestSharedPayloadFreeSchemas:
             check_schema(std2, SchemaId(family, 1, 1, parse("A0^1 x1")))
         check_schema(std2, SchemaId(CHOICE_STAR, 1, 1, parse("ex x1 . A0^1 x1")))
         check_schema(std2, SchemaId(COMPREHENSION, 1, 1, parse("x1 = x2")))
-        check_schema(std2, build_lo())
+        check_schema(std2, fresh_build(SchemaId(LO)))
         assert _shared_parts.cache_info().currsize == before
