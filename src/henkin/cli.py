@@ -5,8 +5,8 @@ human summary to stderr.  Exit codes are a stable contract:
 
 * 0 - true / holds / witness found / sweep clean
 * 1 - false / fails / inconclusive
-* 2 - error (bad arguments, I/O, syntax, arity, out-of-range numbers, any
-  other failure); the report's ``result`` holds only ``error``
+* 2 - error (bad arguments such as an empty file path, I/O, syntax, arity,
+  out-of-range numbers, any other failure); the report's ``result`` holds only ``error``
 * 3 - a resource cap was exceeded; the report is partial
 
 Every input ends in one of these codes with one JSON report, including
@@ -23,44 +23,22 @@ import json
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 from . import fraenkel, groups, schemas
-from .evaluate import DEFAULT_FORMULA_CAP, evaluate, saturate_with_report
+from .corpus import DEFAULT_FORMULA_CAP
+from .evaluate import evaluate, saturate_with_report
 from .parser import parse
 from .structures import (
-    ASSIGNMENT_KEYS,
     Assignment,
     CapExceeded,
     DEFAULT_TABLE_CAP,
     assignment_from_dict,
     assignment_to_dict,
-    json_shape,
-    json_var,
     load_structure,
     structure_to_dict,
 )
 from .syntax import depth as formula_depth, format_formula
-
-
-class RunReport:
-    """One command's outcome: echo, input digests, verdicts, and caveats.
-    ``main`` records the digests, the handlers fill in the rest, and its
-    attributes are the report's keys."""
-
-    def __init__(self, command: str):
-        self.command = command
-        self.inputs: dict[str, str] = {}
-        self.result: dict = {}
-        self.flags: list[str] = []
-        self.stratum: int | None = None
-        self.seed: int | None = None
-
-    def to_json(self, started: float) -> str:
-        """The report as JSON, timed from ``started`` (a ``perf_counter``)."""
-        payload = {**vars(self), "timing_s": round(time.perf_counter() - started, 6)}
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _read_formula_file(path: str | Path) -> str:
@@ -85,6 +63,14 @@ def _cap(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    """An input file path: a non-empty string, so that a given file flag
+    is never taken for an absent one."""
+    if not text:
+        raise argparse.ArgumentTypeError("file path must not be empty")
+    return text
+
+
 def _table_cap(args) -> int:
     if args.cap_tables is not None:
         return args.cap_tables
@@ -100,9 +86,9 @@ def _table_cap(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_parse(args, report: RunReport) -> tuple[int, str]:
-    f = parse(_read_formula_file(args.formula) if args.formula else args.text)
-    report.result = {
+def _cmd_parse(args, report: dict) -> tuple[int, str]:
+    f = parse(_read_formula_file(args.formula) if args.formula is not None else args.text)
+    report["result"] = {
         "formula": format_formula(f),
         "free_vars": sorted(str(v) for v in f.free_vars),
         "depth": formula_depth(f),
@@ -110,31 +96,28 @@ def _cmd_parse(args, report: RunReport) -> tuple[int, str]:
     return 0, f"parsed: {format_formula(f)}"
 
 
-def _cmd_eval(args, report: RunReport) -> tuple[int, str]:
+def _cmd_eval(args, report: dict) -> tuple[int, str]:
     structure = load_structure(args.structure)
     formula = parse(_read_formula_file(args.formula))
     assignment = Assignment({})
-    if args.assignment:
+    if args.assignment is not None:
         assignment = assignment_from_dict(_load_json(args.assignment), structure)
     truth = evaluate(structure, assignment, formula)
-    report.result = {"truth": truth}
+    report["result"] = {"truth": truth}
     return (0 if truth else 1), f"evaluates {'true' if truth else 'false'}"
 
 
-def _schema_id(args) -> schemas.SchemaId:
-    payload = None
-    if args.h:
-        payload = parse(_read_formula_file(args.h))
-    return schemas.SchemaId(args.schema, args.n, args.m, payload, strict=not args.reflexive)
-
-
-def _cmd_check(args, report: RunReport) -> tuple[int, str]:
+def _cmd_check(args, report: dict) -> tuple[int, str]:
     structure = load_structure(args.structure)
-    check = schemas.check_schema(structure, _schema_id(args), assignment_cap=args.cap_assignments)
+    payload = None
+    if args.h is not None:
+        payload = parse(_read_formula_file(args.h))
+    sid = schemas.SchemaId(args.schema, args.n, args.m, payload, strict=not args.reflexive)
+    check = schemas.check_schema(structure, sid, assignment_cap=args.cap_assignments)
     counterexample = None
     if check.counterexample is not None:
         counterexample = assignment_to_dict(check.counterexample, structure)
-    report.result = {
+    report["result"] = {
         "schema": args.schema,
         "n": args.n,
         "m": args.m,
@@ -146,12 +129,12 @@ def _cmd_check(args, report: RunReport) -> tuple[int, str]:
     return (0 if check.holds else 1), f"{args.schema}: {'holds' if check.holds else 'fails'}"
 
 
-def _cmd_saturate(args, report: RunReport) -> tuple[int, str]:
+def _cmd_saturate(args, report: dict) -> tuple[int, str]:
     structure = load_structure(args.structure)
     out, sat = saturate_with_report(
         structure, args.depth, table_cap=_table_cap(args), formula_cap=args.cap_formulas
     )
-    report.result = {
+    report["result"] = {
         "structure": structure_to_dict(out),
         "rounds": sat.rounds,
         "formulas_used": sat.formulas_used,
@@ -162,7 +145,7 @@ def _cmd_saturate(args, report: RunReport) -> tuple[int, str]:
     return 0, f"saturated in {sat.rounds} rounds, {added} tables added"
 
 
-def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
+def _cmd_build_model(args, report: dict) -> tuple[int, str]:
     data = _load_json(args.structure)
     spec = groups.model_spec_from_dict(data, group_cap=args.cap_group)
     structure = groups.build_permutation_model(
@@ -170,8 +153,8 @@ def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
     )
     degenerate = groups.filter_degenerate(spec.filt, spec.group)
     if degenerate:
-        report.flags.append("filter admits every subgroup over this finite universe")
-    report.result = {
+        report["flags"].append("filter admits every subgroup over this finite universe")
+    report["result"] = {
         "structure": structure_to_dict(structure),
         "group_order": spec.group.order,
         "degenerate_filter": degenerate,
@@ -181,9 +164,9 @@ def _cmd_build_model(args, report: RunReport) -> tuple[int, str]:
     return 0, f"built model: {sizes}"
 
 
-def _cmd_fraenkel_sweep(args, report: RunReport) -> tuple[int, str]:
+def _cmd_fraenkel_sweep(args, report: dict) -> tuple[int, str]:
     sweep = fraenkel.wellorder_counterexample_sweep(args.max_support, cap=args.cap_preds)
-    report.result = {
+    report["result"] = {
         "max_support": sweep.max_support,
         "total_predicates": sweep.total_predicates,
         "linear_orders_found": sweep.linear_orders_found,
@@ -202,44 +185,32 @@ def _cmd_fraenkel_sweep(args, report: RunReport) -> tuple[int, str]:
     return (0 if found == 0 else 1), summary
 
 
-def _load_binding(path: str | Path) -> dict:
-    shape = partial(json_shape, error=fraenkel.FraenkelError)
-    var = partial(json_var, error=fraenkel.FraenkelError)
-    data = shape(_load_json(path), "binding document", keys=ASSIGNMENT_KEYS)
-    binding = {}
-    for name, atom in shape(data.get("individuals", {}), "individuals").items():
-        binding[var(name)] = atom
-    for name, doc in shape(data.get("predicates", {}), "predicates").items():
-        binding[var(name)] = fraenkel.symbolic_from_dict(doc)
-    return binding
-
-
-def _cmd_fraenkel_eval(args, report: RunReport) -> tuple[int, str]:
+def _cmd_fraenkel_eval(args, report: dict) -> tuple[int, str]:
     formula = parse(_read_formula_file(args.formula))
     binding = {}
-    if args.bind:
-        binding = _load_binding(args.bind)
+    if args.bind is not None:
+        binding = fraenkel.binding_from_dict(_load_json(args.bind))
     verdict = fraenkel.symbolic_evaluate(
         formula, binding, args.strat, pred_cap=args.cap_preds
     )
-    report.stratum = args.strat if verdict.stratified else None
     if verdict.stratified:
-        report.flags.append("stratified: predicate quantifiers bounded by support size")
-    report.result = verdict._asdict()
+        report["stratum"] = args.strat
+        report["flags"].append("stratified: predicate quantifiers bounded by support size")
+    report["result"] = verdict._asdict()
     label = "true" if verdict.truth else "false"
     tag = f" (stratified at {args.strat})" if verdict.stratified else ""
     return (0 if verdict.truth else 1), f"evaluates {label}{tag}"
 
 
-def _cmd_fraenkel_choice(args, report: RunReport) -> tuple[int, str]:
+def _cmd_fraenkel_choice(args, report: dict) -> tuple[int, str]:
     payload = parse(_read_formula_file(args.h))
     outcome = fraenkel.check_choice_instance_sigma0(
         args.n, args.m, payload, args.strat, pred_cap=args.cap_preds
     )
-    report.stratum = args.strat
+    report["stratum"] = args.strat
     if outcome.cap_hit:
-        report.flags.append("candidate cap hit before the search space was exhausted")
-    report.result = {
+        report["flags"].append("candidate cap hit before the search space was exhausted")
+    report["result"] = {
         "status": outcome.status,
         "witness": fraenkel.symbolic_to_dict(outcome.witness) if outcome.witness else None,
         "candidates_tried": outcome.candidates_tried,
@@ -284,35 +255,35 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a formula and print its canonical form")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula", help="file with the formula text")
+    group.add_argument("--formula", type=_path, help="file with the formula text")
     group.add_argument("--text", help="formula text inline")
     p.set_defaults(run=_cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a formula over a structure file")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--assignment", default=None)
+    p.add_argument("--structure", type=_path, required=True)
+    p.add_argument("--formula", type=_path, required=True)
+    p.add_argument("--assignment", type=_path, default=None)
     p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("check", help="check an axiom schema over a structure file")
-    p.add_argument("--structure", required=True)
+    p.add_argument("--structure", type=_path, required=True)
     p.add_argument("--schema", required=True, choices=schemas.FAMILIES)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--h", default=None, help="payload formula file")
+    p.add_argument("--h", type=_path, default=None, help="payload formula file")
     p.add_argument("--reflexive", action="store_true", help="reflexive reading of lo, wo, wo1")
     p.add_argument("--cap-assignments", type=_cap, default=schemas.DEFAULT_ASSIGNMENT_CAP)
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("saturate", help="close a structure under depth-bounded definability")
-    p.add_argument("--structure", required=True)
+    p.add_argument("--structure", type=_path, required=True)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--cap-tables", type=_cap, default=None)
     p.add_argument("--cap-formulas", type=_cap, default=DEFAULT_FORMULA_CAP)
     p.set_defaults(run=_cmd_saturate)
 
     p = sub.add_parser("build-model", help="build a permutation model from a model spec")
-    p.add_argument("--structure", required=True, help="spec with individuals, group, filter")
+    p.add_argument("--structure", type=_path, required=True, help="individuals, group, filter")
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--cap-tables", type=_cap, default=None)
     p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
@@ -327,8 +298,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     q.set_defaults(run=_cmd_fraenkel_sweep)
 
     q = fsub.add_parser("eval", help="stratified evaluation over the atom universe")
-    q.add_argument("--formula", required=True)
-    q.add_argument("--bind", default=None)
+    q.add_argument("--formula", type=_path, required=True)
+    q.add_argument("--bind", type=_path, default=None)
     q.add_argument("--strat", type=int, default=2)
     q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_eval)
@@ -336,7 +307,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     q = fsub.add_parser("choice", help="search a uniform witness for a choice instance")
     q.add_argument("--n", type=int, default=1)
     q.add_argument("--m", type=int, default=1)
-    q.add_argument("--h", required=True)
+    q.add_argument("--h", type=_path, required=True)
     q.add_argument("--strat", type=int, default=2)
     q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_choice)
@@ -344,29 +315,44 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
+def _to_json(report: dict, started: float) -> str:
+    """The report as JSON, timed from ``started`` (a ``perf_counter``)."""
+    payload = {**report, "timing_s": round(time.perf_counter() - started, 6)}
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
-    report = RunReport(command=" ".join(["henkin", *argv]))
+    # the echo, the input digests, the verdicts and the caveats; the
+    # handlers fill in ``result`` and may set ``stratum`` and add ``flags``
+    report = {
+        "command": " ".join(["henkin", *argv]),
+        "inputs": {},
+        "result": {},
+        "flags": [],
+        "stratum": None,
+        "seed": None,
+    }
     try:
         try:
             args = _build_argparser().parse_args(argv)
-            report.seed = args.seed
+            report["seed"] = args.seed
             for flag in ("structure", "formula", "assignment", "h", "bind"):
                 path = getattr(args, flag, None)
-                if path:
-                    report.inputs[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                if path is not None:
+                    report["inputs"][path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
             code, summary = args.run(args, report)
         except CapExceeded as exc:
-            report.flags.append(f"cap exceeded: {exc}")
-            report.result = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
+            report["flags"].append(f"cap exceeded: {exc}")
+            report["result"] = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
             code, summary = 3, f"cap exceeded: {exc}"
-        text = report.to_json(started)
+        text = _to_json(report, started)
     except Exception as exc:
         # the exit-code contract: no failure may leak out as a traceback,
         # not even one while the report is serialised
-        report.result = {"error": f"{type(exc).__name__}: {exc}"}
-        code, summary, text = 2, f"error: {exc}", report.to_json(started)
+        report["result"] = {"error": f"{type(exc).__name__}: {exc}"}
+        code, summary, text = 2, f"error: {exc}", _to_json(report, started)
     except SystemExit:
         # --help printed the usage text
         return 0

@@ -14,7 +14,6 @@ import random
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .evaluate import DEFAULT_FORMULA_CAP
 from .structures import CapExceeded
 from .syntax import (
     And,
@@ -31,6 +30,8 @@ from .syntax import (
     ind,
     pred,
 )
+
+DEFAULT_FORMULA_CAP = 200_000
 
 
 def enumerate_formulas(

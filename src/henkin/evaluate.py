@@ -17,6 +17,9 @@ import operator
 from itertools import chain, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+# called as ``corpus.enumerate_formulas``, so a wrapper set on the module sees every call
+from . import corpus
+from .corpus import DEFAULT_FORMULA_CAP
 from .structures import (
     Assignment,
     CapExceeded,
@@ -490,9 +493,6 @@ def check_comprehension(
 # permutation models, and it keeps invariant structures at their fixpoint.
 # ---------------------------------------------------------------------------
 
-DEFAULT_FORMULA_CAP = 200_000
-
-
 class SaturationReport(NamedTuple):
     depth_bound: int
     rounds: int
@@ -512,15 +512,12 @@ def saturate_with_report(
     table_cap: int = DEFAULT_TABLE_CAP,
     formula_cap: int = DEFAULT_FORMULA_CAP,
 ) -> tuple[Structure, SaturationReport]:
-    # lazy: ``corpus`` imports ``DEFAULT_FORMULA_CAP`` from this module
-    from .corpus import enumerate_formulas
-
     if depth_bound < 1:
         raise EvalError("depth bound must be >= 1")
     arities = sorted(structure.domains)
     ind_vocab = [ind(i) for i in range(1, arities[-1] + 2)]
     pred_vocab = [pred(j, n) for n in arities for j in (0, 1)]
-    formulas = enumerate_formulas(depth_bound, ind_vocab, pred_vocab, cap=formula_cap)
+    formulas = corpus.enumerate_formulas(depth_bound, ind_vocab, pred_vocab, cap=formula_cap)
 
     jobs = []
     for f in formulas:

@@ -24,8 +24,9 @@ from operator import eq, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
-from .structures import CapExceeded, Table, json_shape, value_tuple
-from .syntax import Formula, Var
+from .schemas import CHOICE_H, SchemaId, choice_h_parts
+from .structures import ASSIGNMENT_KEYS, CapExceeded, Table, json_shape, json_var, value_tuple
+from .syntax import Formula, Var, integers
 
 
 class FraenkelError(Exception):
@@ -161,6 +162,7 @@ class SymbolicPredicate(value_tuple("SymbolicPredicate", "arity support mask")):
 
     def __new__(cls, arity: int, support: Iterable[str], accepted: Iterable[EqType] | int):
         support = tuple(sorted({check_atom_name(a) for a in support}))
+        (arity,) = integers(FraenkelError, "symbolic predicate arity must be an integer", arity)
         if arity < 1:
             raise FraenkelError("symbolic predicates need arity >= 1")
         positions = _type_positions(arity, support)
@@ -635,8 +637,6 @@ def check_choice_instance_sigma0(
     and each is verified against the witness matrix.  At most ``pred_cap``
     candidates are tried.
     """
-    from .schemas import CHOICE_H, SchemaId, choice_h_parts
-
     antecedent, svar, matrix = choice_h_parts(SchemaId(CHOICE_H, n, m, payload))
     if not symbolic_evaluate(antecedent, {}, support_bound, pred_cap=pred_cap).truth:
         return ChoiceInstanceReport("vacuous", None, support_bound, 0, False)
@@ -695,3 +695,18 @@ def symbolic_from_dict(data: dict) -> SymbolicPredicate:
     if not all(isinstance(s, str) for s in support + accepted):
         raise FraenkelError("support atoms and accepted types must be strings")
     return SymbolicPredicate(arity, tuple(support), frozenset(map(type_from_string, accepted)))
+
+
+def binding_from_dict(data: dict) -> dict[Var, str | SymbolicPredicate]:
+    """The binding a document gives ``symbolic_evaluate``: atom names under
+    ``individuals`` and symbolic predicate documents under ``predicates``,
+    each keyed by its variable."""
+    data = json_shape(data, "binding document", error=FraenkelError, keys=ASSIGNMENT_KEYS)
+    binding = {}
+    individuals = json_shape(data.get("individuals", {}), "individuals", error=FraenkelError)
+    for name, atom in individuals.items():
+        binding[json_var(name, FraenkelError)] = atom
+    predicates = json_shape(data.get("predicates", {}), "predicates", error=FraenkelError)
+    for name, doc in predicates.items():
+        binding[json_var(name, FraenkelError)] = symbolic_from_dict(doc)
+    return binding

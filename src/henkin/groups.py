@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -173,12 +174,9 @@ class Group(value_tuple("Group", "degree elements")):
 
     @classmethod
     def symmetric(cls, degree: int, *, cap: int = DEFAULT_GROUP_CAP) -> "Group":
-        from itertools import permutations as iperm
-        from math import factorial
-
         if factorial(degree) > cap:
             raise CapExceeded("symmetric group", factorial(degree), cap)
-        return cls(degree, frozenset(Permutation(p) for p in iperm(range(degree))))
+        return cls(degree, frozenset(Permutation(p) for p in permutations(range(degree))))
 
     @classmethod
     def alternating(cls, degree: int, *, cap: int = DEFAULT_GROUP_CAP) -> "Group":

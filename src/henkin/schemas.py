@@ -25,7 +25,6 @@ Variable allocation is deterministic so built formulas are byte-stable:
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -54,6 +53,7 @@ from .syntax import (
     exists_unique,
     forall_many,
     ind,
+    integers,
     lower_predicate_application,
     pred,
     substitute,
@@ -93,10 +93,7 @@ class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
     ):
         if family not in _READS:
             raise SignatureError(f"unknown schema family {family!r}")
-        try:
-            n, m = operator.index(n), operator.index(m)
-        except TypeError:
-            raise SignatureError(f"schema arities must be integers, got {n!r}, {m!r}") from None
+        n, m = integers(SignatureError, "schema arities must be integers", n, m)
         for name, arity in zip("nm", (n, m)):
             if name not in _READS[family] and arity != 1:
                 raise SignatureError(

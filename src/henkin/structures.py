@@ -14,7 +14,8 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .syntax import Var
+from .parser import parse_var
+from .syntax import Var, integers
 
 DEFAULT_TABLE_CAP = 65536
 
@@ -49,6 +50,7 @@ class Table(value_tuple("Table", "size arity bits")):
 
     def __new__(cls, size: int, arity: int, bits: Iterable[bool]) -> Table:
         bits = tuple(map(bool, bits))
+        size, arity = integers(StructureError, "table size and arity must be integers", size, arity)
         if size < 1:
             raise StructureError("table needs a nonempty universe")
         if arity < 1:
@@ -321,8 +323,6 @@ def assignment_to_dict(assignment: Assignment, structure: Structure) -> dict:
 def json_var(name: str, error: type[Exception] = StructureError) -> Var:
     """The variable a document key names, which must be spelled as it
     prints: ``x01`` would merge with ``x1``."""
-    from .parser import parse_var
-
     var = parse_var(name)
     if str(var) != name:
         raise error(f"variable key {name!r} is not spelled {str(var)!r}")

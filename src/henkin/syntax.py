@@ -46,6 +46,15 @@ class LoweringError(FormulaError):
     """A predicate variable cannot be rewritten to an application form."""
 
 
+def integers(error: type[Exception], message: str, *values) -> tuple[int, ...]:
+    """``values`` converted with ``operator.index``, so a float or a string
+    raises ``error`` with ``message`` and the values, and a bool becomes 0 or 1."""
+    try:
+        return tuple(map(_index, values))
+    except TypeError:
+        raise error(f"{message}, got {', '.join(map(repr, values))}") from None
+
+
 class Var(tuple):
     """A sorted variable, the pair ``(index, arity)`` and hashed, compared and
     ordered as it, in C: arity 0 is an individual, n >= 1 an n-ary predicate."""
@@ -55,11 +64,7 @@ class Var(tuple):
     arity = property(itemgetter(1))
 
     def __new__(cls, index: int, arity: int = 0) -> Var:
-        try:
-            index, arity = _index(index), _index(arity)
-        except TypeError:
-            what = f"{index!r}, {arity!r}"
-            raise FormulaError(f"variable index and arity must be integers, got {what}") from None
+        index, arity = integers(FormulaError, "variable index and arity must be integers", index, arity)
         if index < 0 or arity < 0:
             raise FormulaError(f"variable index and arity must be >= 0, got {index}, {arity}")
         return tuple.__new__(cls, (index, arity))
@@ -77,10 +82,6 @@ class Var(tuple):
     @property
     def is_predicate(self) -> bool:
         return self.arity > 0
-
-    @property
-    def kind(self) -> str:
-        return "individual" if self.arity == 0 else "predicate"
 
     def __str__(self) -> str:
         if self.arity == 0:

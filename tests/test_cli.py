@@ -1,6 +1,10 @@
+import ast
+import graphlib
+import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -456,6 +460,49 @@ class TestCapFlags:
                 }
 
 
+# a command line for each command that reads files, with every file flag set
+FILE_FLAG_LINES = {
+    "parse": ["parse", "--formula", "f.fml"],
+    "eval": ["eval", "--structure", "s.json", "--formula", "f.fml", "--assignment", "a.json"],
+    "check": ["check", "--structure", "s.json", "--schema", "choice-h", "--h", "f.fml"],
+    "saturate": ["saturate", "--structure", "s.json"],
+    "build-model": ["build-model", "--structure", "spec.json"],
+    "fraenkel-eval": ["fraenkel", "eval", "--formula", "f.fml", "--bind", "b.json"],
+    "fraenkel-choice": ["fraenkel", "choice", "--h", "f.fml"],
+}
+FILE_FLAG_CASES = [
+    pytest.param(line, k, id=f"{name} {flag}")
+    for name, line in FILE_FLAG_LINES.items()
+    for k, flag in enumerate(line)
+    if flag in ("--structure", "--formula", "--assignment", "--h", "--bind")
+]
+
+
+class TestFileFlags:
+    @pytest.mark.parametrize("line, k", FILE_FLAG_CASES)
+    def test_an_empty_path_is_a_usage_error(self, capsys, line, k):
+        argv = [*line[: k + 1], "", *line[k + 2 :]]
+        code, report, _ = run(capsys, *argv)
+        assert code == 2
+        error = report["result"]["error"]
+        assert error.startswith("UsageError: ")
+        assert error.endswith(f"argument {line[k]}: file path must not be empty")
+        assert set(report["result"]) == {"error"} and report["inputs"] == {}
+
+    def test_an_empty_path_gives_no_verdict(self, capsys, tmp_path, std2_file):
+        false = write(tmp_path, "f.fml", "all x1 . ~(x1 = x1)\n")
+        for argv in (
+            # read as if --h were absent, this exited 0
+            ["check", "--structure", std2_file, "--schema", "ac", "--h", ""],
+            # read as the empty assignment, this exited 1 with the verdict
+            ["eval", "--structure", std2_file, "--formula", false, "--assignment", ""],
+        ):
+            code, report, _ = run(capsys, *argv)
+            assert code == 2
+            assert set(report["result"]) == {"error"}
+            assert report["result"]["error"].endswith("file path must not be empty")
+
+
 class TestProcess:
     """``python -m henkin`` keeps the contract: the exit code, one JSON
     report on stdout, and no traceback."""
@@ -499,6 +546,26 @@ def test_imports_leave_out_dataclasses():
     assert done.stdout.strip() == "False"
 
 
+def test_imports_sit_at_the_top_and_form_a_dag():
+    # an import inside a function is how a cycle between modules hides
+    inside, graph = set(), {}
+    for path in sorted((ROOT / "src" / "henkin").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside.update(
+                    f"{path.name}:{n.lineno}"
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))
+                )
+        deps = graph.setdefault(path.stem, set())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else [a.name for a in node.names])
+    assert sorted(inside) == []
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
 class TestReportDeterminism:
     def test_reports_identical_modulo_timing(self, capsys, std2_file, tmp_path):
         f = tmp_path / "f.fml"
@@ -512,6 +579,35 @@ class TestReportDeterminism:
     def test_seed_echoed(self, capsys):
         code, report, _ = run(capsys, "--seed", "7", "parse", "--text", "x1 = x1")
         assert code == 0 and report["seed"] == 7
+
+
+def test_recorded_command_lines_replay(capsys, tmp_path, monkeypatch):
+    """``cli_calls.json`` holds every ``main`` call this file made before
+    file flags were checked when parsed and ``main`` built the report as a
+    dict: its command line, input files (renamed to their base names), table
+    cap variable, exit code and the sha256 of its report with ``timing_s``
+    set to 0 (none for ``--help``).  Each still ends the same way.  Error
+    texts come in part from argparse and json, so on another Python version
+    than the recording's only the exit codes of error reports are compared."""
+    doc = json.loads(Path(__file__).with_name("cli_calls.json").read_text(encoding="utf-8"))
+    same_python = doc["python"] == "%d.%d" % sys.version_info[:2]
+    differ = []
+    for k, call in enumerate(doc["calls"]):
+        directory = tmp_path / str(k)
+        directory.mkdir()
+        for name, text in call["files"].items():
+            (directory / name).write_bytes(text.encode("utf-8"))
+        monkeypatch.chdir(directory)
+        monkeypatch.delenv("HENKIN_CAP_TABLES", raising=False)
+        for key, value in call["env"].items():
+            monkeypatch.setenv(key, value)
+        code = main(call["argv"])
+        stable = re.sub(r'"timing_s": [-0-9.eE+]+', '"timing_s": 0', capsys.readouterr().out)
+        digest = hashlib.sha256(stable.encode()).hexdigest()
+        compare = call["report"] is not None and (same_python or code != 2)
+        if code != call["code"] or (compare and digest != call["report"]):
+            differ.append((k, call["argv"][:6], code, stable[:400]))
+    assert differ == []
 
 
 def write(directory, name, text):
@@ -867,7 +963,7 @@ def structure_docs(draw):
 
 
 def files_mostly(name):
-    return st.sampled_from([name] * 8 + ["bad.json", "missing.json"])
+    return st.sampled_from([name] * 8 + ["bad.json", "missing.json", ""])
 
 
 numbers = st.integers(-2, 2).map(str)

@@ -173,6 +173,20 @@ class TestMinimalSupport:
         with pytest.raises(FraenkelError):
             SymbolicPredicate(2, ("p",), 2 ** len(types))
 
+    def test_float_arity_rejected(self):
+        # it used to recurse without end in enumerate_types
+        with pytest.raises(FraenkelError, match="arity must be an integer, got 1.5"):
+            SymbolicPredicate(1.5, (), 0)
+
+    def test_bool_arity_stored_as_int(self):
+        sigma = SymbolicPredicate(True, (), 1)
+        assert type(sigma.arity) is int and sigma == full_symbolic(1)
+
+    def test_json_true_arity_rejected(self):
+        # a document spells its arity as a number, so true is an error there
+        with pytest.raises(FraenkelError, match="arity must be an integer, got True"):
+            symbolic_from_dict({"arity": True, "support": [], "accepted": ["f1"]})
+
     def test_canonicalize_preserves_denotation(self):
         # built canonical: the denotation of the declared predicate, over the
         # reference's least support, with equal predicates equal

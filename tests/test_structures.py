@@ -48,6 +48,12 @@ class TestTable:
         with pytest.raises(StructureError):
             Table.from_bitstring(2, 1, "2x")
 
+    @pytest.mark.parametrize("size, arity", [(2.0, 1), (2, 1.0)])
+    def test_size_and_arity_are_integers(self, size, arity):
+        # a float size of 2.0 used to be stored as it was
+        with pytest.raises(StructureError, match="must be integers"):
+            Table(size, arity, (False, True))
+
     def test_equality_table(self):
         t = equality_table(3)
         assert t.tuples() == frozenset({(i, i) for i in range(3)})

@@ -48,8 +48,8 @@ R = pred(0, 2)
 
 class TestVar:
     def test_kinds(self):
-        assert x1.is_individual and x1.kind == "individual"
-        assert A.is_predicate and A.kind == "predicate"
+        assert x1.is_individual and not x1.is_predicate
+        assert A.is_predicate and not A.is_individual
         assert str(x1) == "x1" and str(A) == "A0^1" and str(R) == "A0^2"
 
     def test_individual_iff_arity_zero(self):
