@@ -61,7 +61,6 @@ from .fraenkel import (
     EqType,
     FraenkelError,
     SymbolicPredicate,
-    apply_permutation_symbolic,
     check_choice_instance_sigma0,
     classify,
     denotes,

@@ -199,10 +199,6 @@ def equality_symbolic() -> SymbolicPredicate:
     return SymbolicPredicate(2, (), frozenset({EqType((0, 0))}))
 
 
-def inequality_symbolic() -> SymbolicPredicate:
-    return SymbolicPredicate(2, (), frozenset({EqType((0, 1))}))
-
-
 def full_symbolic(arity: int) -> SymbolicPredicate:
     return SymbolicPredicate(arity, (), frozenset(enumerate_types(arity, ())))
 
@@ -211,35 +207,10 @@ def empty_symbolic(arity: int) -> SymbolicPredicate:
     return SymbolicPredicate(arity, (), frozenset())
 
 
-def finite_set(atoms: Iterable[str]) -> SymbolicPredicate:
-    """The arity-1 predicate holding exactly the named atoms."""
-    names = tuple(sorted(set(atoms)))
-    return SymbolicPredicate(1, names, frozenset(EqType((a,)) for a in names))
-
-
 def cofinite_set(excluded: Iterable[str]) -> SymbolicPredicate:
     """The arity-1 predicate holding every atom except the named ones."""
     names = tuple(sorted(set(excluded)))
     return SymbolicPredicate(1, names, frozenset({EqType((0,))}))
-
-
-def apply_permutation_symbolic(
-    mapping: Mapping[str, str], sigma: SymbolicPredicate
-) -> SymbolicPredicate:
-    """Action of a finitary atom permutation: support atoms are renamed, fresh
-    classes are untouched, and the image holds at a tuple iff the original
-    held at its preimage."""
-    if set(mapping) != set(mapping.values()):
-        raise FraenkelError("a finitary permutation must permute the atoms it moves")
-    for name in mapping.values():
-        check_atom_name(name)
-
-    def move(entry: str | int) -> str | int:
-        return mapping.get(entry, entry) if isinstance(entry, str) else entry
-
-    support = tuple(mapping.get(a, a) for a in sigma.support)
-    accepted = frozenset(EqType(tuple(move(e) for e in t.entries)) for t in sigma.accepted)
-    return SymbolicPredicate(sigma.arity, support, accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .structures import (
     Table,
     json_labels,
     json_shape,
+    preimage_points,
     value_tuple,
 )
 from .syntax import Formula, Var
@@ -204,24 +205,11 @@ class Group(value_tuple("Group", "degree elements")):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _action_index_map(perm: Permutation, size: int, arity: int) -> tuple[int, ...]:
-    """Bit index of the preimage tuple, per output position."""
-    inv = perm.inverse()
-    out = []
-    for point in product(range(size), repeat=arity):
-        idx = 0
-        for i in point:
-            idx = idx * size + inv.mapping[i]
-        out.append(idx)
-    return tuple(out)
-
-
 def act_on_predicate(perm: Permutation, table: Table) -> Table:
     """Image table: holds at a tuple iff the original holds at its preimage."""
     if perm.degree != table.size:
         raise StructureError("permutation degree does not match the table's universe")
-    index_map = _action_index_map(perm, table.size, table.arity)
+    index_map = preimage_points(perm.mapping, table.arity)
     return Table(table.size, table.arity, tuple(table.bits[j] for j in index_map))
 
 
@@ -366,7 +354,7 @@ def filter_degenerate(filt: Filter, group: Group) -> bool:
 def _orbits(group: Group, arity: int) -> list[int]:
     """The orbit number of each row-major tuple under the group, orbits
     numbered in the order of their least tuple."""
-    maps = [_action_index_map(p, group.degree, arity) for p in group.elements]
+    maps = [preimage_points(p.mapping, arity) for p in group.elements]
     orbit = [-1] * group.degree**arity
     count = 0
     for start in range(len(orbit)):

@@ -26,7 +26,9 @@ Variable allocation is deterministic so built formulas are byte-stable:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import compress, count, product
+from math import factorial
+from operator import eq
 from typing import NamedTuple
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
@@ -365,10 +367,39 @@ def check_schema(
         total *= len(pool)
         if total > assignment_cap:
             raise CapExceeded("schema check assignments", total, assignment_cap)
+    # the maps cost a value per permutation and distinct pool, so they are
+    # built only where that is no more than the search they prune
+    distinct = {v.arity: len(pool) for v, pool in zip(searched, pools)}
+    cheap = (factorial(structure.size) - 1) * sum(distinct.values()) <= total
+    symmetries = list(zip(*(structure.symmetries(v.arity) for v in searched))) if cheap else []
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
-    k = len(searched)
-    for env[:k] in product(*pools):
-        if not body(env):
-            counterexample = Assignment(dict(zip(searched, env)))
-            return SchemaCheck(False, counterexample, formula, matrix, searched)
+    if _falsified(body, env, pools, symmetries):
+        counterexample = Assignment(dict(zip(searched, env)))
+        return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)
+
+
+def _falsified(body, env: list, pools: list, symmetries: list, depth: int = 0) -> bool:
+    """Whether an assignment of ``pools`` to the first slots of ``env``
+    makes ``body`` false; if so, ``env`` holds the first in ``product`` order.
+
+    Each of ``symmetries`` maps every pool, as ``Structure.symmetries`` does,
+    and fixes the values chosen so far.  A value that one maps below itself
+    starts no least assignment of its orbit, and is skipped.  Symmetries
+    preserve truth, so the first falsifying assignment is the least of its
+    orbit.  Once no symmetry is left, the rest is a plain ``product``."""
+    k = len(pools)
+    if not symmetries:
+        for env[depth:k] in product(*pools[depth:]):
+            if not body(env):
+                return True
+        return False
+    # a value is kept if no symmetry maps its index below it
+    lowest = map(min, count(), *(g[depth] for g in symmetries))
+    for i, env[depth] in compress(enumerate(pools[depth]), map(eq, count(), lowest)):
+        if depth + 1 == k:
+            if not body(env):
+                return True
+        elif _falsified(body, env, pools, [g for g in symmetries if g[depth][i] == i], depth + 1):
+            return True
+    return False

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -104,6 +106,19 @@ class Table(value_tuple("Table", "size arity bits")):
         return Table(self.size, self.arity, tuple(not b for b in self.bits))
 
 
+@lru_cache(maxsize=4096)
+def preimage_points(mapping: tuple[int, ...], arity: int) -> tuple[int, ...]:
+    """The row-major index of each point's preimage under the permutation
+    ``mapping`` of the universe: the image of a table under it reads its
+    bits at these indices."""
+    size = len(mapping)
+    inverse = sorted(range(size), key=mapping.__getitem__)
+    indices = [0]
+    for _ in range(arity):  # one argument at a time, row-major
+        indices = [i * size + j for i in indices for j in inverse]
+    return tuple(indices)
+
+
 def equality_table(size: int) -> Table:
     return Table.from_function(size, 2, lambda p: p[0] == p[1])
 
@@ -141,6 +156,7 @@ class Structure:
         self._by_bits = {n: {t.bits: t for t in ts} for n, ts in self.domains.items()}
         self._index = {a: i for i, a in enumerate(self.individuals)}
         self._columns: dict[int, tuple[int, ...]] = {}
+        self._symmetries: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -173,6 +189,24 @@ class Structure:
             rows = (t.bits for t in self.domain(arity))
             columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
         return columns[arity]
+
+    def symmetries(self, arity: int) -> tuple[tuple[int, ...], ...]:
+        """If every domain is full, one map per permutation of the universe
+        but the identity, in ``permutations`` order, else none.  A map sends
+        the index of each value of the arity-n pool (the universe for n = 0,
+        else ``domain(n)``) to the index of its image, and so maps the
+        structure onto itself.  Computed on first use."""
+        maps = self._symmetries
+        if arity not in maps:
+            full = all(len(ts) == 1 << self.size**n for n, ts in self.domains.items())
+            moves = list(permutations(range(self.size)))[1:] if full else []
+            if arity and moves:
+                tables = self.domain(arity)
+                index = {t.bits: j for j, t in enumerate(tables)}
+                picks = [itemgetter(*preimage_points(g, arity)) for g in moves]
+                moves = [tuple(index[pick(t.bits)] for t in tables) for pick in picks]
+            maps[arity] = tuple(moves)
+        return maps[arity]
 
     def label_index(self, label: str) -> int:
         try:

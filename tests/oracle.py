@@ -27,7 +27,14 @@ domains; only the formula enumeration and the report type are shared.
 ``ref_check_schema`` is ``schemas.check_schema`` as it was before the
 payload-free schemas were shared: every call builds its formula anew
 (``fresh_build`` calls the family's own builder), checks its arities and
-peels its prefix; only the compiled search is the package's.
+peels its prefix; only the compiled body is the package's.  It is also the
+plain-``product`` reference for the orbit search: it visits every
+assignment of the prefix, where the package skips all but the least of
+each orbit of the universe's permutations on a full structure.
+
+``inequality_symbolic``, ``finite_set`` and ``apply_permutation_symbolic``
+build the symbolic predicates the tests name by hand, and move one by a
+finitary atom permutation.
 
 The two structure builders near the end are references only tests use: the
 brute-force permutation-model builder that the fast one is compared
@@ -49,7 +56,9 @@ from henkin.evaluate import (
 from henkin.fraenkel import (
     DEFAULT_PRED_CAP,
     EqType,
+    FraenkelError,
     SymbolicPredicate,
+    check_atom_name,
     classify,
     enumerate_types,
     fresh_atoms,
@@ -242,6 +251,33 @@ def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP
             counterexample = Assignment(dict(zip(searched, env)))
             return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)
+
+
+def inequality_symbolic():
+    return SymbolicPredicate(2, (), frozenset({EqType((0, 1))}))
+
+
+def finite_set(atoms):
+    """The arity-1 predicate holding exactly the named atoms."""
+    names = tuple(sorted(set(atoms)))
+    return SymbolicPredicate(1, names, frozenset(EqType((a,)) for a in names))
+
+
+def apply_permutation_symbolic(mapping, sigma):
+    """Action of a finitary atom permutation: support atoms are renamed, fresh
+    classes are untouched, and the image holds at a tuple iff the original
+    held at its preimage."""
+    if set(mapping) != set(mapping.values()):
+        raise FraenkelError("a finitary permutation must permute the atoms it moves")
+    for name in mapping.values():
+        check_atom_name(name)
+
+    def move(entry):
+        return mapping.get(entry, entry) if isinstance(entry, str) else entry
+
+    support = tuple(mapping.get(a, a) for a in sigma.support)
+    accepted = frozenset(EqType(tuple(move(e) for e in t.entries)) for t in sigma.accepted)
+    return SymbolicPredicate(sigma.arity, support, accepted)
 
 
 @dataclass(frozen=True)

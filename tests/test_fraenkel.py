@@ -14,7 +14,6 @@ from henkin.fraenkel import (
     FraenkelError,
     SymbolicPredicate,
     _candidate_predicates,
-    apply_permutation_symbolic,
     check_atom_name,
     check_choice_instance_sigma0,
     classify,
@@ -23,10 +22,8 @@ from henkin.fraenkel import (
     empty_symbolic,
     enumerate_types,
     equality_symbolic,
-    finite_set,
     fresh_atoms,
     full_symbolic,
-    inequality_symbolic,
     is_linear_order,
     symbolic_evaluate,
     symbolic_from_dict,
@@ -43,7 +40,10 @@ from henkin.syntax import format_formula, free_vars, ind, pred
 
 from oracle import (
     RefPredicate,
+    apply_permutation_symbolic,
     evaluation_pool,
+    finite_set,
+    inequality_symbolic,
     naive_eval,
     ref_candidates,
     ref_canonicalize,

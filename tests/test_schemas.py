@@ -4,7 +4,7 @@ import pytest
 
 from oracle import fresh_build, random_structure, ref_check_schema
 
-from henkin.corpus import payload_corpus
+from henkin.corpus import default_vocabulary, payload_corpus, random_formula
 from henkin.evaluate import EvalError, evaluate
 from henkin.parser import parse
 from henkin.schemas import (
@@ -23,10 +23,12 @@ from henkin.schemas import (
     build,
     check_schema,
 )
-from henkin.structures import Assignment, Table, standard_structure
+from henkin.structures import Assignment, CapExceeded, Structure, Table, standard_structure
 from henkin.syntax import (
     MAX_DEPTH,
+    Formula,
     SignatureError,
+    all_vars,
     format_formula,
     free_vars,
     ind,
@@ -400,3 +402,62 @@ class TestSharedPayloadFreeSchemas:
         check_schema(std2, SchemaId(COMPREHENSION, 1, 1, parse("x1 = x2")))
         check_schema(std2, fresh_build(SchemaId(LO)))
         assert _shared_parts.cache_info().currsize == before
+
+
+class TestOrbitSearch:
+    """On a structure whose every domain is full, ``check_schema`` visits
+    one assignment per orbit of the universe's permutations; the verdict
+    and the counterexample are those of the plain ``product`` search."""
+
+    def test_full_boards_agree_with_the_product_reference(self, std2, std3):
+        rng = random.Random(20240917)
+        boards = [
+            (standard_structure(("a", "b"), 1), 1),
+            (std2, 2),
+            (standard_structure(("a", "b"), 3), 3),
+            (std3, 2),
+            (standard_structure(("a", "b", "c", "d"), 1), 1),
+        ]
+        checks = falsified = 0
+        for structure, arity in boards:
+            cases = [SchemaId(f, strict=strict) for f, strict in READINGS]
+            cases += [SchemaId(f, n, m) for f in (AC, AC_STAR) for n, m in ARITIES]
+            cases += [random_formula(rng, 5, *default_vocabulary(arity)) for _ in range(480)]
+            for case in cases:
+                formula = case if isinstance(case, Formula) else build(case)
+                arities = {v.arity for v in all_vars(formula)}
+                if not arities <= {0, *structure.domains}:
+                    continue
+                try:
+                    want = ref_check_schema(structure, case, assignment_cap=5_000)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        check_schema(structure, case, assignment_cap=5_000)
+                    continue
+                got = check_schema(structure, case, assignment_cap=5_000)
+                assert got == want
+                checks += 1
+                falsified += not got.holds
+        assert checks >= 2_000 and falsified >= 500
+
+    def test_a_domain_that_is_not_full_keeps_every_assignment(self, std2):
+        # the swap of a and b maps x1 = b to x1 = a, and {a} to the missing
+        # {b}: pruning by it would skip the only counterexample
+        singleton_a = Table.from_tuples(2, 1, [(0,)])
+        unary = frozenset(t for t in std2.domains[1] if t.tuples() != {(1,)})
+        assert singleton_a in unary and len(unary) == 3
+        nearly_full = Structure(("a", "b"), {1: unary, 2: std2.domains[2]})
+        f = parse("all x1 . ex A0^1 . (A0^1 x1 & ex x2 . ~A0^1 x2)")
+        check = check_schema(nearly_full, f)
+        assert not check.holds
+        assert check.counterexample.values == {x1: 1}
+        assert nearly_full.symmetries(0) == ()
+
+    def test_the_maps_are_built_only_where_they_cost_less_than_the_search(self):
+        std8 = standard_structure("abcdefgh", 1)
+        assert check_schema(std8, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
+        assert std8._symmetries == {}
+        std2 = standard_structure(("a", "b"), 1)
+        assert check_schema(std2, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
+        # the swap of a and b, on the points and on the tables 00 01 10 11
+        assert std2._symmetries == {0: ((1, 0),), 1: ((0, 2, 1, 3),)}
