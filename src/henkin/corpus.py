@@ -9,7 +9,6 @@ bound in the candidate body.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -28,6 +27,7 @@ from .syntax import (
     Or,
     Var,
     ind,
+    integers,
     pred,
 )
 
@@ -194,10 +194,7 @@ def _build(shape: tuple) -> Formula:
 
 def _natural(name: str, value: int, least: int = 0) -> int:
     """``value`` as an int, if it is one and at least ``least``; else ``ValueError``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"need an integer {name}, got {value!r}") from None
+    (value,) = integers(ValueError, f"need an integer {name}", value)
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")
     return value

@@ -3,9 +3,10 @@ compiled core shared with the symbolic atom universe.
 
 Quantifiers are read Henkin-style: an individual quantifier ranges over the
 universe, a predicate quantifier over the structure's own domain of that
-arity, which may be a proper subset of all tables.  Predicate equality is
-extensional table equality, which is identity on a structure's own tables:
-``resolve`` makes assigned tables the domain's own, and the core uses ``is``.
+arity, which may be a proper subset of all tables.  A value is a position in
+its pool: an individual in the universe, a predicate in ``domain(arity)``.
+``resolve`` turns an assigned table into its position, so predicate equality,
+extensional table equality, is equality of positions.
 
 Where its body allows, a predicate quantifier over a finite domain is
 decided by one run of its body as an int mask with a bit per table.
@@ -13,7 +14,6 @@ decided by one run of its body as an int mask with a bit per table.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -56,12 +56,13 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     which cover the free variables, into their slots.
 
     The semantics gives ``atom(pred_slot, arg_slots)``, an
-    environment-to-truth closure, ``pred_eq``, and ``pool(var)``, a function
-    from the environment to a quantifier's values.  A quantifier saves its
-    slot, runs its body per pool value and restores the slot, so unset
-    (``None``) slots are exactly the variables out of scope, and a run that
-    returns leaves ``env`` as it found it: one environment serves many runs,
-    but a run that raises part-way may leave quantifier slots set.
+    environment-to-truth closure, and ``pool(var)``, a function from the
+    environment to a quantifier's values, which compare with ``==``.  A
+    quantifier saves its slot, runs its body per pool value and restores
+    the slot, so unset (``None``) slots are exactly the variables out of
+    scope, and a run that returns leaves ``env`` as it found it: one
+    environment serves many runs, but a run that raises part-way may leave
+    quantifier slots set.
 
     A bridged predicate existential (see ``_bridged_section``) has one
     candidate.  ``semantics.section(s_slot, xs_slots, m)`` gives a closure
@@ -69,11 +70,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     or ``None`` when the quantifier's range lacks it; the existential binds
     its variable to that value and runs the right conjunct once.
 
-    Over a ``FiniteSemantics``, any other predicate quantifier ``Q V . phi``
-    with ``V`` in ``phi`` under no predicate quantifier there is flat: one
-    run of ``phi`` gives an int mask over the domain of ``V``, bit j for its
-    j-th table, and ``all`` holds iff it is full, ``ex`` iff it is not 0
-    (see ``masked``).  ``V``'s slot is never written.
+    Where the semantics gives masks, any other predicate quantifier
+    ``Q V . phi`` with ``V`` in ``phi`` under no predicate quantifier there
+    is flat: one run of ``phi`` gives an int mask over the domain of ``V``,
+    bit j for its j-th table, and ``all`` holds iff it is ``full(V)``,
+    ``ex`` iff it is not 0 (see ``masked``).  ``V``'s slot is never written.
 
     Any other quantifier whose variable is not free in its body, or in the
     left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
@@ -95,10 +96,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             return semantics.atom(slot[g.predicate], tuple(slot[a] for a in g.args))
         if isinstance(g, Eq):
             l, r = slot[g.left], slot[g.right]
-            if g.left.is_individual:
-                return lambda env: env[l] == env[r]
-            same = semantics.pred_eq
-            return lambda env: same(env[l], env[r])
+            return lambda env: env[l] == env[r]
         if isinstance(g, Not):
             body = scalar(g.body)
             return lambda env: not body(env)
@@ -133,10 +131,10 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
             return one_point
 
-        # flat; `full` is 0 for an individual or an arity without a domain,
-        # which the search then reports
-        flat = isinstance(semantics, FiniteSemantics) and g.var in inner.free_vars
-        full = flat and g.var not in inner.nested_vars and semantics.full(g.var)
+        # flat; `full` is 0 for an individual, an arity without a domain,
+        # which the search then reports, and a semantics without masks
+        flat = g.var in inner.free_vars and g.var not in inner.nested_vars
+        full = flat and semantics.full(g.var)
         if full:
             mask = masked(inner, g.var, full)
             if universal:
@@ -196,7 +194,8 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
         if isinstance(g, Eq):
             if g.left == g.right:
                 return lambda env: full
-            return semantics.bit(v, slot[g.right if g.left == v else g.left])
+            w = slot[g.right if g.left == v else g.left]
+            return lambda env: 1 << env[w]
         if isinstance(g, Not):
             body = masked(g.body, v, full)
             return lambda env: full ^ body(env)
@@ -270,45 +269,41 @@ def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
 
 
 class FiniteSemantics:
-    """Individuals are universe indices, predicates the structure's own tables
-    (so equal iff identical); an atom reads ``Table.bits`` at a row-major index."""
-
-    pred_eq = operator.is_
+    """Individuals are positions in the universe, predicates positions in
+    their arity's ``domain``; an atom reads the predicate's row of
+    ``Structure.rows`` at the row-major index of its arguments."""
 
     def __init__(self, structure: Structure):
         self.structure = structure
 
     def pool(self, var: Var):
-        if var.is_individual:
-            values = range(self.structure.size)
-        elif var.arity in self.structure.domains:
-            values = self.structure.domain(var.arity)
-        else:
+        values = range(len(self.structure.rows(var.arity)) if var.arity else self.structure.size)
+        if not values:
             raise EvalError(f"quantifier over {var}: no domain of arity {var.arity}")
         return lambda env: values
 
     def atom(self, p: int, args: tuple[int, ...]):
-        size = self.structure.size
+        rows, size = self.structure.rows(len(args)), self.structure.size
         # unrolled for one and two arguments: a quarter off `check ac-star` on std3
         if len(args) == 1:
             (a,) = args
-            return lambda env: env[p].bits[env[a]]
+            return lambda env: rows[env[p]][env[a]]
         if len(args) == 2:
             a, b = args
-            return lambda env: env[p].bits[env[a] * size + env[b]]
+            return lambda env: rows[env[p]][env[a] * size + env[b]]
 
         def point(env: list) -> bool:
             index = 0
             for a in args:
                 index = index * size + env[a]
-            return env[p].bits[index]
+            return rows[env[p]][index]
 
         return point
 
     def full(self, var: Var) -> int:
         """The mask with a bit per table of ``var``'s domain, 0 if it has none
         (arity 0, an individual, never has one)."""
-        return (1 << len(self.structure.domains.get(var.arity, ()))) - 1
+        return (1 << len(self.structure.rows(var.arity))) - 1
 
     def column(self, var: Var, args: tuple[int, ...]):
         """A closure from the environment to ``var``'s column at the point of ``args``."""
@@ -328,25 +323,19 @@ class FiniteSemantics:
 
         return point
 
-    def bit(self, var: Var, w: int):
-        """A closure from the environment to the bit of ``env[w]``, a table of ``var``'s domain."""
-        bits = {id(t): 1 << j for j, t in enumerate(self.structure.domain(var.arity))}
-        return lambda env: bits[id(env[w])]
-
     def section(self, s: int, xs: tuple[int, ...], m: int):
-        """A closure from the environment to the domain table whose bits
-        are the ``m``-ary block of the bits of ``env[s]`` at the points
-        ``env[x]``, or None if the domain of arity ``m`` lacks it (the
-        Henkin reading)."""
-        by_bits = self.structure.by_bits(m)
+        """A closure from the environment to the position of the table whose
+        bits are the ``m``-ary block of the row of ``env[s]`` at the points
+        ``env[x]``, or None if the arity-m domain lacks it (Henkin's reading)."""
+        by_bits, rows = self.structure.by_bits(m), self.structure.rows(len(xs) + m)
         size, width = self.structure.size, self.structure.size**m
 
-        def section(env: list) -> Table | None:
+        def section(env: list) -> int | None:
             start = 0
             for x in xs:
                 start = start * size + env[x]
             start *= width
-            return by_bits.get(env[s].bits[start : start + width])
+            return by_bits.get(rows[env[s]][start : start + width])
 
         return section
 
@@ -354,10 +343,11 @@ class FiniteSemantics:
 def resolve(structure: Structure, assignment: Assignment, var: Var):
     """Assignment lookup with the totality defaults.
 
-    An unmentioned individual variable denotes the first individual, an
-    unmentioned predicate variable the least table of its arity, so every
-    assignment acts as a total one.  A table becomes the domain's own equal
-    table, so the core can compare predicates by identity.
+    An individual is its position in the universe and a predicate the
+    position of the equal table in its arity's ``domain``.  An unmentioned
+    individual variable denotes the first individual, an unmentioned
+    predicate variable the least table of its arity (position 0), so every
+    assignment acts as a total one.
     """
     value = assignment.get(var)
     if var.is_individual:
@@ -369,7 +359,7 @@ def resolve(structure: Structure, assignment: Assignment, var: Var):
     own = structure.by_bits(var.arity)
     if not own:
         raise EvalError(f"no domain of arity {var.arity} for {var}")
-    value = structure.domain(var.arity)[0] if value is None else own.get(value.bits)
+    value = 0 if value is None else own.get(value.bits)
     if value is None:
         raise EvalError(f"{var} is assigned a table outside the structure's domain")
     return value
@@ -534,7 +524,7 @@ def saturate_with_report(
             n, k = len(xs), len(xs) + len(preds)
             body, env = compile_formula(formula, semantics, xs + preds)
             known, found = current.by_bits(n), new_rows[n]
-            for env[n:k] in product(*(current.domain(p.arity) for p in preds)):
+            for env[n:k] in product(*(range(len(current.domain(p.arity))) for p in preds)):
                 row = _bit_row(body, env, size, n)
                 if row not in known:
                     found.add(row)

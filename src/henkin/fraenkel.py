@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations, filterfalse, permutations, product
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
@@ -328,7 +328,7 @@ class _SymbolicRun:
     stratified.  A bridged predicate existential takes its one candidate
     from ``section`` instead, uncounted."""
 
-    pred_eq = eq
+    full = staticmethod(lambda var: 0)  # no masks over atoms: every quantifier searches
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound

@@ -480,7 +480,7 @@ def check_stabilizer_bound(
     choices: list[tuple[str, str]] = []
     bound = group
     for var in pred_params:
-        table = resolve(structure, assignment, var)
+        table = structure.domain(var.arity)[resolve(structure, assignment, var)]
         sym = symmetry_subgroup(group, table)
         if filter_contains(filt, group, sym):
             piece, choice = sym, "sym"

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count, product
-from math import factorial
 from operator import eq
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
 from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
@@ -367,19 +366,16 @@ def check_schema(
         total *= len(pool)
         if total > assignment_cap:
             raise CapExceeded("schema check assignments", total, assignment_cap)
-    # the maps cost a value per permutation and distinct pool, so they are
-    # built only where that is no more than the search they prune
-    distinct = {v.arity: len(pool) for v, pool in zip(searched, pools)}
-    cheap = (factorial(structure.size) - 1) * sum(distinct.values()) <= total
-    symmetries = list(zip(*(structure.symmetries(v.arity) for v in searched))) if cheap else []
+    symmetries = structure.symmetries(tuple(v.arity for v in searched))
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
-    if _falsified(body, env, pools, symmetries):
-        counterexample = Assignment(dict(zip(searched, env)))
+    if _falsified(body, env, [range(len(pool)) for pool in pools], symmetries):
+        # the core's values are positions in the pools
+        counterexample = Assignment({v: pool[i] for v, pool, i in zip(searched, pools, env)})
         return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)
 
 
-def _falsified(body, env: list, pools: list, symmetries: list, depth: int = 0) -> bool:
+def _falsified(body, env: list, pools: list, symmetries: Sequence, depth: int = 0) -> bool:
     """Whether an assignment of ``pools`` to the first slots of ``env``
     makes ``body`` false; if so, ``env`` holds the first in ``product`` order.
 
@@ -394,9 +390,10 @@ def _falsified(body, env: list, pools: list, symmetries: list, depth: int = 0) -
             if not body(env):
                 return True
         return False
-    # a value is kept if no symmetry maps its index below it
+    # a value is kept if no symmetry maps it below itself
     lowest = map(min, count(), *(g[depth] for g in symmetries))
-    for i, env[depth] in compress(enumerate(pools[depth]), map(eq, count(), lowest)):
+    for i in compress(pools[depth], map(eq, count(), lowest)):
+        env[depth] = i
         if depth + 1 == k:
             if not body(env):
                 return True

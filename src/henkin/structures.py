@@ -12,6 +12,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial, prod
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -153,10 +154,11 @@ class Structure:
                 if t.arity != n or t.size != len(self.individuals):
                     raise StructureError(f"table {t.bitstring()} does not fit arity {n}")
         self._sorted = {n: tuple(sorted(ts)) for n, ts in self.domains.items()}
-        self._by_bits = {n: {t.bits: t for t in ts} for n, ts in self.domains.items()}
+        self._rows = {n: tuple(t.bits for t in ts) for n, ts in self._sorted.items()}
+        self._by_bits = {n: {r: j for j, r in enumerate(rs)} for n, rs in self._rows.items()}
         self._index = {a: i for i, a in enumerate(self.individuals)}
         self._columns: dict[int, tuple[int, ...]] = {}
-        self._symmetries: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._symmetries: dict[tuple[int, ...], tuple] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -177,8 +179,12 @@ class Structure:
         except KeyError:
             raise StructureError(f"no domain of arity {arity}") from None
 
-    def by_bits(self, arity: int) -> dict[tuple[bool, ...], Table]:
-        """The arity-n domain's own tables by their bits, empty if it has none."""
+    def rows(self, arity: int) -> tuple[tuple[bool, ...], ...]:
+        """The bits of the tables of ``domain(arity)``, empty if it has none."""
+        return self._rows.get(arity, ())
+
+    def by_bits(self, arity: int) -> dict[tuple[bool, ...], int]:
+        """The arity-n domain's positions by bits, empty if it has none."""
         return self._by_bits.get(arity, {})
 
     def columns(self, arity: int) -> tuple[int, ...]:
@@ -186,27 +192,34 @@ class Structure:
         of the j-th table of ``domain(arity)``.  Computed on first use."""
         columns = self._columns
         if arity not in columns:
-            rows = (t.bits for t in self.domain(arity))
+            rows = self.rows(arity)
             columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
         return columns[arity]
 
-    def symmetries(self, arity: int) -> tuple[tuple[int, ...], ...]:
-        """If every domain is full, one map per permutation of the universe
-        but the identity, in ``permutations`` order, else none.  A map sends
-        the index of each value of the arity-n pool (the universe for n = 0,
-        else ``domain(n)``) to the index of its image, and so maps the
-        structure onto itself.  Computed on first use."""
-        maps = self._symmetries
-        if arity not in maps:
+    def symmetries(self, arities: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For a search over the pools of ``arities`` (the universe for 0,
+        else the positions of ``domain(n)``), per permutation of the universe
+        but the identity, in ``permutations`` order, a map of each pool to
+        its image, which maps the structure onto itself.  None unless every
+        domain is full and the maps, a value per permutation and distinct
+        pool, cost no more than the search they prune, the product of the
+        pools.  Computed on first use."""
+        cache = self._symmetries
+        if arities not in cache:
+            sizes = {n: len(self.rows(n)) if n else self.size for n in arities}
             full = all(len(ts) == 1 << self.size**n for n, ts in self.domains.items())
-            moves = list(permutations(range(self.size)))[1:] if full else []
-            if arity and moves:
-                tables = self.domain(arity)
-                index = {t.bits: j for j, t in enumerate(tables)}
-                picks = [itemgetter(*preimage_points(g, arity)) for g in moves]
-                moves = [tuple(index[pick(t.bits)] for t in tables) for pick in picks]
-            maps[arity] = tuple(moves)
-        return maps[arity]
+            cost = (factorial(self.size) - 1) * sum(sizes.values())
+            maps = ()
+            if arities and full and cost <= prod(map(sizes.get, arities)):
+                moves = list(permutations(range(self.size)))[1:]
+                pool_maps = {0: moves}
+                for n in sizes.keys() - {0}:
+                    index = self.by_bits(n)
+                    picks = [itemgetter(*preimage_points(g, n)) for g in moves]
+                    pool_maps[n] = [tuple(index[pick(r)] for r in self.rows(n)) for pick in picks]
+                maps = tuple(zip(*map(pool_maps.get, arities)))
+            cache[arities] = maps
+        return cache[arities]
 
     def label_index(self, label: str) -> int:
         try:

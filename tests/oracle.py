@@ -220,7 +220,9 @@ def fresh_build(schema):
 
 def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP):
     """The reference for ``schemas.check_schema``: build, arity check, peel
-    and search on every call."""
+    and search every assignment in ``product`` order on every call.  Values
+    are positions in their pools, as the finite semantics reads them, and
+    a counterexample's predicate positions become their tables."""
     if isinstance(schema, Formula):
         formula = schema
     elif schema.payload is None:
@@ -246,9 +248,10 @@ def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP
             raise CapExceeded("schema check assignments", total, assignment_cap)
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
     k = len(searched)
-    for env[:k] in product(*pools):
+    for env[:k] in product(*(range(len(pool)) for pool in pools)):
         if not body(env):
-            counterexample = Assignment(dict(zip(searched, env)))
+            values = [pool[i] for pool, i in zip(pools, env)]
+            counterexample = Assignment(dict(zip(searched, values)))
             return SchemaCheck(False, counterexample, formula, matrix, searched)
     return SchemaCheck(True, None, formula, matrix, searched)
 

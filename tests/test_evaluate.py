@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -123,15 +124,15 @@ def copied(assignment):
 
 
 class TestPredicateIdentity:
-    """The core compares predicates by identity, which is extensional
-    equality only on a structure's own tables: a table from an assignment
-    must be replaced by the domain's own equal one."""
+    """The core holds a predicate as its position in its arity's domain, so
+    predicate equality, extensional table equality, is equality of
+    positions: a table from an assignment, equal to a domain table but not
+    it, must resolve to that table's position."""
 
     def test_resolve_returns_the_domains_own_table(self, std2):
         table = Table.from_bitstring(2, 1, "10")
-        own = resolve(std2, Assignment({A: table}), A)
-        assert own == table and own is not table
-        assert any(own is t for t in std2.domain(1))
+        assert std2.domain(1)[resolve(std2, Assignment({A: table}), A)] == table
+        assert resolve(std2, Assignment({}), A) == 0  # the least table
 
     def test_tables_outside_the_domain_still_rejected(self):
         s = Structure(("a", "b"), {1: frozenset({Table.constant(2, 1, False)})})
@@ -350,6 +351,19 @@ class TestDomainMasks:
             assert (check.counterexample and dict(check.counterexample.values)) == expected
             verdicts.add(check.holds)
         assert verdicts == {True, False} and columns[pred(0, 1)] > 0
+
+    def test_a_flat_equality_builds_no_map_of_the_domain(self):
+        # the mask of A0^2 = A1^2 is one bit, at the position of A1^2; a map
+        # from each of the 65,536 tables to its own bit peaked at 279 MiB
+        std4 = standard_structure("abcd", 2)
+        f = parse("ex A0^2 . A0^2 = A1^2")
+        tracemalloc.start()
+        try:
+            assert evaluate(std4, Assignment({}), f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
     @pytest.mark.parametrize(
         "text", ["ex A0^2 . A0^2 x1 x1", "all A0^1 . (A0^1 x1 | ex A0^2 . A0^2 x1 x1)"]

@@ -4,6 +4,7 @@ import pytest
 
 from oracle import fresh_build, random_structure, ref_check_schema
 
+from henkin import structures
 from henkin.corpus import default_vocabulary, payload_corpus, random_formula
 from henkin.evaluate import EvalError, evaluate
 from henkin.parser import parse
@@ -451,13 +452,24 @@ class TestOrbitSearch:
         check = check_schema(nearly_full, f)
         assert not check.holds
         assert check.counterexample.values == {x1: 1}
-        assert nearly_full.symmetries(0) == ()
+        assert nearly_full.symmetries((0,)) == ()
 
     def test_the_maps_are_built_only_where_they_cost_less_than_the_search(self):
+        # check_schema asks once, for the arities of its searched variables
         std8 = standard_structure("abcdefgh", 1)
         assert check_schema(std8, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
-        assert std8._symmetries == {}
+        assert std8._symmetries == {(0, 1): ()}
         std2 = standard_structure(("a", "b"), 1)
         assert check_schema(std2, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
         # the swap of a and b, on the points and on the tables 00 01 10 11
-        assert std2._symmetries == {0: ((1, 0),), 1: ((0, 2, 1, 3),)}
+        assert std2._symmetries == {(0, 1): (((1, 0), (0, 2, 1, 3)),)}
+        # a maps tuple per searched variable, repeats included
+        assert std2.symmetries((1, 0, 1)) == (((0, 2, 1, 3), (1, 0), (0, 2, 1, 3)),)
+
+    def test_an_empty_prefix_builds_nothing(self, monkeypatch):
+        # a structure without domains is full, and a list of its 16! - 1
+        # permutations would not fit in memory: listing any fails at once
+        monkeypatch.setattr(structures, "permutations", None)
+        std16 = Structure(tuple("abcdefghijklmnop"), {})
+        assert std16.symmetries(()) == ()
+        assert check_schema(std16, parse("ex x1 . x1 = x1")).holds

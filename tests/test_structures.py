@@ -105,6 +105,17 @@ class TestStructure:
             "bits=(True,))})})"
         )
 
+    @pytest.mark.parametrize("name", ["std2", "crippled2", "a4_model"])
+    def test_rows_and_by_bits_read_positions(self, request, name):
+        s = request.getfixturevalue(name)
+        for n in s.domains:
+            tables = s.domain(n)
+            assert len(s.rows(n)) == len(s.by_bits(n)) == len(tables)
+            for j, t in enumerate(tables):
+                assert s.by_bits(n)[t.bits] == j
+                assert s.rows(n)[j] == t.bits
+        assert s.rows(3) == () and s.by_bits(3) == {}
+
     def test_label_index(self):
         s = standard_structure(("a", "b"), 1)
         assert s.label_index("b") == 1
