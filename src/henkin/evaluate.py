@@ -70,11 +70,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     or ``None`` when the quantifier's range lacks it; the existential binds
     its variable to that value and runs the right conjunct once.
 
-    Where the semantics gives masks, any other predicate quantifier
-    ``Q V . phi`` with ``V`` in ``phi`` under no predicate quantifier there
-    is flat: one run of ``phi`` gives an int mask over the domain of ``V``,
-    bit j for its j-th table, and ``all`` holds iff it is ``full(V)``,
-    ``ex`` iff it is not 0 (see ``masked``).  ``V``'s slot is never written.
+    Any other ``Q V . phi`` with ``V`` in ``phi`` under no predicate
+    quantifier there is flat: ``semantics.flat(g, k, compile, hoisted)``,
+    given ``V``'s slot, ``compile(full)``, ``phi`` as a closure to an int
+    mask (see ``masked``), and whether the search below hoists an operand,
+    returns its closure, or None to search.
 
     Any other quantifier whose variable is not free in its body, or in the
     left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
@@ -131,23 +131,18 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
             return one_point
 
-        # flat; `full` is 0 for an individual, an arity without a domain,
-        # which the search then reports, and a semantics without masks
-        flat = g.var in inner.free_vars and g.var not in inner.nested_vars
-        full = flat and semantics.full(g.var)
-        if full:
-            mask = masked(inner, g.var, full)
-            if universal:
-                return lambda env: mask(env) == full
-            return lambda env: mask(env) != 0
-
         # `fixed`, the part of the body the variable is not free in, and
         # `rest`, the part it may be; `stop` is the value of `fixed` that
         # decides the body and is then its value (read `L -> R` as `~L | R`)
+        split = isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars
+        if g.var in inner.free_vars and g.var not in inner.nested_vars:
+            decide = semantics.flat(g, k, lambda full: masked(inner, g.var, full), split)
+            if decide:
+                return decide
         fixed = rest = None
         if g.var not in inner.free_vars:
             fixed = scalar(inner)
-        elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
+        elif split:
             left, rest = scalar(inner.left), scalar(inner.right)
             fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
             stop = not isinstance(inner, And)
@@ -185,12 +180,12 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
     def masked(g: Formula, v: Var, full: int) -> Callable:
         """``g``, with ``v`` free and under no predicate quantifier, as a
-        closure to the mask of the tables of ``v``'s domain where it holds;
-        ``full`` has a bit per table.  Parts without ``v`` stay scalar, and
-        an individual quantifier is an AND (``ex`` as ``~all ~``) over its
-        pool that stops at 0."""
+        closure to the mask of the values of ``v`` where it holds; ``full``
+        has a bit per value, and ``v = w`` is the bit at ``w``'s value.
+        Parts without ``v`` stay scalar, and an individual quantifier is an
+        AND (``ex`` as ``~all ~``) over its pool that stops at 0."""
         if isinstance(g, Atom):  # headed by v, as arguments are individuals
-            return semantics.column(v, tuple(slot[a] for a in g.args))
+            return semantics.column(slot[v], tuple(slot[a] for a in g.args))
         if isinstance(g, Eq):
             if g.left == g.right:
                 return lambda env: full
@@ -300,14 +295,22 @@ class FiniteSemantics:
 
         return point
 
-    def full(self, var: Var) -> int:
-        """The mask with a bit per table of ``var``'s domain, 0 if it has none
-        (arity 0, an individual, never has one)."""
-        return (1 << len(self.structure.rows(var.arity))) - 1
+    def flat(self, g: Forall | Exists, k: int, compile: Callable, hoisted: bool):
+        """One run of the body as a mask with a bit per table of the domain,
+        or None without one (as for an individual): the search reports it.
+        The run reads a ``hoisted`` operand once too, so that flag is unread."""
+        full = (1 << len(self.structure.rows(g.var.arity))) - 1
+        if not full:
+            return None
+        mask = compile(full)
+        if isinstance(g, Forall):
+            return lambda env: mask(env) == full
+        return lambda env: mask(env) != 0
 
-    def column(self, var: Var, args: tuple[int, ...]):
-        """A closure from the environment to ``var``'s column at the point of ``args``."""
-        columns, size = self.structure.columns(var.arity), self.structure.size
+    def column(self, p: int, args: tuple[int, ...]):
+        """A closure from the environment to the column of the predicate
+        variable in slot ``p`` at the point of ``args``: bit j for the j-th table."""
+        columns, size = self.structure.columns(len(args)), self.structure.size
         if len(args) == 1:
             (a,) = args
             return lambda env: columns[env[a]]

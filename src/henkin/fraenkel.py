@@ -20,13 +20,14 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations, filterfalse, permutations, product
+from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
 from .schemas import CHOICE_H, SchemaId, choice_h_parts
 from .structures import ASSIGNMENT_KEYS, CapExceeded, Table, json_shape, json_var, value_tuple
-from .syntax import Formula, Var, integers
+from .syntax import Eq, Exists, Forall, Formula, Var, integers, subformulas
 
 
 class FraenkelError(Exception):
@@ -115,6 +116,7 @@ def classify(atoms: Sequence[str], support: Iterable[str]) -> EqType:
 
 
 MAX_TYPES = 1 << 16  # equality types per arity and support; a mask has a bit for each
+_MASK_TYPES = 17  # the most per support where a quantifier runs over masks: arity 2 at stratum 3
 
 
 @lru_cache(maxsize=1024)
@@ -260,6 +262,11 @@ def _least(arity: int, support: tuple[str, ...], mask: int) -> tuple[tuple[str, 
     return support, mask
 
 
+def _width(arity: int, size: int) -> int:
+    """The number of equality types of the arity over ``size`` support atoms."""
+    return len(enumerate_types(arity, tuple(map(str, range(size)))))
+
+
 @lru_cache(maxsize=64)
 def _non_minimal_masks(arity: int, size: int) -> frozenset[int]:
     """The masks over ``size`` support atoms from which some atom drops: the
@@ -272,6 +279,29 @@ def _non_minimal_masks(arity: int, size: int) -> frozenset[int]:
             unions += [u | group for u in unions]
         out.update(unions)
     return frozenset(out)
+
+
+@lru_cache(maxsize=64)
+def _minimal_masks(arity: int, size: int) -> int:
+    """Bit i is set iff mask i over ``size`` support atoms is not in
+    ``_non_minimal_masks``: an int of 2^T bits for T types, so only for the
+    widths ``flat`` takes.  One position's drop groups are disjoint."""
+    non_minimal = 0
+    for position in range(size):
+        unions = 1
+        for group in _drop_groups(arity, size, position):
+            unions |= unions << group
+        non_minimal |= unions
+    return (1 << (1 << _width(arity, size))) - 1 ^ non_minimal
+
+
+@lru_cache(maxsize=32)
+def _columns(width: int) -> tuple[int, ...]:
+    """Entry t has bit i set iff mask i over ``width`` types accepts the t-th."""
+    if not width:
+        return ()
+    half = 1 << width - 1  # the masks over one type fewer, repeated above them
+    return tuple(c | c << half for c in _columns(width - 1)) + ((1 << half) - 1 << half,)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +322,14 @@ class SymbolicVerdict(NamedTuple):
 
 
 def _atom_pool(values: Iterable[object], fresh: int) -> list[str]:
-    """The sorted atoms of the bound values (atom names and predicate
+    """The sorted atoms of the bound values (atoms, predicate and mask
     supports; ``None`` is a variable out of scope), then ``fresh`` new ones."""
     atoms: set[str] = set()
     for value in values:
         if isinstance(value, str):
             atoms.add(value)
         elif value is not None:
-            atoms.update(value.support)  # type: ignore[attr-defined]
+            atoms.update(value.support if isinstance(value, SymbolicPredicate) else value)
     base = sorted(atoms)
     return base + list(fresh_atoms(fresh, avoid=base))
 
@@ -326,9 +356,7 @@ class _SymbolicRun:
     ``support_bound`` for a predicate, whose candidates each call counts
     against ``pred_cap``; reaching a predicate quantifier marks the call
     stratified.  A bridged predicate existential takes its one candidate
-    from ``section`` instead, uncounted."""
-
-    full = staticmethod(lambda var: 0)  # no masks over atoms: every quantifier searches
+    from ``section`` instead, uncounted; ``flat`` counts as the search would."""
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
@@ -352,6 +380,19 @@ class _SymbolicRun:
 
         return holds
 
+    def column(self, p: int, args: tuple[int, ...]):
+        """The masks over the support in slot ``p`` accepting the args, as ``flat`` runs them."""
+        columns = _columns(_width(len(args), self.support_bound))
+        point = itemgetter(*args) if len(args) > 1 else lambda env: (env[args[0]],)
+        return lambda env: columns[_type_index(env[p], point(env))]
+
+    def count(self, tried: int) -> None:
+        """Past ``pred_cap``, needs one more than the cap, as a search stops there."""
+        self.enumerated += tried
+        if self.enumerated > self.pred_cap:
+            self.enumerated = self.pred_cap + 1
+            raise CapExceeded("enumerated symbolic predicates", self.enumerated, self.pred_cap)
+
     def pool(self, var: Var):
         if var.is_individual:
             return lambda env: _atom_pool(env, 1)
@@ -360,13 +401,56 @@ class _SymbolicRun:
             self.stratified = True
             pool = _atom_pool(env, self.support_bound)
             for sigma in _candidate_predicates(var.arity, pool, self.support_bound):
-                self.enumerated += 1
-                if self.enumerated > self.pred_cap:
-                    what = "enumerated symbolic predicates"
-                    raise CapExceeded(what, self.enumerated, self.pred_cap)
+                self.count(1)
                 yield sigma
 
         return predicates
+
+    def flat(self, g: Forall | Exists, k: int, compile: Callable, hoisted: bool):
+        """Decides a flat ``Q V . phi`` unless the search hoists an operand,
+        ``phi`` has a predicate quantifier or equates ``V`` with another
+        variable, or ``V`` has arity over 2 or over ``_MASK_TYPES`` types per
+        support: ``phi`` runs once per support of the stratum's size, bit i
+        for the i-th mask over it, the support's atoms in the pools inside
+        (exact, as a pool needs the bindings' atoms and one fresh one).  The
+        masks are the candidates, so if none decides the search tries all;
+        else a walk in search order finds the first deciding one."""
+        v, phi, b = g.var, g.body, self.support_bound
+        if (
+            hoisted
+            or not 1 <= v.arity <= 2
+            or _width(v.arity, min(b, _MASK_TYPES)) > _MASK_TYPES
+            or any(u.is_predicate for u in phi.bound_vars)
+            or any(w != v and w.arity == v.arity for w in phi.free_vars)  # V = W may occur
+            and any(isinstance(f, Eq) and {v} < f.free_vars for f in subformulas(phi))
+        ):
+            return None
+        universal, full = isinstance(g, Forall), (1 << (1 << _width(v.arity, b))) - 1
+        body, flip = compile(full), full if universal else 0
+        minimal = [_minimal_masks(v.arity, size) for size in range(b + 1)]
+
+        def decide(env: list) -> bool:
+            self.stratified, saved, pool = True, env[k], _atom_pool(env, b)
+
+            def run(support: tuple[str, ...]) -> int:
+                # bit i for the i-th mask over the support: a smaller one's are the low bits
+                env[k] = tuple(sorted(support))
+                return body(env) ^ flip
+
+            tried, decided = 0, any(map(run, combinations(pool, b)))
+            for size, masks in enumerate(minimal if decided else ()):
+                for support in combinations(pool, size):
+                    hits = run(support) & masks
+                    if hits:
+                        env[k] = saved
+                        self.count(tried + (masks & (hits & -hits) - 1).bit_count() + 1)
+                        return not universal
+                    tried += masks.bit_count()
+            env[k] = saved
+            self.count(sum(comb(len(pool), s) * m.bit_count() for s, m in enumerate(minimal)))
+            return universal
+
+        return decide
 
     def section(self, s: int, xs: tuple[int, ...], m: int):
         """A closure from the environment to the section of the predicate

@@ -159,6 +159,7 @@ class Structure:
         self._index = {a: i for i, a in enumerate(self.individuals)}
         self._columns: dict[int, tuple[int, ...]] = {}
         self._symmetries: dict[tuple[int, ...], tuple] = {}
+        self._pool_maps: dict[int, list] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -203,22 +204,21 @@ class Structure:
         its image, which maps the structure onto itself.  None unless every
         domain is full and the maps, a value per permutation and distinct
         pool, cost no more than the search they prune, the product of the
-        pools.  Computed on first use."""
-        cache = self._symmetries
+        pools.  Computed on first use, from each pool's maps, which are
+        built once per structure."""
+        cache, maps = self._symmetries, self._pool_maps
         if arities not in cache:
             sizes = {n: len(self.rows(n)) if n else self.size for n in arities}
             full = all(len(ts) == 1 << self.size**n for n, ts in self.domains.items())
             cost = (factorial(self.size) - 1) * sum(sizes.values())
-            maps = ()
-            if arities and full and cost <= prod(map(sizes.get, arities)):
-                moves = list(permutations(range(self.size)))[1:]
-                pool_maps = {0: moves}
-                for n in sizes.keys() - {0}:
-                    index = self.by_bits(n)
-                    picks = [itemgetter(*preimage_points(g, n)) for g in moves]
-                    pool_maps[n] = [tuple(index[pick(r)] for r in self.rows(n)) for pick in picks]
-                maps = tuple(zip(*map(pool_maps.get, arities)))
-            cache[arities] = maps
+            admitted = arities and full and cost <= prod(map(sizes.get, arities))
+            if admitted and not maps:
+                maps[0] = list(permutations(range(self.size)))[1:]
+            for n in sizes.keys() - maps.keys() if admitted else ():
+                index = self.by_bits(n)
+                picks = [itemgetter(*preimage_points(g, n)) for g in maps[0]]
+                maps[n] = [tuple(index[pick(r)] for r in self.rows(n)) for pick in picks]
+            cache[arities] = tuple(zip(*map(maps.get, arities))) if admitted else ()
         return cache[arities]
 
     def label_index(self, label: str) -> int:

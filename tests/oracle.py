@@ -12,12 +12,16 @@ semantics: a dict environment copied per binding, its own predicates
 (``RefPredicate``: a support and a set of accepted equality types, kept as
 declared), membership by ``classify``, equality by the atom-dropping
 ``ref_canonicalize``, and its own candidate enumeration, every accepted set
-under every support, with its own cap count.  It shares only the type
-primitives ``EqType``, ``classify`` and ``enumerate_types`` with the
-package; ``ref_predicate`` and ``to_symbolic`` convert at the boundary.
-``ref_order_check`` scans the linear-order axioms atom tuple by atom tuple
-through ``ref_denotes``.  ``evaluation_pool`` is the finite atom universe
-on which a truncation to a finite structure decides a symbolic formula.
+under every support, with its own cap count.  With ``SymContext(...,
+distinct=True)`` it reads predicates as the package stores them: pools
+take the atoms of least supports, and a quantifier counts each candidate
+once, under its least support, at its first occurrence in that listing.
+It shares only the type primitives ``EqType``, ``classify`` and
+``enumerate_types`` with the package; ``ref_predicate`` and
+``to_symbolic`` convert at the boundary.  ``ref_order_check`` scans the
+linear-order axioms atom tuple by atom tuple through ``ref_denotes``.
+``evaluation_pool`` is the finite atom universe on which a truncation to
+a finite structure decides a symbolic formula.
 
 ``naive_saturate`` is the reference for definability saturation: every
 defined table built point by point with ``naive_eval`` and a dict
@@ -393,27 +397,35 @@ def ref_candidates(arity, pool, support_bound):
 
 
 class SymContext:
-    """Stratum, predicate cap, and what one symbolic evaluation did."""
+    """Stratum, predicate cap, whether predicates count once under their
+    least support, and what one symbolic evaluation did."""
 
-    def __init__(self, support_bound, pred_cap=DEFAULT_PRED_CAP):
+    def __init__(self, support_bound, pred_cap=DEFAULT_PRED_CAP, distinct=False):
         self.support_bound = support_bound
         self.pred_cap = pred_cap
+        self.distinct = distinct
         self.enumerated = 0
         self.stratified = False
 
 
-def _env_atoms(env):
+def _env_atoms(env, least=False):
     atoms = set()
     for value in env.values():
         if isinstance(value, str):
             atoms.add(value)
         else:
-            atoms.update(value.support)
+            atoms.update((ref_canonicalize(value) if least else value).support)
     return atoms
 
 
 def _sym_candidates(arity, pool, ctx):
+    seen = set()
     for sigma in ref_candidates(arity, pool, ctx.support_bound):
+        if ctx.distinct:
+            sigma = ref_canonicalize(sigma)
+            if sigma in seen:
+                continue
+            seen.add(sigma)
         ctx.enumerated += 1
         if ctx.enumerated > ctx.pred_cap:
             raise CapExceeded("enumerated symbolic predicates", ctx.enumerated, ctx.pred_cap)
@@ -445,7 +457,7 @@ def naive_sym_eval(formula, env, ctx):
     if isinstance(formula, (Forall, Exists)):
         combine = all if isinstance(formula, Forall) else any
         var = formula.var
-        base = sorted(_env_atoms(env))
+        base = sorted(_env_atoms(env, ctx.distinct))
         if var.is_individual:
             pool = base + list(fresh_atoms(1, avoid=base))
             return combine(naive_sym_eval(formula.body, {**env, var: a}, ctx) for a in pool)

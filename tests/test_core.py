@@ -14,6 +14,7 @@ from oracle import (
     SymContext,
     naive_eval,
     naive_sym_eval,
+    ref_canonicalize,
     ref_denotes,
     random_assignment,
     random_structure,
@@ -22,10 +23,16 @@ from oracle import (
 )
 
 from henkin.corpus import default_vocabulary, random_formula
+from henkin import fraenkel
 from henkin.evaluate import EvalError, FiniteSemantics, att, compile_formula, evaluate
 from henkin.fraenkel import (
+    DEFAULT_PRED_CAP,
+    ChoiceInstanceReport,
     SymbolicPredicate,
     _SymbolicRun,
+    _candidate_predicates,
+    _width,
+    check_choice_instance_sigma0,
     enumerate_types,
     fresh_atoms,
     symbolic_evaluate,
@@ -544,3 +551,192 @@ class TestHoisting:
         monkeypatch.setattr(FiniteSemantics, "pool", counting)
         assert check_schema(std3, SchemaId(family)).holds
         assert counts == drawn
+
+
+def distinct_reference(formula, declared, bound, cap):
+    """The reference's truth, label and count with every predicate counted
+    once, under its least support, as the package counts them."""
+    ctx = SymContext(bound, cap, distinct=True)
+    try:
+        truth = naive_sym_eval(formula, dict(declared), ctx)
+    except CapExceeded as exc:
+        return "cap", exc.needed, exc.cap
+    return truth, ctx.stratified, ctx.enumerated
+
+
+def masked_run(formula, declared, bound, cap):
+    """The package's truth, label and count, the bindings stored canonical."""
+    binding = {v: to_symbolic(x) if isinstance(x, RefPredicate) else x for v, x in declared.items()}
+    run = _SymbolicRun(formula, tuple(binding), bound, cap)
+    try:
+        verdict = run(tuple(binding.values()))
+    except CapExceeded as exc:
+        return "cap", exc.needed, exc.cap
+    return verdict.truth, verdict.stratified, run.enumerated
+
+
+@pytest.fixture
+def mask_paths(monkeypatch):
+    """Records, per flat quantifier decided over masks, its stratum, arity
+    and whether a candidate decided it (or "cap"), the ones searched, and
+    the ones whose search hoists an operand."""
+    seen, searched, hoisting = set(), [], []
+    flat = _SymbolicRun.flat
+
+    def spying(self, g, k, compile, hoisted):
+        decide = flat(self, g, k, compile, hoisted)
+        if hoisted:
+            hoisting.append(g)
+        if decide is None:
+            searched.append(g)
+            return None
+
+        def spy(env):
+            try:
+                truth = decide(env)
+            except CapExceeded:
+                seen.add((self.support_bound, g.var.arity, "cap"))
+                raise
+            seen.add((self.support_bound, g.var.arity, truth != isinstance(g, Forall)))
+            return truth
+
+        return spy
+
+    monkeypatch.setattr(_SymbolicRun, "flat", spying)
+    return seen, searched, hoisting
+
+
+class TestMaskPath:
+    """A flat predicate quantifier over the atom universe is decided as int
+    masks over the largest supports; truth, the stratified label, the count
+    and every cap outcome are the search's, which the reference makes."""
+
+    def test_agrees_with_the_distinct_reference(self, mask_paths):
+        seen, _, hoisting = mask_paths
+        rng = random.Random(131)
+        others = [pred(1, 1), pred(1, 2)]
+        compared = padded = 0
+        for k in range(400):
+            v = (pred(0, 1), pred(0, 2))[k % 2]
+            bound = (0, 1, 2, 3)[k // 2 % 4]
+            while True:
+                phi = random_formula(
+                    rng, rng.randint(1, 3), [x1, x2, x3], [v, v, *others],
+                    allow_pred_quantifiers=False, allow_pred_equality=rng.random() < 0.2,
+                )
+                if v in phi.free_vars:
+                    break
+            f = g = rng.choice((Forall, Exists))(v, phi)
+            shape = rng.random()
+            if shape < 0.25:
+                psi = random_formula(rng, 1, [x1, x2], others, allow_pred_quantifiers=False)
+                f = rng.choice((And, Or, Iff))(f, psi)
+            elif shape < 0.4 and x1 in f.free_vars and x1 not in f.bound_vars:
+                f = rng.choice((Forall, Exists))(x1, f)
+            declared = {}
+            for w in sorted(f.free_vars):
+                if w.is_individual:
+                    declared[w] = rng.choice(("p", "q", "u1"))
+                    continue
+                sigma = ref_predicate(random_symbolic(rng, w.arity, ["p", "q"]))
+                extra = rng.sample(("p", "r", "u1"), rng.randint(0, 2))
+                declared[w] = pad(sigma, extra)
+                padded += len(declared[w].support) > len(ref_canonicalize(declared[w]).support)
+            # an undecided binary quantifier at stratum 3 lists 131,072
+            # predicates or more: the cap stops both sides long before
+            cap = rng.choice((10, 400, 5000) if bound == 3 and v.arity == 2 else (10, 400, 50_000))
+            got = masked_run(f, declared, bound, cap)
+            if g in hoisting:
+                # the core evaluates an operand without the variable once, so
+                # the counts of such quantifiers can fall below the reference's
+                continue
+            assert got == distinct_reference(f, declared, bound, cap), str(f)
+            compared += 1
+        assert compared >= 330 and padded >= 100
+        # every stratum and arity, each decided by a candidate and not, but
+        # for the binary ones at stratum 3, which reach the cap instead
+        cases = {(b, a, d) for b in range(4) for a in (1, 2) for d in (True, False)}
+        assert cases - seen == {(3, 2, False)} and (3, 2, "cap") in seen
+
+    def test_an_invariant_left_operand_still_decides_at_the_first_value(self, mask_paths):
+        f = parse("all A0^2 . x1 = x1 | A0^2 x1 x1")
+        assert masked_run(f, {x1: "p"}, 3, 400) == (True, True, 1)
+        assert mask_paths[1] == [f]
+
+    @pytest.mark.parametrize(
+        "text, binding, bound, expected",
+        [
+            # V equated with another variable
+            ("ex A0^1 . (A0^1 x1 & ~(A0^1 = A1^1))", {x1: "p"}, 2, (True, True, 2)),
+            # a predicate quantifier in the body, which takes masks itself
+            ("all A0^1 . (A0^1 x1 | ex A1^1 . ~A1^1 x1)", {x1: "p"}, 2, (True, True, 21)),
+            # 37 equality types at arity 3 over two atoms
+            ("ex A0^3 . A0^3 x1 x1 x1", {x1: "p"}, 2, (True, True, 2)),
+            ("all A0^3 . A0^3 x1 x1 x1 | ~A0^3 x1 x1 x1", {x1: "p"}, 2, ("cap", 401, 400)),
+        ],
+    )
+    def test_other_quantifiers_search(self, mask_paths, text, binding, bound, expected):
+        f = parse(text)
+        declared = dict(binding)
+        if pred(1, 1) in f.free_vars:
+            declared[pred(1, 1)] = ref_predicate(SymbolicPredicate(1, ("p",), 1))
+        got = masked_run(f, declared, bound, 400)
+        assert got == distinct_reference(f, declared, bound, 400)
+        assert got == expected
+        assert f in mask_paths[1]
+
+    def test_a_variable_free_and_bound_gets_its_value_back(self, mask_paths):
+        # all A1^1 runs its body over masks with A1^1's slot holding a
+        # support; the right side then reads the free A1^1 again
+        f = parse("(all A1^1 . (A1^1 x2 -> A0^2 = A0^2)) <-> (ex x1 . ex A0^2 . A1^1 x2)")
+        declared = {
+            x2: "p",
+            pred(0, 2): ref_predicate(SymbolicPredicate(2, ("q",), 3)),
+            pred(1, 1): ref_predicate(SymbolicPredicate(1, ("p",), 1)),
+        }
+        for bound in (0, 1, 2):
+            expected = distinct_reference(f, declared, bound, 5000)
+            assert masked_run(f, declared, bound, 5000) == expected
+        assert {s for s, _, _ in mask_paths[0]} == {0, 1, 2}
+
+    def test_a_cap_hit_needs_one_more_than_the_cap(self, mask_paths):
+        # at stratum 3 the pool is three fresh atoms, and the 2 ** 17 masks
+        # over them are every binary predicate they support, each once
+        f = parse("all A0^2 . ex x1 . ex x2 . (A0^2 x1 x2 | ~(A0^2 x1 x2))")
+        assert masked_run(f, {}, 3, DEFAULT_PRED_CAP) == (True, True, 2**17)
+        assert sum(1 for _ in _candidate_predicates(2, fresh_atoms(3), 3)) == 2**17
+        assert masked_run(f, {}, 3, 10) == ("cap", 11, 10)
+        assert masked_run(f, {}, 3, 2**17 - 1) == ("cap", 2**17, 2**17 - 1)
+        assert mask_paths[0] == {(3, 2, False), (3, 2, "cap")} and not mask_paths[1]
+
+    def test_the_two_forms_of_the_minimal_masks_agree(self):
+        # the search skips the set, the mask path counts the int's bits
+        for arity, size in [(1, s) for s in range(6)] + [(2, s) for s in range(4)]:
+            skip = fraenkel._non_minimal_masks(arity, size)
+            listed = sum(1 << m for m in range(1 << _width(arity, size)) if m not in skip)
+            assert fraenkel._minimal_masks(arity, size) == listed
+
+    def test_a_wide_search_lists_its_masks_lazily(self, mask_paths, monkeypatch):
+        # arity 3 over two atoms has 37 types: a table of its 2 ** 37 masks
+        # would not fit in memory, so the search must list them one by one
+        minimal = fraenkel._minimal_masks
+
+        def bounded(arity, size):
+            assert _width(arity, size) <= fraenkel._MASK_TYPES, (arity, size)
+            return minimal(arity, size)
+
+        monkeypatch.setattr(fraenkel, "_minimal_masks", bounded)
+        f = parse("all A0^3 . ex x1 . (A0^3 x1 x1 x1 | ~A0^3 x1 x1 x1)")
+        with pytest.raises(CapExceeded) as exc:
+            symbolic_evaluate(f, {}, 2)
+        assert (exc.value.needed, exc.value.cap) == (DEFAULT_PRED_CAP + 1, DEFAULT_PRED_CAP)
+        assert f in mask_paths[1]
+        # no witness: a pair of distinct atoms other than x1 needs a support
+        # of three; the 65,504 candidates over supports of sizes 0 and 1
+        # come first, then the search enters size 2
+        payload = parse(
+            "ex x2 . ex x3 . (~(x2 = x3) & (~(x2 = x1) & (~(x3 = x1)"
+            " & all x4 . all x5 . (A0^2 x4 x5 <-> (x4 = x2 & x5 = x3)))))"
+        )
+        report = check_choice_instance_sigma0(1, 2, payload, 2, pred_cap=66_000)
+        assert report == ChoiceInstanceReport("inconclusive", None, 2, 66_000, True)

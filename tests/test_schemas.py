@@ -466,6 +466,23 @@ class TestOrbitSearch:
         # a maps tuple per searched variable, repeats included
         assert std2.symmetries((1, 0, 1)) == (((0, 2, 1, 3), (1, 0), (0, 2, 1, 3)),)
 
+    def test_each_pools_maps_are_built_once(self):
+        # three prefixes on a fresh std3, each admitted by the cost rule,
+        # share the one map of the 512 binary tables per permutation
+        std3 = standard_structure("abc", 2)
+        cases = [
+            parse("all A0^1 . all A0^2 . ex x1 . (A0^1 x1 -> ex x2 . A0^2 x1 x2)"),
+            parse("all A0^1 . all A0^2 . all x1 . all x2 . (A0^2 x1 x2 -> A0^1 x1)"),
+            parse("all A0^2 . all x1 . all x2 . (A0^2 x1 x2 | ~A0^2 x2 x1 | x1 = x2)"),
+        ]
+        for f in cases:
+            assert check_schema(std3, f) == ref_check_schema(std3, f)
+        assert set(std3._symmetries) == {(1, 2), (1, 2, 0, 0), (2, 0, 0)}
+        first, second, third = (std3._symmetries[a] for a in ((1, 2), (1, 2, 0, 0), (2, 0, 0)))
+        assert len(first) == len(second) == len(third) == 5
+        for a, b, c in zip(first, second, third):
+            assert a[1] is b[1] is c[0] and a[0] is b[0] and b[2] is c[1]
+
     def test_an_empty_prefix_builds_nothing(self, monkeypatch):
         # a structure without domains is full, and a list of its 16! - 1
         # permutations would not fit in memory: listing any fails at once
