@@ -352,11 +352,13 @@ class _SymbolicRun:
     """A formula compiled over the atom universe, called with the values of
     its parameters.  Individuals are atom names, predicates
     ``SymbolicPredicate``s.  A quantifier ranges over the sorted atoms of
-    every binding in scope plus fresh atoms: one for an individual,
-    ``support_bound`` for a predicate, whose candidates each call counts
-    against ``pred_cap``; reaching a predicate quantifier marks the call
-    stratified.  A bridged predicate existential takes its one candidate
-    from ``section`` instead, uncounted; ``flat`` counts as the search would."""
+    every binding in scope plus fresh atoms: one for an individual, and for
+    a predicate ``support_bound`` but at most ``pred_cap + 1``, as the
+    support-1 candidates over those already pass the cap.  Each call counts
+    a predicate's candidates against ``pred_cap``, and reaching a predicate
+    quantifier marks it stratified.  A bridged predicate existential takes
+    its one candidate from ``section`` instead, uncounted; ``flat`` counts
+    as the search would."""
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
@@ -399,7 +401,7 @@ class _SymbolicRun:
 
         def predicates(env: list):
             self.stratified = True
-            pool = _atom_pool(env, self.support_bound)
+            pool = _atom_pool(env, min(self.support_bound, self.pred_cap + 1))
             for sigma in _candidate_predicates(var.arity, pool, self.support_bound):
                 self.count(1)
                 yield sigma
@@ -697,7 +699,8 @@ def check_choice_instance_sigma0(
         return ChoiceInstanceReport("vacuous", None, support_bound, 0, False)
     verify = _SymbolicRun(matrix, (svar,), support_bound, pred_cap)
     tried = 0
-    for candidate in _candidate_predicates(n + m, fresh_atoms(support_bound), support_bound):
+    fresh = fresh_atoms(min(support_bound, pred_cap + 1))
+    for candidate in _candidate_predicates(n + m, fresh, support_bound):
         if tried >= pred_cap:
             return ChoiceInstanceReport("inconclusive", None, support_bound, tried, True)
         tried += 1

@@ -393,9 +393,8 @@ def build_permutation_model(
         if 2**count > table_cap:
             raise CapExceeded(f"invariant tables of arity {n}", 2**count, table_cap)
         rows = product((False, True), repeat=count)
-        orbit = _orbits(core, n)
-        if count < len(orbit):
-            rows = map(itemgetter(*orbit), rows)
+        if count < size**n:  # else every orbit is one tuple, in row-major order
+            rows = map(itemgetter(*_orbits(core, n)), rows)
         domains[n] = frozenset(Table(size, n, bits) for bits in rows)
     return Structure(labels, domains)
 

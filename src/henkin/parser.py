@@ -28,25 +28,22 @@ import re
 from collections import namedtuple
 
 from .syntax import (
+    BINARY_SYNTAX,
+    MAX_DEPTH,
+    QUANTIFIER_SYNTAX,
     Atom,
     Eq,
-    Exists,
-    Forall,
     Formula,
     FormulaError,
-    Iff,
-    MAX_DEPTH,
-    Implies,
     Not,
-    And,
-    Or,
     Var,
     exists_unique,
 )
 
-
-# connective token -> node class, precedence (higher binds tighter)
-_BINARY = {"iff": (Iff, 1), "implies": (Implies, 2), "or": (Or, 3), "and": (And, 4)}
+# the printer's tables keyed by token text, plus the ex!! abbreviation
+_CONNECTIVES = {text: (cls, prec, left) for cls, (text, prec, left) in BINARY_SYNTAX.items()}
+_BINDERS = {text: cls for cls, text in QUANTIFIER_SYNTAX.items()}
+_BINDERS["ex!!"] = lambda var, body: exists_unique((var,), body)
 
 # The printer nests at most one pair of parentheses plus one quantifier per
 # node, so every formula within MAX_DEPTH re-parses under this bound.
@@ -151,17 +148,13 @@ class _Parser:
         def reduce() -> None:
             right = operands.pop()
             tok = pending.pop()
-            operands.append(self.build(tok, _BINARY[tok.kind][0], operands.pop(), right))
+            operands.append(self.build(tok, _CONNECTIVES[tok.text][0], operands.pop(), right))
 
-        while self.peek().kind in _BINARY:
+        while self.peek().text in _CONNECTIVES:
             tok = self.advance()
-            prec = _BINARY[tok.kind][1]
-            # first build what binds tighter; & and | also build their own
-            # kind first (left-associative), the arrows do not (right)
-            while pending and (
-                _BINARY[pending[-1].kind][1] > prec
-                or (pending[-1].kind == tok.kind and tok.kind in ("and", "or"))
-            ):
+            _, prec, left = _CONNECTIVES[tok.text]
+            # first build what binds tighter, and what binds as tight if it associates left
+            while pending and _CONNECTIVES[pending[-1].text][1] >= (prec if left else prec + 1):
                 reduce()
             pending.append(tok)
             operands.append(self.unary())
@@ -173,7 +166,7 @@ class _Parser:
         nots = []
         while self.peek().kind == "not":
             nots.append(self.advance())
-        if self.peek().kind in ("all", "ex", "exbang"):
+        if self.peek().text in _BINDERS:
             f = self.quantifier()
         else:
             f = self.primary()
@@ -193,11 +186,7 @@ class _Parser:
         self.enter(kw)
         body = self.formula()
         self.nesting -= 1
-        if kw.kind == "all":
-            return self.build(kw, Forall, var, body)
-        if kw.kind == "ex":
-            return self.build(kw, Exists, var, body)
-        return self.build(kw, exists_unique, (var,), body)
+        return self.build(kw, _BINDERS[kw.text], var, body)
 
     def primary(self) -> Formula:
         tok = self.peek()

@@ -2,11 +2,10 @@
 well-ordering statement, plus an exhaustive checker over finite structures.
 
 A ``SchemaId`` names the axiom, and ``build`` is the one way to build it.
-The id checks its arities against what its family reads: ``choice``,
-``choice-h``, ``ac`` and ``ac-star`` read ``n`` and ``m``, ``choice-star``
-reads ``m``, ``comprehension`` reads ``n``, and ``lo``, ``wo`` and ``wo1``
-read neither.  A read arity is an integer from 1 to ``MAX_DEPTH``; an
-unread one must be 1.
+Each family is one row of ``_FAMILY_TABLE``: the arities it reads, whether
+it takes a payload and has the reflexive reading, and its builder.  The id
+checks itself against its row: a read arity is an integer from 1 to
+``MAX_DEPTH``, an unread one must be 1.
 
 Variable allocation is deterministic so built formulas are byte-stable:
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, count, product
 from operator import eq
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # perfbench/tracing.py wraps ``schemas.evaluate``, so the name stays bound
 from .evaluate import EvalError, FiniteSemantics, compile_formula, evaluate  # noqa: F401
@@ -70,14 +69,6 @@ WO1 = "wo1"
 LO = "lo"
 WO = "wo"
 
-# the arities each family reads; an arity a family does not read stays 1
-_READS = {
-    CHOICE: "nm", CHOICE_H: "nm", AC: "nm", AC_STAR: "nm", CHOICE_STAR: "m", COMPREHENSION: "n",
-    WO1: "", LO: "", WO: "",
-}
-FAMILIES = tuple(_READS)
-_PAYLOAD_FAMILIES = (CHOICE, CHOICE_H, CHOICE_STAR, COMPREHENSION)
-
 
 class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
     """Which axiom to build: family, arities, the payload formula of the
@@ -92,11 +83,12 @@ class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
     def __new__(
         cls, family: str, n: int = 1, m: int = 1, payload: Formula | None = None, strict: bool = True
     ):
-        if family not in _READS:
+        row = _FAMILY_TABLE.get(family)
+        if row is None:
             raise SignatureError(f"unknown schema family {family!r}")
         n, m = integers(SignatureError, "schema arities must be integers", n, m)
         for name, arity in zip("nm", (n, m)):
-            if name not in _READS[family] and arity != 1:
+            if name not in row.reads and arity != 1:
                 raise SignatureError(
                     f"family {family!r} does not read {name}, got {name} = {arity}"
                 )
@@ -107,10 +99,10 @@ class SchemaId(value_tuple("SchemaId", "family n m payload strict")):
                 raise SignatureError(
                     f"schema arity {name} = {arity} nests quantifiers past the depth bound {MAX_DEPTH}"
                 )
-        if (payload is not None) != (family in _PAYLOAD_FAMILIES):
-            wanted = "requires" if family in _PAYLOAD_FAMILIES else "does not take"
+        if (payload is not None) != row.payload:
+            wanted = "requires" if row.payload else "does not take"
             raise SignatureError(f"family {family!r} {wanted} a payload formula")
-        if not strict and family not in (WO1, LO, WO):
+        if not strict and not row.reflexive:
             raise SignatureError(f"family {family!r} has no reflexive reading")
         return tuple.__new__(cls, (family, n, m, payload, bool(strict)))
 
@@ -164,46 +156,36 @@ def choice_h_parts(schema: SchemaId) -> tuple[Formula, Var, Formula]:
     return antecedent, svar, forall_many(xs, Exists(dvar, And(bridge, payload)))
 
 
-def _choice_body(avar: Var, rvar: Var, svar: Var, xs, ys) -> Formula:
-    """``all x (A x -> ex!! y (R x y & S x y))`` shared by the Zermelo and
-    Russell style axioms."""
+def _build_choice(schema: SchemaId) -> Formula:
+    antecedent, svar, matrix = choice_h_parts(schema)
+    return Implies(antecedent, Exists(svar, matrix))
+
+
+def _build_ac(schema: SchemaId) -> Formula:
+    """Zermelo's ``ac``: every relation ``R`` with domain ``A`` has a
+    selector ``S``, ``all x (A x -> ex!! y (R x y & S x y))``; ``ac-star``
+    adds Russell's premise that ``R`` relates distinct points of ``A`` to
+    disjoint sets."""
+    n, m = schema.n, schema.m
+    xs, ys = _x_tuple(n), _block(n, m)
+    avar, rvar, svar = pred(0, n), pred(0, n + m), pred(1, n + m)
+    premise = forall_many(xs, Iff(Atom(avar, xs), exists_many(ys, Atom(rvar, xs + ys))))
+    if schema.family == AC_STAR:
+        first, second = _block(n + m, n), _block(n + m + n, n)
+        distinct = Not(conj([Eq(a, b) for a, b in zip(first, second)]))
+        collide = exists_many(ys, And(Atom(rvar, first + ys), Atom(rvar, second + ys)))
+        disjoint = forall_many(
+            first + second,
+            Implies(And(And(Atom(avar, first), Atom(avar, second)), distinct), Not(collide)),
+        )
+        premise = And(premise, disjoint)
     unique = exists_unique(ys, And(Atom(rvar, xs + ys), Atom(svar, xs + ys)))
-    return forall_many(xs, Implies(Atom(avar, xs), unique))
+    selects = forall_many(xs, Implies(Atom(avar, xs), unique))
+    return Forall(avar, Forall(rvar, Exists(svar, Implies(premise, selects))))
 
 
-def _build_ac(n: int, m: int) -> Formula:
-    xs = _x_tuple(n)
-    ys = _block(n, m)
-    avar, rvar, svar = pred(0, n), pred(0, n + m), pred(1, n + m)
-    domain = forall_many(xs, Iff(Atom(avar, xs), exists_many(ys, Atom(rvar, xs + ys))))
-    body = Implies(domain, _choice_body(avar, rvar, svar, xs, ys))
-    return Forall(avar, Forall(rvar, Exists(svar, body)))
-
-
-def _tuple_neq(first: tuple[Var, ...], second: tuple[Var, ...]) -> Formula:
-    return Not(conj([Eq(a, b) for a, b in zip(first, second)]))
-
-
-def _build_ac_star(n: int, m: int) -> Formula:
-    xs = _x_tuple(n)
-    ys = _block(n, m)
-    first = _block(n + m, n)
-    second = _block(n + m + n, n)
-    avar, rvar, svar = pred(0, n), pred(0, n + m), pred(1, n + m)
-    domain = forall_many(xs, Iff(Atom(avar, xs), exists_many(ys, Atom(rvar, xs + ys))))
-    collide = exists_many(ys, And(Atom(rvar, first + ys), Atom(rvar, second + ys)))
-    disjoint = forall_many(
-        first + second,
-        Implies(
-            And(And(Atom(avar, first), Atom(avar, second)), _tuple_neq(first, second)),
-            Not(collide),
-        ),
-    )
-    body = Implies(And(domain, disjoint), _choice_body(avar, rvar, svar, xs, ys))
-    return Forall(avar, Forall(rvar, Exists(svar, body)))
-
-
-def _build_choice_star(m: int, payload: Formula) -> Formula:
+def _build_choice_star(schema: SchemaId) -> Formula:
+    m, payload = schema.m, schema.payload
     cvar = pred(0, m)
     _check_payload(payload, {cvar}, "choice-star")
     base = _max_index(payload)
@@ -226,15 +208,15 @@ def _build_choice_star(m: int, payload: Formula) -> Formula:
     return Implies(And(nonempty, pairwise), transversal)
 
 
-def _build_comprehension(n: int, payload: Formula) -> Formula:
-    witness = pred(0, n)
-    if witness in all_vars(payload):
+def _build_comprehension(schema: SchemaId) -> Formula:
+    witness = pred(0, schema.n)
+    if witness in all_vars(schema.payload):
         raise SignatureError(f"{witness} must not occur in a comprehension payload")
-    xs = _x_tuple(n)
-    return Exists(witness, forall_many(xs, Iff(Atom(witness, xs), payload)))
+    xs = _x_tuple(schema.n)
+    return Exists(witness, forall_many(xs, Iff(Atom(witness, xs), schema.payload)))
 
 
-def _build_lo(*, strict: bool = True) -> Formula:
+def _build_lo(schema: SchemaId) -> Formula:
     """The linear-order condition on the binary predicate variable ``A0^2``.
 
     Strict reading: irreflexive, transitive, total on distinct points.
@@ -246,7 +228,7 @@ def _build_lo(*, strict: bool = True) -> Formula:
         (a, b, c),
         Implies(And(Atom(t, (a, b)), Atom(t, (b, c))), Atom(t, (a, c))),
     )
-    if strict:
+    if schema.strict:
         irreflexive = Forall(a, Not(Atom(t, (a, a))))
         total = forall_many(
             (a, b), Implies(Not(Eq(a, b)), Or(Atom(t, (a, b)), Atom(t, (b, a))))
@@ -260,7 +242,7 @@ def _build_lo(*, strict: bool = True) -> Formula:
     return conj([reflexive, antisymmetric, transitive, total])
 
 
-def _build_wo(*, strict: bool = True) -> Formula:
+def _build_wo(schema: SchemaId) -> Formula:
     """Well-ordering condition: ``A0^2`` is a linear order in which every
     nonempty set of the structure has a least element."""
     t = pred(0, 2)
@@ -274,37 +256,54 @@ def _build_wo(*, strict: bool = True) -> Formula:
         ),
     )
     minimum = Forall(a, Implies(Exists(x, Atom(a, (x,))), least))
-    return And(_build_lo(strict=strict), minimum)
+    return And(_build_lo(schema), minimum)
 
 
-def _build_wo1(*, strict: bool = True) -> Formula:
+def _build_wo1(schema: SchemaId) -> Formula:
     """Existence of a well-ordering of the individuals, with the least-element
     condition ranging over the structure's unary predicates."""
-    return Exists(pred(0, 2), _build_wo(strict=strict))
+    return Exists(pred(0, 2), _build_wo(schema))
+
+
+class _Family(NamedTuple):
+    """A family's row: the arities it reads (one it does not read stays 1),
+    whether it takes a payload formula, whether it has the reflexive
+    reading, and its builder."""
+
+    reads: str
+    payload: bool
+    reflexive: bool
+    build: Callable[[SchemaId], Formula]
+
+
+_FAMILY_TABLE = {
+    CHOICE: _Family("nm", True, False, _build_choice),
+    CHOICE_H: _Family("nm", True, False, _build_choice),
+    AC: _Family("nm", False, False, _build_ac),
+    AC_STAR: _Family("nm", False, False, _build_ac),
+    CHOICE_STAR: _Family("m", True, False, _build_choice_star),
+    COMPREHENSION: _Family("n", True, False, _build_comprehension),
+    WO1: _Family("", False, True, _build_wo1),
+    LO: _Family("", False, True, _build_lo),
+    WO: _Family("", False, True, _build_wo),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+_PAYLOAD_FAMILIES = tuple(f for f in FAMILIES if _FAMILY_TABLE[f].payload)
 
 
 def build(schema: SchemaId) -> Formula:
     """The schema formula, with tuples expanded and unique existence and
     lambda sections lowered to the plain language.  A payload-free schema is
     built once per process, and every later call returns that formula."""
-    if schema.family in (CHOICE, CHOICE_H):
-        antecedent, svar, matrix = choice_h_parts(schema)
-        return Implies(antecedent, Exists(svar, matrix))
-    if schema.family == CHOICE_STAR:
-        return _build_choice_star(schema.m, schema.payload)
-    if schema.family == COMPREHENSION:
-        return _build_comprehension(schema.n, schema.payload)
-    return _shared_parts(schema)[0]
+    if schema.payload is None:
+        return _shared_parts(schema)[0]
+    return _FAMILY_TABLE[schema.family].build(schema)
 
 
 @lru_cache(maxsize=64)
 def _shared_parts(schema: SchemaId) -> tuple:
     """A payload-free schema's ``_parts``, built at its first use and shared."""
-    if schema.family == AC:
-        return _parts(_build_ac(schema.n, schema.m))
-    if schema.family == AC_STAR:
-        return _parts(_build_ac_star(schema.n, schema.m))
-    return _parts({WO1: _build_wo1, LO: _build_lo, WO: _build_wo}[schema.family](strict=schema.strict))
+    return _parts(_FAMILY_TABLE[schema.family].build(schema))
 
 
 # ---------------------------------------------------------------------------

@@ -318,13 +318,16 @@ def subformulas(f: Formula) -> list[Formula]:
 # ---------------------------------------------------------------------------
 
 _PREC_UNARY = 5
-# operator, precedence, associates to the left
-_BINARY_SYNTAX = {
+# The grammar's tables, read by the printer and the parser alike: each
+# connective's text, precedence (higher binds tighter) and whether it
+# associates to the left, and each quantifier's keyword.
+BINARY_SYNTAX = {
     And: ("&", 4, True),
     Or: ("|", 3, True),
     Implies: ("->", 2, False),
     Iff: ("<->", 1, False),
 }
+QUANTIFIER_SYNTAX = {Forall: "all", Exists: "ex"}
 
 
 def format_formula(f: Formula) -> str:
@@ -341,12 +344,11 @@ def _fmt(f: Formula, kids: list[tuple[str, int]]) -> tuple[str, int]:
     if isinstance(f, Not):
         return f"~({kids[0][0]})", _PREC_UNARY
     if isinstance(f, _Quantifier):
-        kw = "all" if isinstance(f, Forall) else "ex"
         body = kids[0][0]
         if isinstance(f.body, _Binary):
             body = f"({body})"
-        return f"{kw} {f.var} . {body}", 0
-    op, prec, left_assoc = _BINARY_SYNTAX[type(f)]
+        return f"{QUANTIFIER_SYNTAX[type(f)]} {f.var} . {body}", 0
+    op, prec, left_assoc = BINARY_SYNTAX[type(f)]
     (left, left_prec), (right, right_prec) = kids
     # the operand on the associating side may share the operator's precedence
     if left_prec < (prec if left_assoc else prec + 1):

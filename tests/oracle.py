@@ -30,7 +30,7 @@ domains; only the formula enumeration and the report type are shared.
 
 ``ref_check_schema`` is ``schemas.check_schema`` as it was before the
 payload-free schemas were shared: every call builds its formula anew
-(``fresh_build`` calls the family's own builder), checks its arities and
+(``fresh_build`` calls the builder in the family's row), checks its arities and
 peels its prefix; only the compiled body is the package's.  It is also the
 plain-``product`` reference for the orbit search: it visits every
 assignment of the prefix, where the package skips all but the least of
@@ -68,10 +68,7 @@ from henkin.fraenkel import (
     fresh_atoms,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
-from henkin.schemas import (
-    AC, AC_STAR, DEFAULT_ASSIGNMENT_CAP, LO, WO, WO1, SchemaCheck, _build_ac, _build_ac_star,
-    _build_lo, _build_wo, _build_wo1, build,
-)
+from henkin.schemas import _FAMILY_TABLE, DEFAULT_ASSIGNMENT_CAP, SchemaCheck, build
 from henkin.structures import (
     DEFAULT_TABLE_CAP,
     Assignment,
@@ -216,10 +213,9 @@ def naive_saturate(
 
 
 def fresh_build(schema):
-    """A payload-free schema, built anew by its family's builder."""
-    if schema.family in (AC, AC_STAR):
-        return (_build_ac if schema.family == AC else _build_ac_star)(schema.n, schema.m)
-    return {WO1: _build_wo1, LO: _build_lo, WO: _build_wo}[schema.family](strict=schema.strict)
+    """A payload-free schema, built anew by its family row's builder, past
+    the cache that ``build`` reads."""
+    return _FAMILY_TABLE[schema.family].build(schema)
 
 
 def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP):

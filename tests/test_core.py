@@ -740,3 +740,78 @@ class TestMaskPath:
         )
         report = check_choice_instance_sigma0(1, 2, payload, 2, pred_cap=66_000)
         assert report == ChoiceInstanceReport("inconclusive", None, 2, 66_000, True)
+
+
+@pytest.fixture
+def atom_limit(monkeypatch):
+    """Fails a request for more fresh atoms than the list's one entry, before
+    any atom is drawn, so an unbounded request fails fast."""
+    limit = [0]
+    draw = fraenkel.fresh_atoms
+
+    def bounded(count, avoid=()):
+        assert count <= limit[0], f"{count} fresh atoms requested, at most {limit[0]} needed"
+        return draw(count, avoid)
+
+    monkeypatch.setattr(fraenkel, "fresh_atoms", bounded)
+    return limit
+
+
+class TestFreshAtomCut:
+    """A searched predicate quantifier and the choice search draw at most
+    ``pred_cap + 1`` fresh atoms at any stratum.  Fresh atoms come in a fixed
+    order, so the cut pool is a prefix of the full one, and the support-1
+    candidates over it pass the cap, so the search decides or stops before
+    it would reach an atom past the cut."""
+
+    # the mask path declines each of these at every stratum: a predicate
+    # quantifier in the body, V = W, or arity 3
+    DECLINED = [
+        "all A0^1 . ex A1^1 . A0^1 = A1^1",
+        "all A0^1 . (A0^1 x2 | (ex A1^1 . (A1^1 = A0^1 & ~(A1^1 x1))))",
+        "ex A0^1 . (A0^1 x1 & (ex A1^1 . (A1^1 = A0^1 & ~(A1^1 x2))))",
+        "ex A0^1 . ex x3 . (A0^1 x3 & ~(x3 = x1) & ~(A0^1 x1) & (ex A1^1 . A1^1 = A0^1))",
+        "ex A0^1 . ex A1^1 . (A0^1 = A1^1 & ~(A0^1 x1 <-> A1^1 x1))",
+        "ex A0^3 . A0^3 x1 x2 x1",
+        "all A0^3 . A0^3 x1 x1 x1",
+        "all A0^3 . (A0^3 x1 x1 x2 | ~(A0^3 x1 x1 x2))",
+    ]
+
+    def test_agrees_with_the_reference_drawing_every_atom(self, atom_limit, mask_paths):
+        binding = {x1: "p", x2: "q"}
+        outcomes = set()
+        for cap in (1, 3, 15, 60):
+            atom_limit[0] = cap + 1
+            for text in self.DECLINED:
+                f = parse(text)
+                for bound in (cap + 2, cap + 3):
+                    got = masked_run(f, binding, bound, cap)
+                    assert got == distinct_reference(f, binding, bound, cap), (text, cap, bound)
+                    outcomes.add(got[0])
+        assert outcomes == {True, False, "cap"}
+        assert not mask_paths[0]  # every quantifier searched
+
+    def test_a_huge_stratum_ends_within_the_cap(self, atom_limit):
+        # each of these once drew a billion fresh atoms and ran out of memory
+        atom_limit[0] = 1001
+        tautology = parse("all A0^1 . ex x1 . (A0^1 x1 | ~(A0^1 x1))")
+        with pytest.raises(CapExceeded) as exc:
+            symbolic_evaluate(tautology, {}, 10**9, pred_cap=1000)
+        assert (exc.value.needed, exc.value.cap) == (1001, 1000)
+        false_at_empty = parse("all A0^1 . ex x1 . A0^1 x1")
+        assert symbolic_evaluate(false_at_empty, {}, 10**9, pred_cap=1000) == (False, True, 10**9)
+        atom_limit[0] = DEFAULT_PRED_CAP + 1
+        report = check_choice_instance_sigma0(1, 1, parse("A0^1 x1"), 10**9)
+        assert (report.status, report.candidates_tried) == ("witnessed", 2)
+
+    def test_choice_search_over_the_cut_pool(self, atom_limit):
+        # the antecedent and the verification search A1^1, which the mask
+        # path declines; the empty binary predicate is the witness
+        payload = parse("ex A1^1 . (A1^1 = A0^1 & ~(A1^1 x1))")
+        for cap in (3, 15, 60):
+            atom_limit[0] = cap + 1
+            for bound in (cap + 2, cap + 3):
+                report = check_choice_instance_sigma0(1, 1, payload, bound, pred_cap=cap)
+                assert report == ChoiceInstanceReport(
+                    "witnessed", SymbolicPredicate(2, (), 0), bound, 1, False
+                )

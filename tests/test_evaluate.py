@@ -422,6 +422,19 @@ class TestAtt:
         with pytest.raises(EvalError):
             att(std2, parse("all x1 . x1 = x1"), (x1,))
 
+    @pytest.mark.parametrize(
+        "variables, message",
+        [
+            ((), "at least one distinguished variable"),
+            ((x1, x1), "must be distinct"),
+            ((x1, A), "must be an individual variable"),
+        ],
+        ids=["none", "repeated", "predicate"],
+    )
+    def test_distinguished_variables_are_distinct_individuals(self, std2, variables, message):
+        with pytest.raises(EvalError, match=message):
+            att(std2, parse("A0^1 x1"), variables)
+
     def test_att_consistency_with_evaluate(self, std2):
         # binding the defined table to a fresh variable satisfies the
         # pointwise equivalence

@@ -91,6 +91,11 @@ class TestClassify:
         with pytest.raises(FraenkelError):
             EqType((1, 0))
 
+    @pytest.mark.parametrize("entry", [1.0, None, ("p",)])
+    def test_entries_are_atom_names_or_class_numbers(self, entry):
+        with pytest.raises(FraenkelError, match="bad type entry"):
+            EqType(("p", entry))
+
 
 class TestTypeStrings:
     def test_round_trip(self):
@@ -141,6 +146,15 @@ class TestDenotes:
     def test_empty_always_false(self):
         sigma = empty_symbolic(2)
         assert not denotes(sigma, ("a", "b")) and not denotes(sigma, ("a", "a"))
+
+    def test_arity_checked(self):
+        with pytest.raises(FraenkelError, match="expected 2 atoms, got 1"):
+            denotes(equality_symbolic(), ("a",))
+
+    def test_text_names_support_and_accepted_types(self):
+        assert str(cofinite_set(("p",))) == "pred1[p]{f1}"
+        assert str(equality_symbolic()) == "pred2[]{f1,f1}"
+        assert str(empty_symbolic(1)) == "pred1[]{}"
 
 
 class TestMinimalSupport:
@@ -267,6 +281,12 @@ class TestSymbolicEvaluate:
         with pytest.raises(FraenkelError):
             symbolic_evaluate(parse("A0^1 x1"), {A1: finite_set(("p",))}, 0)
 
+    def test_binding_arity_and_bound_checked(self):
+        with pytest.raises(FraenkelError, match="needs a symbolic predicate of arity 1"):
+            symbolic_evaluate(parse("ex x1 . A0^1 x1"), {A1: equality_symbolic()}, 0)
+        with pytest.raises(FraenkelError, match="support bound must be >= 0"):
+            symbolic_evaluate(parse("x1 = x1"), {x1: "p"}, -1)
+
     def test_predicate_quantifier_marks_stratified(self):
         verdict = symbolic_evaluate(parse("ex A0^1 . A0^1 x1"), {x1: "p"}, 1)
         assert verdict.truth and verdict.stratified
@@ -355,6 +375,10 @@ class TestLinearOrder:
         verdict = is_linear_order(sigma)
         assert not verdict.is_order and verdict.failed_axiom == "totality"
         assert all(a not in sigma.support for a in verdict.witness)
+
+    def test_needs_a_binary_predicate(self):
+        with pytest.raises(FraenkelError, match="needs a binary predicate"):
+            is_linear_order(full_symbolic(1))
 
     def test_inequality_fails_transitivity(self):
         verdict = is_linear_order(inequality_symbolic())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from henkin import groups
 from henkin.corpus import default_vocabulary, random_formula
 from henkin.groups import (
     AllSubgroups,
@@ -87,6 +88,16 @@ class TestGroup:
         with pytest.raises(StructureError, match="identity"):
             Group(3, ())
         assert Group(3, {Permutation.identity(3), Permutation((1, 0, 2))}).order == 2
+
+    def test_degrees_must_match(self):
+        with pytest.raises(StructureError, match="generator degree mismatch"):
+            Group.from_generators(3, [SWAP12, Permutation((1, 0))])
+        with pytest.raises(StructureError, match="does not match the table's universe"):
+            act_on_predicate(SWAP12, Table.from_bitstring(2, 1, "10"))
+        with pytest.raises(StructureError, match="must share a degree"):
+            PrincipalNormal((Group.trivial(3), Group.trivial(4)))
+        with pytest.raises(StructureError, match="does not match the universe"):
+            build_permutation_model(("a", "b"), Group.symmetric(3), AllSubgroups(), 1)
 
     def test_alternating(self):
         a4 = Group.alternating(4)
@@ -231,6 +242,12 @@ class TestFilters:
         assert filter_degenerate(FiniteSupports(), s4)
         assert not filter_degenerate(PrincipalNormal((Group.alternating(4),)), s4)
 
+    def test_membership_needs_a_subgroup(self):
+        fixes_a = pointwise_stabilizer(Group.symmetric(3), [0])
+        swaps_a_b = Group(3, {Permutation.identity(3), SWAP12})
+        with pytest.raises(StructureError, match="only defined for subgroups"):
+            filter_contains(AllSubgroups(), fixes_a, swaps_a_b)
+
     def test_principal_normal_membership(self):
         s4 = Group.symmetric(4)
         filt = PrincipalNormal((Group.alternating(4),))
@@ -261,6 +278,18 @@ class TestFilters:
 
 
 class TestBuildModel:
+    def test_a_trivial_core_builds_no_orbit_map(self, monkeypatch):
+        # every orbit is one tuple, so the tables are the rows as they come;
+        # building the map anyway made a one-point universe quadratic in the arity
+        def unneeded(group, arity):
+            raise AssertionError(f"orbit map built at arity {arity}")
+
+        monkeypatch.setattr(groups, "_orbits", unneeded)
+        out = build_permutation_model(("a",), Group.symmetric(1), AllSubgroups(), 400)
+        assert all(len(out.domains[n]) == 2 for n in range(1, 401))
+        full = build_permutation_model(("a", "b", "c"), Group.symmetric(3), FiniteSupports(), 2)
+        assert full == standard_structure(("a", "b", "c"), 2)
+
     def test_all_filter_gives_standard(self):
         s2 = Group.symmetric(2)
         out = build_permutation_model(("a", "b"), s2, AllSubgroups(), 2)
@@ -380,6 +409,21 @@ class TestStabilizerBound:
         )
         assert rep.holds
         assert rep.subgroup_choices == (("A0^1", "sym"),)
+
+
+    def test_parameter_outside_the_filter_enters_as_the_core(self, std3):
+        # {a} is fixed only by the swap of b and c, a subgroup that does not
+        # hold A3, the core of the principal filter: the bound takes A3 in
+        # its place, and the defined {a} is not invariant under A3
+        s3 = Group.symmetric(3)
+        filt = PrincipalNormal((Group.alternating(3),))
+        point = Table.from_tuples(3, 1, [(0,)])
+        rep = check_stabilizer_bound(
+            std3, parse("A0^1 x1"), (x1,), Assignment({A: point}), s3, filt
+        )
+        assert rep.subgroup_choices == (("A0^1", "filter-core"),)
+        assert (rep.holds, rep.bound_order, rep.sym_order) == (False, 3, 2)
+        assert not rep.degenerate_filter
 
 
 class TestCloseStructureUnder:

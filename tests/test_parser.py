@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from henkin.corpus import default_vocabulary, random_formula
 from henkin.parser import ParseError, parse, parse_var, tokenize
 from henkin.syntax import (
+    BINARY_SYNTAX,
     And,
     Atom,
     Eq,
@@ -90,6 +91,19 @@ class TestPrecedence:
     def test_arrows_right_associative(self):
         f = parse("x1 = x1 -> x2 = x2 -> x0 = x0")
         assert isinstance(f, Implies) and isinstance(f.right, Implies)
+
+    @pytest.mark.parametrize("cls", list(BINARY_SYNTAX), ids=lambda cls: cls.__name__)
+    def test_the_printers_table_is_the_grammar(self, cls):
+        # a chain of one connective groups by its associativity, and a
+        # looser one takes it as an operand on either side
+        text, prec, left = BINARY_SYNTAX[cls]
+        a, b, c = Eq(x0, x0), Eq(x1, x1), Eq(x2, x2)
+        chain = parse(f"x0 = x0 {text} x1 = x1 {text} x2 = x2")
+        assert chain == (cls(cls(a, b), c) if left else cls(a, cls(b, c)))
+        for looser, (other, other_prec, _) in BINARY_SYNTAX.items():
+            if other_prec < prec:
+                assert parse(f"x0 = x0 {text} x1 = x1 {other} x2 = x2") == looser(cls(a, b), c)
+                assert parse(f"x0 = x0 {other} x1 = x1 {text} x2 = x2") == looser(a, cls(b, c))
 
 
 class TestExistsUniqueSugar:

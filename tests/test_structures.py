@@ -48,6 +48,23 @@ class TestTable:
         with pytest.raises(StructureError):
             Table.from_bitstring(2, 1, "2x")
 
+    @pytest.mark.parametrize(
+        "size, arity, message",
+        [(0, 1, "nonempty universe"), (2, 0, "arity must be >= 1")],
+        ids=["empty-universe", "arity-0"],
+    )
+    def test_size_and_arity_are_at_least_1(self, size, arity, message):
+        with pytest.raises(StructureError, match=message):
+            Table(size, arity, (False,))
+
+    def test_call_checks_its_point(self):
+        t = Table.from_tuples(2, 2, [(0, 1)])
+        with pytest.raises(StructureError, match="expected 2 arguments, got 1"):
+            t((0,))
+        for point in ((0, 2), (-1, 0)):
+            with pytest.raises(StructureError, match="out of range"):
+                t(point)
+
     @pytest.mark.parametrize("size, arity", [(2.0, 1), (2, 1.0)])
     def test_size_and_arity_are_integers(self, size, arity):
         # a float size of 2.0 used to be stored as it was
@@ -94,6 +111,8 @@ class TestStructure:
     def test_domain_sorted_deterministic(self):
         s = standard_structure(("a", "b"), 1)
         assert [t.bitstring() for t in s.domain(1)] == ["00", "01", "10", "11"]
+        with pytest.raises(StructureError, match="no domain of arity 2"):
+            s.domain(2)
 
     def test_equal_by_value_and_unhashable(self):
         s = standard_structure(("a", "b"), 1)
