@@ -18,12 +18,20 @@ Reports are deterministic given identical inputs and caps, except for the
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
+
+try:  # CPython's built-in SHA-256; hashlib's would load OpenSSL's libcrypto
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import fraenkel, groups, schemas
 from .corpus import DEFAULT_FORMULA_CAP
@@ -245,6 +253,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@cache  # once per process: the tree holds only constants, and each parse fills a fresh Namespace
 def _build_argparser() -> argparse.ArgumentParser:
     top = _ArgumentParser(
         prog="henkin",
@@ -341,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             for flag in ("structure", "formula", "assignment", "h", "bind"):
                 path = getattr(args, flag, None)
                 if path is not None:
-                    report["inputs"][path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                    report["inputs"][path] = sha256(Path(path).read_bytes()).hexdigest()
             code, summary = args.run(args, report)
         except CapExceeded as exc:
             report["flags"].append(f"cap exceeded: {exc}")

@@ -581,32 +581,120 @@ class TestReportDeterminism:
         assert code == 0 and report["seed"] == 7
 
 
+class TestCachedParser:
+    """``main`` builds its argparse tree once per process; what one call
+    parses must not reach the next."""
+
+    @staticmethod
+    def outputs(capsys, lines, fresh):
+        out = []
+        for argv in lines:
+            if fresh:
+                cli._build_argparser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            stable = re.sub(r'"timing_s": [-0-9.eE+]+', '"timing_s": 0', captured.out)
+            out.append((code, stable, captured.err))
+        return out
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, capsys, tmp_path, std2_file):
+        fml = write(tmp_path, "f.fml", "ex A0^1 . (A0^1 x1 & ~(A0^1 x2))\n")
+        assignment = write(tmp_path, "a.json", json.dumps({"individuals": {"x1": "a", "x2": "b"}}))
+        bind = write(tmp_path, "b.json", json.dumps({"individuals": {"x1": "p"}}))
+        sym = write(tmp_path, "sym.fml", "ex A0^1 . A0^1 x1\n")
+        lines = [
+            ["--seed", "7", "parse", "--text", "x1 = x1"],
+            ["parse", "--text", "x1 = x1"],
+            ["check", "--structure", std2_file, "--schema", "lo", "--reflexive"],
+            ["check", "--structure", std2_file, "--schema", "lo"],
+            ["eval", "--structure", std2_file, "--formula", fml, "--assignment", assignment],
+            ["eval", "--structure", std2_file, "--formula", fml],
+            ["fraenkel", "eval", "--formula", sym, "--bind", bind],
+            ["fraenkel", "eval", "--formula", sym],
+            ["fraenkel", "sweep", "--max-support", "2", "--cap-preds", "10"],
+            ["fraenkel", "sweep", "--max-support", "2"],
+            ["parse", "--text", "x1 = x2"],
+            ["parse", "--formula", fml],
+            ["--help"],
+            ["check", "--n", "abc"],
+            ["parse", "--text", "x1 = x1"],
+        ]
+        cli._build_argparser.cache_clear()
+        cached = self.outputs(capsys, lines, fresh=False)
+        assert cached == self.outputs(capsys, lines, fresh=True)
+        codes = [code for code, _, _ in cached]
+        # without --bind, x1 is free and unbound
+        assert codes == [0, 0, 1, 1, 0, 1, 0, 2, 3, 0, 0, 0, 0, 2, 0]
+        assert [json.loads(out)["seed"] for _, out, _ in cached[:2]] == [7, None]
+
+    def test_built_once_per_process(self, capsys):
+        cli._build_argparser.cache_clear()
+        for argv in (["parse", "--text", "x1 = x1"], ["bogus"], ["fraenkel", "sweep", "--hel"]):
+            main(argv)
+        capsys.readouterr()
+        info = cli._build_argparser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+
+class TestInputDigests:
+    @pytest.mark.parametrize("size", [0, 1, 2**20])
+    def test_digest_is_sha256_of_the_file(self, capsys, tmp_path, size):
+        data = random.Random(size).randbytes(size)
+        path = tmp_path / "f.fml"
+        path.write_bytes(data)
+        _, report, _ = run(capsys, "parse", "--formula", str(path))
+        assert report["inputs"] == {str(path): hashlib.sha256(data).hexdigest()}
+
+    def test_openssl_is_not_loaded(self, tmp_path):
+        # hashlib would load OpenSSL's libcrypto, a few MB of peak memory
+        structure = write(tmp_path, "s.json", FALSE_EVAL[0]["s.json"])
+        false = write(tmp_path, "f.fml", FALSE_EVAL[0]["f.fml"])
+        code = (
+            "import sys, henkin.cli\n"
+            f"code = henkin.cli.main(['eval', '--structure', {structure!r}, '--formula', {false!r}])\n"
+            "print(code, '_hashlib' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        *report, last = done.stdout.splitlines()
+        assert last == "1 False"
+        digest = hashlib.sha256(Path(false).read_bytes()).hexdigest()
+        assert json.loads("\n".join(report))["inputs"][false] == digest
+
+
 def test_recorded_command_lines_replay(capsys, tmp_path, monkeypatch):
     """``cli_calls.json`` holds every ``main`` call this file made before
     file flags were checked when parsed and ``main`` built the report as a
     dict: its command line, input files (renamed to their base names), table
     cap variable, exit code and the sha256 of its report with ``timing_s``
-    set to 0 (none for ``--help``).  Each still ends the same way.  Error
-    texts come in part from argparse and json, so on another Python version
-    than the recording's only the exit codes of error reports are compared."""
+    set to 0 (none for ``--help``).  Each still ends the same way, replayed
+    in order and then, in the same process, in reverse, so that nothing a
+    call leaves in the once-built parser depends on the order of calls.
+    Error texts come in part from argparse and json, so on another Python
+    version than the recording's only the exit codes of error reports are
+    compared."""
     doc = json.loads(Path(__file__).with_name("cli_calls.json").read_text(encoding="utf-8"))
     same_python = doc["python"] == "%d.%d" % sys.version_info[:2]
+    calls = list(enumerate(doc["calls"]))
     differ = []
-    for k, call in enumerate(doc["calls"]):
-        directory = tmp_path / str(k)
-        directory.mkdir()
-        for name, text in call["files"].items():
-            (directory / name).write_bytes(text.encode("utf-8"))
-        monkeypatch.chdir(directory)
-        monkeypatch.delenv("HENKIN_CAP_TABLES", raising=False)
-        for key, value in call["env"].items():
-            monkeypatch.setenv(key, value)
-        code = main(call["argv"])
-        stable = re.sub(r'"timing_s": [-0-9.eE+]+', '"timing_s": 0', capsys.readouterr().out)
-        digest = hashlib.sha256(stable.encode()).hexdigest()
-        compare = call["report"] is not None and (same_python or code != 2)
-        if code != call["code"] or (compare and digest != call["report"]):
-            differ.append((k, call["argv"][:6], code, stable[:400]))
+    for order, replay in (("forward", calls), ("reverse", calls[::-1])):
+        for k, call in replay:
+            directory = tmp_path / order / str(k)
+            directory.mkdir(parents=True)
+            for name, text in call["files"].items():
+                (directory / name).write_bytes(text.encode("utf-8"))
+            monkeypatch.chdir(directory)
+            monkeypatch.delenv("HENKIN_CAP_TABLES", raising=False)
+            for key, value in call["env"].items():
+                monkeypatch.setenv(key, value)
+            code = main(call["argv"])
+            stable = re.sub(r'"timing_s": [-0-9.eE+]+', '"timing_s": 0', capsys.readouterr().out)
+            digest = hashlib.sha256(stable.encode()).hexdigest()
+            compare = call["report"] is not None and (same_python or code != 2)
+            if code != call["code"] or (compare and digest != call["report"]):
+                differ.append((order, k, call["argv"][:6], code, stable[:400]))
     assert differ == []
 
 
