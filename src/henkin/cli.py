@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from functools import cache
+from importlib import import_module
 from pathlib import Path
 
 try:  # CPython's built-in SHA-256; hashlib's would load OpenSSL's libcrypto
@@ -33,13 +34,15 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import fraenkel, groups, schemas
+from . import schemas
 from .corpus import DEFAULT_FORMULA_CAP
 from .evaluate import evaluate, saturate_with_report
 from .parser import parse
 from .structures import (
     Assignment,
     CapExceeded,
+    DEFAULT_GROUP_CAP,
+    DEFAULT_PRED_CAP,
     DEFAULT_TABLE_CAP,
     assignment_from_dict,
     assignment_to_dict,
@@ -47,6 +50,16 @@ from .structures import (
     structure_to_dict,
 )
 from .syntax import depth as formula_depth, format_formula
+
+# the layers only some commands use, loaded by the first handler that asks; names are
+# looked up on the module at each call, so a wrapper set on it (a tracer's) is seen
+_LAZY = ("fraenkel", "groups")
+
+
+def _layer(name: str):
+    if name not in _LAZY:
+        raise KeyError(f"{name} is not a lazy layer")
+    return import_module(f".{name}", __package__)
 
 
 def _read_formula_file(path: str | Path) -> str:
@@ -154,6 +167,7 @@ def _cmd_saturate(args, report: dict) -> tuple[int, str]:
 
 
 def _cmd_build_model(args, report: dict) -> tuple[int, str]:
+    groups = _layer("groups")
     data = _load_json(args.structure)
     spec = groups.model_spec_from_dict(data, group_cap=args.cap_group)
     structure = groups.build_permutation_model(
@@ -173,6 +187,7 @@ def _cmd_build_model(args, report: dict) -> tuple[int, str]:
 
 
 def _cmd_fraenkel_sweep(args, report: dict) -> tuple[int, str]:
+    fraenkel = _layer("fraenkel")
     sweep = fraenkel.wellorder_counterexample_sweep(args.max_support, cap=args.cap_preds)
     report["result"] = {
         "max_support": sweep.max_support,
@@ -194,6 +209,7 @@ def _cmd_fraenkel_sweep(args, report: dict) -> tuple[int, str]:
 
 
 def _cmd_fraenkel_eval(args, report: dict) -> tuple[int, str]:
+    fraenkel = _layer("fraenkel")
     formula = parse(_read_formula_file(args.formula))
     binding = {}
     if args.bind is not None:
@@ -211,6 +227,7 @@ def _cmd_fraenkel_eval(args, report: dict) -> tuple[int, str]:
 
 
 def _cmd_fraenkel_choice(args, report: dict) -> tuple[int, str]:
+    fraenkel = _layer("fraenkel")
     payload = parse(_read_formula_file(args.h))
     outcome = fraenkel.check_choice_instance_sigma0(
         args.n, args.m, payload, args.strat, pred_cap=args.cap_preds
@@ -295,7 +312,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--structure", type=_path, required=True, help="individuals, group, filter")
     p.add_argument("--max-arity", type=int, default=2)
     p.add_argument("--cap-tables", type=_cap, default=None)
-    p.add_argument("--cap-group", type=_cap, default=groups.DEFAULT_GROUP_CAP)
+    p.add_argument("--cap-group", type=_cap, default=DEFAULT_GROUP_CAP)
     p.set_defaults(run=_cmd_build_model)
 
     p = sub.add_parser("fraenkel", help="symbolic atom-universe commands")
@@ -303,14 +320,14 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     q = fsub.add_parser("sweep", help="exhaust small-support binary predicates for orders")
     q.add_argument("--max-support", type=int, default=3)
-    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.add_argument("--cap-preds", type=_cap, default=DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_sweep)
 
     q = fsub.add_parser("eval", help="stratified evaluation over the atom universe")
     q.add_argument("--formula", type=_path, required=True)
     q.add_argument("--bind", type=_path, default=None)
     q.add_argument("--strat", type=int, default=2)
-    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.add_argument("--cap-preds", type=_cap, default=DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_eval)
 
     q = fsub.add_parser("choice", help="search a uniform witness for a choice instance")
@@ -318,7 +335,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, default=1)
     q.add_argument("--h", type=_path, required=True)
     q.add_argument("--strat", type=int, default=2)
-    q.add_argument("--cap-preds", type=_cap, default=fraenkel.DEFAULT_PRED_CAP)
+    q.add_argument("--cap-preds", type=_cap, default=DEFAULT_PRED_CAP)
     q.set_defaults(run=_cmd_fraenkel_choice)
 
     return top
@@ -353,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
                     report["inputs"][path] = sha256(Path(path).read_bytes()).hexdigest()
             code, summary = args.run(args, report)
         except CapExceeded as exc:
+            report["stratum"] = getattr(args, "strat", None)  # the count it bounded
             report["flags"].append(f"cap exceeded: {exc}")
             report["result"] = {"error": str(exc), "cap": exc.cap, "needed": exc.needed}
             code, summary = 3, f"cap exceeded: {exc}"

@@ -26,7 +26,15 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .evaluate import compile_formula
 from .schemas import CHOICE_H, SchemaId, choice_h_parts
-from .structures import ASSIGNMENT_KEYS, CapExceeded, Table, json_shape, json_var, value_tuple
+from .structures import (
+    ASSIGNMENT_KEYS,
+    CapExceeded,
+    DEFAULT_PRED_CAP,
+    Table,
+    json_shape,
+    json_var,
+    value_tuple,
+)
 from .syntax import Eq, Exists, Forall, Formula, Var, integers, subformulas
 
 
@@ -309,9 +317,6 @@ def _columns(width: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-DEFAULT_PRED_CAP = 200_000
-
-
 class SymbolicVerdict(NamedTuple):
     """Truth value over the symbolic universe; stratified marks that some
     predicate quantifier was bounded by the support-size stratum."""
@@ -527,8 +532,7 @@ def truncate_predicate(sigma: SymbolicPredicate, atoms: Sequence[str]) -> Table:
 # The axioms are quantifier-free conditions over at most three atoms at a
 # time, so the support atoms plus three fresh atoms decide them.  Checks run
 # on the precomputed type indices of all pool pairs; the reported failure is
-# the first in the order transitivity, antisymmetry, totality, then
-# irreflexivity.
+# the first in the order transitivity, antisymmetry, then totality.
 # ---------------------------------------------------------------------------
 
 
@@ -543,7 +547,6 @@ class _OrderContext(NamedTuple):
     pair_type: tuple[tuple[int, ...], ...]
     transitivity: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # i != j: types of (i, j), (j, i)
-    diagonal: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=256)
@@ -557,16 +560,12 @@ def _order_context(support: tuple[str, ...]) -> _OrderContext:
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j in permutations(range(k), 2):
         pairs.setdefault((pair_type[i][j], pair_type[j][i]), (i, j))
-    diagonal: dict[int, int] = {}
-    for i in range(k):
-        diagonal.setdefault(pair_type[i][i], i)
-    tables = (tuple(d.items()) for d in (transitivity, pairs, diagonal))
-    return _OrderContext(pool, pair_type, *tables)
+    return _OrderContext(pool, pair_type, tuple(transitivity.items()), tuple(pairs.items()))
 
 
 def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] | None:
     """First failing axiom with an atom witness, or None for a linear order."""
-    pool, _, transitivity, pairs, diagonal = ctx  # one unpacking per mask
+    pool, _, transitivity, pairs = ctx  # one unpacking per mask
     for (tij, tjl, til), (i, j, l) in transitivity:
         if mask >> tij & 1 and mask >> tjl & 1 and not mask >> til & 1:
             return "transitivity", (pool[i], pool[j], pool[l])
@@ -576,27 +575,22 @@ def _order_check(mask: int, ctx: _OrderContext) -> tuple[str, tuple[str, ...]] |
     for (tij, tji), (i, j) in pairs:
         if not mask >> tij & 1 and not mask >> tji & 1:
             return "totality", (pool[i], pool[j])
-    for t, i in diagonal:
-        if mask >> t & 1:
-            return "irreflexivity", (pool[i],)
     return None
 
 
 def is_linear_order(sigma: SymbolicPredicate) -> OrderVerdict:
     """Decide whether the binary predicate strictly linearly orders the atoms.
 
-    Checks irreflexivity, transitivity, and totality on distinct atoms, plus
-    antisymmetry for failure reporting.  A failure carries concrete witness
-    atoms.  The reflexive reading needs no check of its own: two fresh atoms
-    have one equality type in both orders, so every predicate fails
-    antisymmetry or totality on them before the diagonal is read.
+    Checks transitivity, antisymmetry and totality on distinct atoms.  A
+    failure carries concrete witness atoms.  Irreflexivity, and so the
+    reflexive reading, needs no check: two fresh atoms have one equality
+    type in both orders, so every predicate fails antisymmetry or totality
+    on them.
     """
     if sigma.arity != 2:
         raise FraenkelError("linear-order testing needs a binary predicate")
-    result = _order_check(sigma.mask, _order_context(sigma.support))
-    if result is None:
-        return OrderVerdict(True, None, None)
-    return OrderVerdict(False, result[0], result[1])
+    failed = _order_check(sigma.mask, _order_context(sigma.support))
+    return OrderVerdict(False, *failed) if failed else OrderVerdict(True, None, None)
 
 
 class SweepBucket(NamedTuple):

@@ -19,6 +19,7 @@ from .evaluate import att, evaluate, resolve
 from .structures import (
     Assignment,
     CapExceeded,
+    DEFAULT_GROUP_CAP,
     DEFAULT_TABLE_CAP,
     Structure,
     StructureError,
@@ -29,8 +30,6 @@ from .structures import (
     value_tuple,
 )
 from .syntax import Formula, Var
-
-DEFAULT_GROUP_CAP = 10_000
 
 
 class Permutation(value_tuple("Permutation", "mapping")):

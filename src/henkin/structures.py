@@ -20,7 +20,10 @@ from typing import Iterable, Mapping
 from .parser import parse_var
 from .syntax import Var, integers
 
+# the default caps live here, so that the CLI's parser needs neither fraenkel nor groups
 DEFAULT_TABLE_CAP = 65536
+DEFAULT_PRED_CAP = 200_000  # symbolic predicates (fraenkel)
+DEFAULT_GROUP_CAP = 10_000  # group elements (groups)
 
 
 class StructureError(Exception):

@@ -490,38 +490,20 @@ def exists_unique(vs: Iterable[Var], body: Formula) -> Formula:
 # Derivation reconstruction.
 #
 # Rule 1 covers the atomic forms, rule 2 the connectives, rule 3 individual
-# quantification, rule 4 predicate quantification.  The side conditions are
-# re-checked by direct traversal, independently of the constructor caches,
-# so this doubles as a well-formedness audit.
+# quantification, rule 4 predicate quantification.  The constructors enforce
+# the side conditions (arity, sort, no rebound variable), so no node is
+# re-checked here.
 # ---------------------------------------------------------------------------
+
+
+def _rule(g: Formula) -> int:
+    if isinstance(g, (Atom, Eq)):
+        return 1
+    if isinstance(g, (Not, _Binary)):
+        return 2
+    return 3 if g.var.is_individual else 4
 
 
 def derivation(f: Formula) -> list[tuple[int, Formula]]:
     """Post-order list of (rule number, node) pairs deriving the formula."""
-    steps: list[tuple[int, Formula]] = []
-
-    def step(g: Formula, kids: list[set[Var]]) -> set[Var]:
-        """Record the rule for ``g``; return the variables bound inside it."""
-        bound = set().union(*kids)
-        if isinstance(g, Atom):
-            if len(g.args) != g.predicate.arity or not g.predicate.is_predicate:
-                raise ArityError(f"bad application {g}")
-            rule = 1
-        elif isinstance(g, Eq):
-            if g.left.arity != g.right.arity:
-                raise ArityError(f"bad equality {g}")
-            rule = 1
-        elif isinstance(g, (Not, _Binary)):
-            rule = 2
-        elif isinstance(g, _Quantifier):
-            if g.var in bound:
-                raise CaptureError(f"{g.var} does not occur only free under its quantifier")
-            bound.add(g.var)
-            rule = 3 if g.var.is_individual else 4
-        else:
-            raise FormulaError(f"{type(g).__name__} is not derivable")
-        steps.append((rule, g))
-        return bound
-
-    fold(f, step)
-    return steps
+    return [(_rule(g), g) for g in subformulas(f)]

@@ -1,6 +1,7 @@
 import ast
 import graphlib
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -355,6 +356,36 @@ class TestFraenkelCommands:
         assert report["result"]["status"] == "witnessed"
         assert report["result"]["witness"]["accepted"] == ["f1,f1,f1"]
 
+    def test_choice_candidate_cap_inconclusive(self, capsys, tmp_path):
+        # a point other than x1: the antecedent lists 5 predicates at
+        # stratum 1, and the search would try more than 5 candidates
+        h = write(tmp_path, "h.fml", "ex x2 . (~(x2 = x1) & (all x3 . (A0^1 x3 <-> x3 = x2)))\n")
+        code, report, err = run(
+            capsys, "fraenkel", "choice", "--h", h, "--strat", "1", "--cap-preds", "5"
+        )
+        assert code == 1
+        assert report["result"]["status"] == "inconclusive"
+        assert report["result"]["candidates_tried"] == 5
+        assert report["flags"] == ["candidate cap hit before the search space was exhausted"]
+        assert report["stratum"] == 1
+        assert "not a refutation" in err
+
+    def test_capped_reports_carry_the_stratum(self, capsys, tmp_path):
+        # the cap counts predicates bounded by the stratum; an exact verdict
+        # bounds none and names no stratum
+        h = write(tmp_path, "h.fml", "~(A0^2 = A0^2)\n")
+        flat = "all A0^2 . ex x1 . ex x2 . (A0^2 x1 x2 | ~(A0^2 x1 x2))\n"
+        flat = write(tmp_path, "flat.fml", flat)
+        exact = write(tmp_path, "exact.fml", "all x1 . x1 = x1\n")
+        for argv, code, stratum in (
+            (["choice", "--n", "1", "--m", "2", "--h", h, "--strat", "3"], 3, 3),
+            (["eval", "--formula", flat, "--strat", "3", "--cap-preds", "10"], 3, 3),
+            (["eval", "--formula", flat, "--strat", "3"], 0, 3),
+            (["eval", "--formula", exact, "--strat", "3"], 0, None),
+        ):
+            got, report, _ = run(capsys, "fraenkel", *argv)
+            assert (got, report["stratum"]) == (code, stratum), argv
+
     @pytest.mark.parametrize(
         "arities", [("--n", "0"), ("--m", "0"), ("--n", "-1"), ("--n", "0", "--m", "0")]
     )
@@ -546,11 +577,57 @@ def test_imports_leave_out_dataclasses():
     assert done.stdout.strip() == "False"
 
 
+def loaded_after(code):
+    """Which of ``henkin.fraenkel`` and ``henkin.groups`` a fresh
+    interpreter has loaded after running ``code``."""
+    probe = "\nimport sys\nprint(sorted({'henkin.fraenkel', 'henkin.groups'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code + probe], env=env, capture_output=True, text=True, check=True
+    )
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_the_layers_they_use():
+    main = "import henkin, henkin.cli; henkin.cli.main({})"
+    assert loaded_after("import henkin, henkin.cli") == []
+    assert loaded_after(main.format('["parse", "--text", "x1 = x1"]')) == []
+    sweep = '["fraenkel", "sweep", "--max-support", "1"]'
+    assert loaded_after(main.format(sweep)) == ["henkin.fraenkel"]
+    assert loaded_after("import henkin; henkin.Group") == ["henkin.groups"]
+
+
+def test_lazy_names_are_their_home_modules_objects():
+    code = """
+import importlib, sys
+import henkin.evaluate
+import henkin
+assert henkin.evaluate is sys.modules["henkin.evaluate"].evaluate, henkin.evaluate
+for name, module in henkin._LAZY.items():
+    assert getattr(henkin, name) is getattr(importlib.import_module(f"henkin.{module}"), name), name
+assert set(henkin._LAZY) <= set(dir(henkin))
+for name in dir(henkin):
+    getattr(henkin, name)
+assert not hasattr(henkin, "no_such_name")
+"""
+    assert loaded_after(code) == ["henkin.fraenkel", "henkin.groups"]
+
+
 def test_imports_sit_at_the_top_and_form_a_dag():
-    # an import inside a function is how a cycle between modules hides
+    # an import inside a function is how a cycle between modules hides; a
+    # module's lazy imports are the modules its ``_LAZY`` table names
     inside, graph = set(), {}
     for path in sorted((ROOT / "src" / "henkin").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(
+            isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_LAZY"]
+            for node in tree.body
+        ):
+            module = importlib.import_module(
+                "henkin" if path.stem == "__init__" else f"henkin.{path.stem}"
+            )
+            table = module._LAZY
+            graph[path.stem] = set(table.values() if isinstance(table, dict) else table)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inside.update(
