@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from contextlib import suppress
 from functools import cache
 from importlib import import_module
 from pathlib import Path
@@ -383,7 +384,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         # --help printed the usage text
         return 0
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # the reader closed stdout, as `| head` may
+        code, summary = 2, f"error: report not written: {exc}"
+        # the rest of the buffer goes nowhere, or the flush at exit fails again
+        with suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(summary, file=sys.stderr)
     return code
 

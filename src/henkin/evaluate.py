@@ -71,10 +71,9 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     its variable to that value and runs the right conjunct once.
 
     Any other ``Q V . phi`` with ``V`` in ``phi`` under no predicate
-    quantifier there is flat: ``semantics.flat(g, k, compile, hoisted)``,
-    given ``V``'s slot, ``compile(full)``, ``phi`` as a closure to an int
-    mask (see ``masked``), and whether the search below hoists an operand,
-    returns its closure, or None to search.
+    quantifier there is flat: ``semantics.flat(g, k, compile)``, given
+    ``V``'s slot and ``compile(full)``, ``phi`` as a closure to an int mask
+    (see ``masked``), returns its closure, or None to search.
 
     Any other quantifier whose variable is not free in its body, or in the
     left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
@@ -131,18 +130,17 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
             return one_point
 
+        if g.var in inner.free_vars and g.var not in inner.nested_vars:
+            decide = semantics.flat(g, k, lambda full: masked(inner, g.var, full))
+            if decide:
+                return decide
         # `fixed`, the part of the body the variable is not free in, and
         # `rest`, the part it may be; `stop` is the value of `fixed` that
         # decides the body and is then its value (read `L -> R` as `~L | R`)
-        split = isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars
-        if g.var in inner.free_vars and g.var not in inner.nested_vars:
-            decide = semantics.flat(g, k, lambda full: masked(inner, g.var, full), split)
-            if decide:
-                return decide
         fixed = rest = None
         if g.var not in inner.free_vars:
             fixed = scalar(inner)
-        elif split:
+        elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
             left, rest = scalar(inner.left), scalar(inner.right)
             fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
             stop = not isinstance(inner, And)
@@ -295,10 +293,9 @@ class FiniteSemantics:
 
         return point
 
-    def flat(self, g: Forall | Exists, k: int, compile: Callable, hoisted: bool):
+    def flat(self, g: Forall | Exists, k: int, compile: Callable):
         """One run of the body as a mask with a bit per table of the domain,
-        or None without one (as for an individual): the search reports it.
-        The run reads a ``hoisted`` operand once too, so that flag is unread."""
+        or None without one (as for an individual): the search reports it."""
         full = (1 << len(self.structure.rows(g.var.arity))) - 1
         if not full:
             return None

@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations, filterfalse, permutations, product
-from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -289,20 +288,6 @@ def _non_minimal_masks(arity: int, size: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=64)
-def _minimal_masks(arity: int, size: int) -> int:
-    """Bit i is set iff mask i over ``size`` support atoms is not in
-    ``_non_minimal_masks``: an int of 2^T bits for T types, so only for the
-    widths ``flat`` takes.  One position's drop groups are disjoint."""
-    non_minimal = 0
-    for position in range(size):
-        unions = 1
-        for group in _drop_groups(arity, size, position):
-            unions |= unions << group
-        non_minimal |= unions
-    return (1 << (1 << _width(arity, size))) - 1 ^ non_minimal
-
-
 @lru_cache(maxsize=32)
 def _columns(width: int) -> tuple[int, ...]:
     """Entry t has bit i set iff mask i over ``width`` types accepts the t-th."""
@@ -359,11 +344,12 @@ class _SymbolicRun:
     ``SymbolicPredicate``s.  A quantifier ranges over the sorted atoms of
     every binding in scope plus fresh atoms: one for an individual, and for
     a predicate ``support_bound`` but at most ``pred_cap + 1``, as the
-    support-1 candidates over those already pass the cap.  Each call counts
-    a predicate's candidates against ``pred_cap``, and reaching a predicate
-    quantifier marks it stratified.  A bridged predicate existential takes
-    its one candidate from ``section`` instead, uncounted; ``flat`` counts
-    as the search would."""
+    support-1 candidates over those already pass the cap.  ``pred_cap``
+    bounds the work each call does: a search charges 1 per candidate it
+    draws and ``flat`` the 64-bit words of each mask int it runs, both
+    before the work.  Reaching a predicate quantifier marks the call
+    stratified.  A bridged predicate existential takes its one candidate
+    from ``section`` instead, uncharged."""
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
@@ -393,12 +379,13 @@ class _SymbolicRun:
         point = itemgetter(*args) if len(args) > 1 else lambda env: (env[args[0]],)
         return lambda env: columns[_type_index(env[p], point(env))]
 
-    def count(self, tried: int) -> None:
-        """Past ``pred_cap``, needs one more than the cap, as a search stops there."""
-        self.enumerated += tried
+    def count(self, units: int) -> None:
+        """Charges work about to run; past ``pred_cap``, needs one more than the cap."""
+        self.enumerated += units
         if self.enumerated > self.pred_cap:
             self.enumerated = self.pred_cap + 1
-            raise CapExceeded("enumerated symbolic predicates", self.enumerated, self.pred_cap)
+            what = "symbolic candidates and 64-bit mask words"
+            raise CapExceeded(what, self.enumerated, self.pred_cap)
 
     def pool(self, var: Var):
         if var.is_individual:
@@ -413,19 +400,17 @@ class _SymbolicRun:
 
         return predicates
 
-    def flat(self, g: Forall | Exists, k: int, compile: Callable, hoisted: bool):
-        """Decides a flat ``Q V . phi`` unless the search hoists an operand,
-        ``phi`` has a predicate quantifier or equates ``V`` with another
-        variable, or ``V`` has arity over 2 or over ``_MASK_TYPES`` types per
-        support: ``phi`` runs once per support of the stratum's size, bit i
-        for the i-th mask over it, the support's atoms in the pools inside
-        (exact, as a pool needs the bindings' atoms and one fresh one).  The
-        masks are the candidates, so if none decides the search tries all;
-        else a walk in search order finds the first deciding one."""
+    def flat(self, g: Forall | Exists, k: int, compile: Callable):
+        """Decides a flat ``Q V . phi`` unless ``phi`` has a predicate
+        quantifier or equates ``V`` with another variable, or ``V`` has arity
+        over 2 or over ``_MASK_TYPES`` types per support: ``phi`` runs once
+        per support of the stratum's size, bit i for the i-th mask over it,
+        the support's atoms in the pools inside (exact, as a pool needs the
+        bindings' atoms and one fresh one), until a run decides.  Each run
+        first charges the 64-bit words of its mask int."""
         v, phi, b = g.var, g.body, self.support_bound
         if (
-            hoisted
-            or not 1 <= v.arity <= 2
+            not 1 <= v.arity <= 2
             or _width(v.arity, min(b, _MASK_TYPES)) > _MASK_TYPES
             or any(u.is_predicate for u in phi.bound_vars)
             or any(w != v and w.arity == v.arity for w in phi.free_vars)  # V = W may occur
@@ -433,29 +418,19 @@ class _SymbolicRun:
         ):
             return None
         universal, full = isinstance(g, Forall), (1 << (1 << _width(v.arity, b))) - 1
-        body, flip = compile(full), full if universal else 0
-        minimal = [_minimal_masks(v.arity, size) for size in range(b + 1)]
+        body, flip, words = compile(full), full if universal else 0, max(1, full.bit_length() >> 6)
 
         def decide(env: list) -> bool:
-            self.stratified, saved, pool = True, env[k], _atom_pool(env, b)
+            self.stratified, saved = True, env[k]
 
             def run(support: tuple[str, ...]) -> int:
-                # bit i for the i-th mask over the support: a smaller one's are the low bits
+                self.count(words)
                 env[k] = tuple(sorted(support))
                 return body(env) ^ flip
 
-            tried, decided = 0, any(map(run, combinations(pool, b)))
-            for size, masks in enumerate(minimal if decided else ()):
-                for support in combinations(pool, size):
-                    hits = run(support) & masks
-                    if hits:
-                        env[k] = saved
-                        self.count(tried + (masks & (hits & -hits) - 1).bit_count() + 1)
-                        return not universal
-                    tried += masks.bit_count()
+            decided = any(map(run, combinations(_atom_pool(env, b), b)))
             env[k] = saved
-            self.count(sum(comb(len(pool), s) * m.bit_count() for s, m in enumerate(minimal)))
-            return universal
+            return decided != universal
 
         return decide
 

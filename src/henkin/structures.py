@@ -22,7 +22,7 @@ from .syntax import Var, integers
 
 # the default caps live here, so that the CLI's parser needs neither fraenkel nor groups
 DEFAULT_TABLE_CAP = 65536
-DEFAULT_PRED_CAP = 200_000  # symbolic predicates (fraenkel)
+DEFAULT_PRED_CAP = 200_000  # symbolic candidates and mask words (fraenkel)
 DEFAULT_GROUP_CAP = 10_000  # group elements (groups)
 
 

@@ -357,7 +357,7 @@ class TestFraenkelCommands:
         assert report["result"]["witness"]["accepted"] == ["f1,f1,f1"]
 
     def test_choice_candidate_cap_inconclusive(self, capsys, tmp_path):
-        # a point other than x1: the antecedent lists 5 predicates at
+        # a point other than x1: the antecedent charges 2 mask words at
         # stratum 1, and the search would try more than 5 candidates
         h = write(tmp_path, "h.fml", "ex x2 . (~(x2 = x1) & (all x3 . (A0^1 x3 <-> x3 = x2)))\n")
         code, report, err = run(
@@ -371,14 +371,16 @@ class TestFraenkelCommands:
         assert "not a refutation" in err
 
     def test_capped_reports_carry_the_stratum(self, capsys, tmp_path):
-        # the cap counts predicates bounded by the stratum; an exact verdict
-        # bounds none and names no stratum
-        h = write(tmp_path, "h.fml", "~(A0^2 = A0^2)\n")
+        # the cap bounds the work over predicates bounded by the stratum; an
+        # exact verdict bounds none and names no stratum.  The antecedent of
+        # the choice instance searches the 2 ** 37 ternary predicates over
+        # two atoms, and the flat formula needs 2 ** 17 / 64 mask words
+        h = write(tmp_path, "h.fml", "~(A0^3 = A0^3)\n")
         flat = "all A0^2 . ex x1 . ex x2 . (A0^2 x1 x2 | ~(A0^2 x1 x2))\n"
         flat = write(tmp_path, "flat.fml", flat)
         exact = write(tmp_path, "exact.fml", "all x1 . x1 = x1\n")
         for argv, code, stratum in (
-            (["choice", "--n", "1", "--m", "2", "--h", h, "--strat", "3"], 3, 3),
+            (["choice", "--n", "1", "--m", "3", "--h", h, "--strat", "2"], 3, 2),
             (["eval", "--formula", flat, "--strat", "3", "--cap-preds", "10"], 3, 3),
             (["eval", "--formula", flat, "--strat", "3"], 0, 3),
             (["eval", "--formula", exact, "--strat", "3"], 0, None),
@@ -419,15 +421,16 @@ class TestFraenkelCommands:
             assert report["result"]["error"].startswith(f"SignatureError: schema arity {arity[2:]} = 1000000")
 
     def test_cap_exit_3(self, capsys, tmp_path):
-        # the antecedent enumerates 3 distinct predicates at stratum 2
+        # the antecedent searches ternary predicates, which no mask run
+        # takes, and its second candidate, the diagonal, decides it
         h = tmp_path / "h.fml"
-        h.write_text("all x2 . (A0^1 x2 <-> x2 = x1)\n")
-        argv = ["fraenkel", "choice", "--h", str(h), "--strat", "2", "--cap-preds"]
-        code, report, _ = run(capsys, *argv, "2")
+        h.write_text("A0^3 x1 x1 x1\n")
+        argv = ["fraenkel", "choice", "--m", "3", "--h", str(h), "--strat", "2", "--cap-preds"]
+        code, report, _ = run(capsys, *argv, "1")
         assert code == 3
         assert any("cap" in flag for flag in report["flags"])
-        assert (report["result"]["needed"], report["result"]["cap"]) == (3, 2)
-        code, report, _ = run(capsys, *argv, "3")
+        assert (report["result"]["needed"], report["result"]["cap"]) == (2, 1)
+        code, report, _ = run(capsys, *argv, "2")
         assert code == 0
 
 
@@ -542,13 +545,13 @@ class TestProcess:
     def test_exit_code_and_one_report(self, tmp_path, expected):
         structure = write(tmp_path, "s.json", FALSE_EVAL[0]["s.json"])
         false = write(tmp_path, "f.fml", FALSE_EVAL[0]["f.fml"])
-        # the antecedent enumerates 3 distinct predicates at stratum 2
-        h = write(tmp_path, "h.fml", "all x2 . (A0^1 x2 <-> x2 = x1)\n")
+        # the antecedent searches 2 ternary predicates at stratum 2
+        h = write(tmp_path, "h.fml", "A0^3 x1 x1 x1\n")
         argv = {
             0: ["parse", "--text", "x1 = x1"],
             1: ["eval", "--structure", structure, "--formula", false],
             2: ["parse", "--text", "x1 = x1", "--cap-preds", "5"],
-            3: ["fraenkel", "choice", "--h", h, "--strat", "2", "--cap-preds", "2"],
+            3: ["fraenkel", "choice", "--m", "3", "--h", h, "--strat", "2", "--cap-preds", "1"],
         }[expected]
         env = dict(os.environ)
         path = [str(ROOT / "src"), env.get("PYTHONPATH")]
@@ -565,6 +568,28 @@ class TestProcess:
         assert report["command"] == " ".join(["henkin", *argv])
         assert isinstance(report["result"], dict)
         assert "Traceback" not in done.stderr
+
+    def test_a_closed_stdout_is_an_error_without_a_traceback(self):
+        # the reader is gone before the report is written, as in `henkin ... | true`
+        reader, writer = os.pipe()
+        os.close(reader)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "henkin", "fraenkel", "sweep", "--max-support", "1"],
+                env=env,
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(writer)
+        assert done.returncode == 2
+        # the summary alone: no traceback, and no second failure at shutdown
+        (summary,) = done.stderr.splitlines()
+        assert summary.startswith("error: report not written: ")
 
 
 def test_imports_leave_out_dataclasses():

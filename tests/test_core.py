@@ -31,7 +31,6 @@ from henkin.fraenkel import (
     SymbolicPredicate,
     _SymbolicRun,
     _candidate_predicates,
-    _width,
     check_choice_instance_sigma0,
     enumerate_types,
     fresh_atoms,
@@ -151,7 +150,7 @@ class TestSymbolicCore:
         rng = random.Random(103)
         ind_vars = [x1, x2, x3]
         pred_vars = [pred(0, 1), pred(1, 1), pred(0, 2)]
-        seen, only_reference_capped = set(), 0
+        seen, compared = set(), 0
         for _ in range(600):
             formula = random_formula(rng, rng.randint(1, 4), ind_vars, pred_vars)
             # extra entries for variables the formula may not mention
@@ -162,45 +161,43 @@ class TestSymbolicCore:
                 else random_symbolic(rng, v.arity, ["p", "q", "u2"])
                 for v in sorted(formula.free_vars | set(extra))
             }
-            bound, cap = rng.randint(0, 2), rng.choice((50, 400, 5000))
-            outcome = compiled(formula, binding, bound, cap)
-            expected = reference(formula, binding, bound, cap)
-            if expected[0] == "cap" and outcome[0] != "cap":
-                # the core evaluates an operand its quantifier's variable is
-                # not free in once, not per value, so it may finish where the
-                # reference, which re-evaluates it, stops
-                only_reference_capped += 1
-            else:
-                # both finish alike, or both stop at the same count
-                assert outcome == expected
+            bound = rng.randint(0, 2)
+            # compared where the reference finishes; the package, under the
+            # default cap, finishes every case here
+            expected = reference(formula, binding, bound, 5000)
+            if expected[0] == "cap":
+                continue
+            outcome = compiled(formula, binding, bound, DEFAULT_PRED_CAP)
+            assert outcome == expected
+            compared += 1
             seen.add(outcome)
             seen.add(bool(formula.free_vars & formula.bound_vars))
         # every outcome kind occurred, and so did free-and-bound variables
         assert seen >= {(True, True), (False, True), (True, False), (False, False), True}
-        assert only_reference_capped >= 5
-        # no seeded case stops both at the cap: an exact one on a quantifier
-        # both of whose operands mention its variable, and its twin with an
-        # invariant left disjunct, which decides at the first value
+        assert compared >= 550
+        # a quantifier both of whose operands mention its variable, and its
+        # twin with an invariant left disjunct: three support runs of 16
+        # words each, where the reference lists over 400 candidates
         searched, hoisted = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)"), parse(
             "all A0^2 . x1 = x1 | A0^2 x1 x1"
         )
-        assert compiled(searched, {x1: "p"}, 2, 400) == ("cap", 401, 400)
-        assert reference(searched, {x1: "p"}, 2, 400) == ("cap", 401, 400)
-        assert compiled(hoisted, {x1: "p"}, 2, 400) == (True, True)
-        assert reference(hoisted, {x1: "p"}, 2, 400) == ("cap", 401, 400)
+        for f in (searched, hoisted):
+            assert compiled(f, {x1: "p"}, 2, 48) == (True, True)
+            assert compiled(f, {x1: "p"}, 2, 47) == ("cap", 48, 47)
+            assert reference(f, {x1: "p"}, 2, 400) == ("cap", 401, 400)
 
     # x1 is bound to p outside the quantifier that rebinds it: the
     # quantifier's own pool sees p, its body's predicate pools do not, so the
-    # body enumerates 2 + 2 + 2 unary predicates per value of x1 (pools
-    # [p, u1] and [u1, u2]): the empty and the full one, then a point and
-    # its complement per atom.  The reference lists every mask under every
-    # support of the same pools, 2 + 4 + 4.  With p still visible the second
-    # pool would be [p, u1, u2] and hold 8 (14 listed).
+    # body runs over masks once per atom of each pool, one word a run (pools
+    # [p, u1] and [u1, u2]).  The reference lists every mask under every
+    # support of the same pools, 2 + 4 + 4 per value of x1.  With p still
+    # visible the second pool would be [p, u1, u2] and run 3 times (14 listed).
+    # With q bound to x3 the pools are [p, q, u1], [q, u1] and [q, u1, u2].
     REBOUND = "x1 = x1 & (all x1 . all A0^1 . (A0^1 x1 | ~(A0^1 x1)))"
 
     @pytest.mark.parametrize(
         "binding, enumerated, listed",
-        [({x1: "p"}, 12, 20), ({x1: "p", x3: "q"}, 22, 38)],
+        [({x1: "p"}, 4, 20), ({x1: "p", x3: "q"}, 8, 38)],
         ids=["rebound", "rebound-plus-unmentioned-entry"],
     )
     def test_pools_see_the_bindings_in_scope(self, binding, enumerated, listed):
@@ -211,16 +208,16 @@ class TestSymbolicCore:
         assert reference(f, binding, 1, listed - 1) == ("cap", listed, listed - 1)
 
     def test_a_cap_hit_leaves_no_stale_slots(self):
-        # the first call stops at its 18th predicate with A0^1 bound to one
-        # over [q]; the next call on the same compiled run starts from a
-        # fresh environment, so its atom pools, which read every slot, do not
-        # see q and it enumerates the 14 a fresh run does
+        # the first call stops at its seventh support run, with A0^1 bound
+        # to the support [q] of its sixth; the next call on the same compiled
+        # run starts from a fresh environment, so its atom pools, which read
+        # every slot, do not see q and it charges the 5 a fresh run does
         f = parse(self.REBOUND)
-        run = _SymbolicRun(f, (x1, x3), 1, 17)
+        run = _SymbolicRun(f, (x1, x3), 1, 6)
         with pytest.raises(CapExceeded):
             run(("p", "q"))
-        assert run(("p", "p")) == symbolic_evaluate(f, {x1: "p", x3: "p"}, 1, pred_cap=17)
-        assert run.enumerated == 14
+        assert run(("p", "p")) == symbolic_evaluate(f, {x1: "p", x3: "p"}, 1, pred_cap=6)
+        assert run.enumerated == 5
 
     def test_non_minimal_bindings_agree_with_reference(self):
         # a predicate declared over more atoms than it needs is stored over
@@ -255,8 +252,10 @@ class TestSymbolicCore:
         assert compared >= 350 and padded >= 300
 
     def test_cap_hit_reports_the_same_count(self):
+        # three runs charge 16 words each, so a charge may pass the cap by up
+        # to 15, yet the report needs one more than the cap, as the reference's
         tautology = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)")
-        for cap in (0, 1, 50, 99):
+        for cap in (0, 1, 20, 47):
             outcome = compiled(tautology, {x1: "p"}, 2, cap)
             assert outcome == ("cap", cap + 1, cap) == reference(tautology, {x1: "p"}, 2, cap)
 
@@ -496,11 +495,16 @@ class TestHoisting:
 
     def test_an_invariant_left_operand_keeps_the_stratified_label(self):
         # ~(x1 = x1) decides the implication at the first predicate drawn,
-        # which marks the run stratified as the search it replaces would
-        f = parse("ex A0^2 . (~(x1 = x1) -> A0^2 x1 x1)")
-        assert compiled(f, {x1: "p"}, 2, 5000) == (True, True) == reference(f, {x1: "p"}, 2, 5000)
-        run = _SymbolicRun(f, (x1,), 2, 5000)
-        assert run(("p",)).stratified and run.enumerated == 1
+        # which marks the run stratified as the search it replaces would; at
+        # arity 2 the first support run over masks decides it, for 16 words
+        for f, charged in [
+            (parse("ex A0^3 . (~(x1 = x1) -> A0^3 x1 x1 x1)"), 1),
+            (parse("ex A0^2 . (~(x1 = x1) -> A0^2 x1 x1)"), 16),
+        ]:
+            expected = reference(f, {x1: "p"}, 2, 5000)
+            assert compiled(f, {x1: "p"}, 2, 5000) == (True, True) == expected
+            run = _SymbolicRun(f, (x1,), 2, 5000)
+            assert run(("p",)).stratified and run.enumerated == charged
         # a vacuous predicate quantifier likewise
         g = parse("all A0^2 . x1 = x1")
         assert compiled(g, {x1: "p"}, 2, 5000) == (True, True) == reference(g, {x1: "p"}, 2, 5000)
@@ -578,15 +582,12 @@ def masked_run(formula, declared, bound, cap):
 @pytest.fixture
 def mask_paths(monkeypatch):
     """Records, per flat quantifier decided over masks, its stratum, arity
-    and whether a candidate decided it (or "cap"), the ones searched, and
-    the ones whose search hoists an operand."""
-    seen, searched, hoisting = set(), [], []
+    and whether a support run decided it (or "cap"), and the ones searched."""
+    seen, searched = set(), []
     flat = _SymbolicRun.flat
 
-    def spying(self, g, k, compile, hoisted):
-        decide = flat(self, g, k, compile, hoisted)
-        if hoisted:
-            hoisting.append(g)
+    def spying(self, g, k, compile):
+        decide = flat(self, g, k, compile)
         if decide is None:
             searched.append(g)
             return None
@@ -603,16 +604,17 @@ def mask_paths(monkeypatch):
         return spy
 
     monkeypatch.setattr(_SymbolicRun, "flat", spying)
-    return seen, searched, hoisting
+    return seen, searched
 
 
 class TestMaskPath:
     """A flat predicate quantifier over the atom universe is decided as int
-    masks over the largest supports; truth, the stratified label, the count
-    and every cap outcome are the search's, which the reference makes."""
+    masks over the largest supports: truth and the stratified label are the
+    search's, which the reference makes, and each support run charges the
+    64-bit words of its mask int against the cap before it runs."""
 
     def test_agrees_with_the_distinct_reference(self, mask_paths):
-        seen, _, hoisting = mask_paths
+        seen, _ = mask_paths
         rng = random.Random(131)
         others = [pred(1, 1), pred(1, 2)]
         compared = padded = 0
@@ -626,7 +628,7 @@ class TestMaskPath:
                 )
                 if v in phi.free_vars:
                     break
-            f = g = rng.choice((Forall, Exists))(v, phi)
+            f = rng.choice((Forall, Exists))(v, phi)
             shape = rng.random()
             if shape < 0.25:
                 psi = random_formula(rng, 1, [x1, x2], others, allow_pred_quantifiers=False)
@@ -642,26 +644,28 @@ class TestMaskPath:
                 extra = rng.sample(("p", "r", "u1"), rng.randint(0, 2))
                 declared[w] = pad(sigma, extra)
                 padded += len(declared[w].support) > len(ref_canonicalize(declared[w]).support)
-            # an undecided binary quantifier at stratum 3 lists 131,072
-            # predicates or more: the cap stops both sides long before
-            cap = rng.choice((10, 400, 5000) if bound == 3 and v.arity == 2 else (10, 400, 50_000))
-            got = masked_run(f, declared, bound, cap)
-            if g in hoisting:
-                # the core evaluates an operand without the variable once, so
-                # the counts of such quantifiers can fall below the reference's
-                continue
-            assert got == distinct_reference(f, declared, bound, cap), str(f)
-            compared += 1
-        assert compared >= 330 and padded >= 100
-        # every stratum and arity, each decided by a candidate and not, but
-        # for the binary ones at stratum 3, which reach the cap instead
+            # the package finishes every case under the default cap; the
+            # reference is compared where it finishes, as an undecided binary
+            # quantifier at stratum 3 lists 131,072 predicates or more
+            got = masked_run(f, declared, bound, DEFAULT_PRED_CAP)
+            assert got[0] != "cap", str(f)
+            cap = 400 if bound == 3 and v.arity == 2 else 50_000
+            expected = distinct_reference(f, declared, bound, cap)
+            if expected[0] != "cap":
+                assert got[:2] == expected[:2], str(f)
+                compared += 1
+        assert compared >= 380 and padded >= 100
+        # every stratum and arity, each decided by a support run and not
         cases = {(b, a, d) for b in range(4) for a in (1, 2) for d in (True, False)}
-        assert cases - seen == {(3, 2, False)} and (3, 2, "cap") in seen
+        assert cases == seen
 
-    def test_an_invariant_left_operand_still_decides_at_the_first_value(self, mask_paths):
+    def test_an_invariant_left_operand_is_read_once_per_support_run(self, mask_paths):
+        # the mask path takes the quantifier a search would hoist: the pool
+        # is p and three fresh atoms, so four runs of 2 ** 17 / 64 words
         f = parse("all A0^2 . x1 = x1 | A0^2 x1 x1")
-        assert masked_run(f, {x1: "p"}, 3, 400) == (True, True, 1)
-        assert mask_paths[1] == [f]
+        assert masked_run(f, {x1: "p"}, 3, DEFAULT_PRED_CAP) == (True, True, 4 * 2048)
+        assert masked_run(f, {x1: "p"}, 3, 3 * 2048) == ("cap", 3 * 2048 + 1, 3 * 2048)
+        assert mask_paths == ({(3, 2, False), (3, 2, "cap")}, [])
 
     @pytest.mark.parametrize(
         "text, binding, bound, expected",
@@ -696,36 +700,74 @@ class TestMaskPath:
         }
         for bound in (0, 1, 2):
             expected = distinct_reference(f, declared, bound, 5000)
-            assert masked_run(f, declared, bound, 5000) == expected
+            assert expected[0] != "cap"
+            assert masked_run(f, declared, bound, 5000)[:2] == expected[:2]
         assert {s for s, _, _ in mask_paths[0]} == {0, 1, 2}
 
     def test_a_cap_hit_needs_one_more_than_the_cap(self, mask_paths):
-        # at stratum 3 the pool is three fresh atoms, and the 2 ** 17 masks
-        # over them are every binary predicate they support, each once
+        # at stratum 3 the pool is three fresh atoms: one run over the 2 ** 17
+        # masks, every binary predicate they support, charged as 2 ** 11
+        # words where the search would list 2 ** 17 candidates
         f = parse("all A0^2 . ex x1 . ex x2 . (A0^2 x1 x2 | ~(A0^2 x1 x2))")
-        assert masked_run(f, {}, 3, DEFAULT_PRED_CAP) == (True, True, 2**17)
+        assert masked_run(f, {}, 3, DEFAULT_PRED_CAP) == (True, True, 2**11)
         assert sum(1 for _ in _candidate_predicates(2, fresh_atoms(3), 3)) == 2**17
+        assert masked_run(f, {}, 3, 2**11) == (True, True, 2**11)
+        assert masked_run(f, {}, 3, 2**11 - 1) == ("cap", 2**11, 2**11 - 1)
         assert masked_run(f, {}, 3, 10) == ("cap", 11, 10)
-        assert masked_run(f, {}, 3, 2**17 - 1) == ("cap", 2**17, 2**17 - 1)
         assert mask_paths[0] == {(3, 2, False), (3, 2, "cap")} and not mask_paths[1]
 
-    def test_the_two_forms_of_the_minimal_masks_agree(self):
-        # the search skips the set, the mask path counts the int's bits
-        for arity, size in [(1, s) for s in range(6)] + [(2, s) for s in range(4)]:
-            skip = fraenkel._non_minimal_masks(arity, size)
-            listed = sum(1 << m for m in range(1 << _width(arity, size)) if m not in skip)
-            assert fraenkel._minimal_masks(arity, size) == listed
+    @pytest.mark.parametrize(
+        "text, bound, truth, runs, words",
+        [
+            # arity 1 over two atoms: 3 types, 8 masks, one word per run
+            ("ex A0^1 . (A0^1 x1 & ~(A0^1 x1))", 2, False, 3, 1),
+            # arity 1 over six atoms: 7 types, 128 masks, two words
+            ("ex A0^1 . (A0^1 x1 & ~(A0^1 x1))", 6, False, 7, 2),
+            # arity 2 over two atoms: 10 types, 1,024 masks, 16 words
+            ("all A0^2 . (A0^2 x1 x1 | ~(A0^2 x1 x1))", 2, True, 3, 16),
+            # a run that decides ends the quantifier: the first support holds p
+            ("ex A0^2 . A0^2 x1 x1", 2, True, 1, 16),
+        ],
+    )
+    def test_each_support_run_charges_its_words(self, mask_paths, text, bound, truth, runs, words):
+        # the pool is p and ``bound`` fresh atoms, so ``bound + 1`` supports
+        f = parse(text)
+        assert masked_run(f, {x1: "p"}, bound, DEFAULT_PRED_CAP) == (truth, True, runs * words)
+        assert f not in mask_paths[1]
+
+    def test_the_cap_stops_the_runs_before_the_work(self, monkeypatch):
+        # eight bound atoms and 16 fresh ones give C(24, 16) = 735,471
+        # supports, each a run of 2 ** 17 / 64 words: each run is charged
+        # before it starts, so the one that would pass the cap never does
+        runs = []
+        flat = _SymbolicRun.flat
+
+        def counting(self, g, k, compile):
+            def counted(full):
+                body = compile(full)
+                return lambda env: runs.append(g) or body(env)
+
+            return flat(self, g, k, counted)
+
+        monkeypatch.setattr(_SymbolicRun, "flat", counting)
+        f = parse("ex A0^1 . (A0^1 x1 & ~(A0^1 x1))")
+        binding = {ind(i): f"a{i}" for i in range(1, 9)}
+        with pytest.raises(CapExceeded) as exc:
+            symbolic_evaluate(f, binding, 16)
+        assert (exc.value.needed, exc.value.cap) == (DEFAULT_PRED_CAP + 1, DEFAULT_PRED_CAP)
+        words = 2**17 >> 6
+        assert len(runs) == DEFAULT_PRED_CAP // words
 
     def test_a_wide_search_lists_its_masks_lazily(self, mask_paths, monkeypatch):
-        # arity 3 over two atoms has 37 types: a table of its 2 ** 37 masks
+        # arity 3 over two atoms has 37 types: a column of its 2 ** 37 masks
         # would not fit in memory, so the search must list them one by one
-        minimal = fraenkel._minimal_masks
+        columns = fraenkel._columns
 
-        def bounded(arity, size):
-            assert _width(arity, size) <= fraenkel._MASK_TYPES, (arity, size)
-            return minimal(arity, size)
+        def bounded(width):
+            assert width <= fraenkel._MASK_TYPES, width
+            return columns(width)
 
-        monkeypatch.setattr(fraenkel, "_minimal_masks", bounded)
+        monkeypatch.setattr(fraenkel, "_columns", bounded)
         f = parse("all A0^3 . ex x1 . (A0^3 x1 x1 x1 | ~A0^3 x1 x1 x1)")
         with pytest.raises(CapExceeded) as exc:
             symbolic_evaluate(f, {}, 2)

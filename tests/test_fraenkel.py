@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from henkin.fraenkel import (
     type_string,
     wellorder_counterexample_sweep,
 )
-from henkin.corpus import payload_corpus
+from henkin.corpus import enumerate_formulas, payload_corpus
 from henkin.parser import parse, parse_var
 from henkin.structures import CapExceeded, Structure, all_tables
 from henkin.syntax import format_formula, free_vars, ind, pred
@@ -299,10 +300,13 @@ class TestSymbolicEvaluate:
         assert verdict.truth
 
     def test_cap(self):
-        # a tautology under the quantifier forces the full enumeration
+        # a tautology under the quantifier runs every support: p and two
+        # fresh atoms give three, of 16 words each
         tautology = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)")
-        with pytest.raises(CapExceeded):
-            symbolic_evaluate(tautology, {x1: "p"}, 2, pred_cap=50)
+        assert symbolic_evaluate(tautology, {x1: "p"}, 2, pred_cap=48).truth
+        with pytest.raises(CapExceeded) as exc:
+            symbolic_evaluate(tautology, {x1: "p"}, 2, pred_cap=47)
+        assert (exc.value.needed, exc.value.cap) == (48, 47)
 
 
 class TestEquivariance:
@@ -499,9 +503,9 @@ class TestChoiceInstances:
 class TestChoiceSearchCounts:
     """The search's counters, pinned: candidates are tried in enumeration
     order, and ``pred_cap`` bounds three counts, each on its own: the
-    antecedent's predicates, the candidates tried (the search stops as
+    antecedent's charge, the candidates tried (the search stops as
     inconclusive with the cap flagged), and every candidate verification's
-    predicates."""
+    charge."""
 
     # status and candidates_tried of every suite instance at stratum 2
     SUITE_AT_2 = {
@@ -548,14 +552,17 @@ class TestChoiceSearchCounts:
         "cap, expected",
         [
             (0, ("CapExceeded", 1, 0)),
-            (3, ("CapExceeded", 4, 3)),
+            (3, ("witnessed", 3, False)),
             (4, ("witnessed", 3, False)),
             (100, ("witnessed", 3, False)),
+            (1, ("inconclusive", 1, True)),
+            (2, ("inconclusive", 2, True)),
         ],
     )
     def test_cap_below_the_antecedents_need(self, cap, expected):
-        # the antecedent enumerates 4 predicates, one more than the search
-        # tries, so no cap stops the search itself
+        # the antecedent's first support run, of one word, decides it, so
+        # only cap 0 stops it; the search tries 3 candidates, the last the
+        # witness, and any cap below that stops the search itself
         assert self.outcome("all x2 . (A0^1 x2 <-> ~(x2 = x1))", 2, cap) == expected
 
     @pytest.mark.parametrize(
@@ -565,32 +572,47 @@ class TestChoiceSearchCounts:
             (32, ("inconclusive", 32, False)),
             (31, ("inconclusive", 31, True)),
             (5, ("inconclusive", 5, True)),
-            (4, ("CapExceeded", 5, 4)),
+            (4, ("inconclusive", 4, True)),
+            (2, ("inconclusive", 2, True)),
+            (1, ("CapExceeded", 2, 1)),
         ],
     )
     def test_exhausted_search(self, cap, expected):
         # 4 support-free binary candidates plus 28 whose least support is
         # one fresh atom: of the 32 masks over it, 4 are support-free again;
-        # the antecedent enumerates 5 predicates
+        # the antecedent runs two supports of one word each
         assert self.outcome(self.OTHER_POINT, 1, cap) == expected
         assert check_choice_instance_sigma0(1, 1, parse(self.OTHER_POINT), 0).status == "vacuous"
 
     def test_pred_cap_applies_per_verification(self):
         # the bridged choice variable is never enumerated, so the payload
-        # quantifies a predicate of its own
-        text = f"({self.OTHER_POINT}) & (all A1^1 . (A1^1 x1 | ~(A1^1 x1)))"
-        # stratum 2: 126 verifications enumerate 296 predicates together,
-        # and the antecedent 27
-        report = check_choice_instance_sigma0(1, 1, parse(text), 2, pred_cap=126)
-        assert (report.status, report.candidates_tried) == ("witnessed", 126)
-        # stratum 3: the antecedent enumerates 57, and 154 verifications
-        # 708 together, but none more than 188 on its own (the last, the
-        # witness)
-        report = check_choice_instance_sigma0(1, 1, parse(text), 3, pred_cap=188)
-        assert (report.status, report.candidates_tried) == ("witnessed", 154)
-        with pytest.raises(CapExceeded) as exc:
-            check_choice_instance_sigma0(1, 1, parse(text), 3, pred_cap=187)
-        assert (exc.value.needed, exc.value.cap) == (188, 187)
+        # quantifies a predicate of its own, a binary one run over masks
+        text = f"({self.OTHER_POINT}) & (all A1^2 . (A1^2 x1 x1 | ~(A1^2 x1 x1)))"
+        # stratum 2: the antecedent charges 101, and 126 verifications 1,312
+        # together, but none more than 352 on its own (the last, the witness);
+        # stratum 3: the antecedent 20,485, and 154 verifications 286,720,
+        # but none more than 81,920
+        for stratum, tried, most in ((2, 126, 352), (3, 154, 81_920)):
+            report = check_choice_instance_sigma0(1, 1, parse(text), stratum, pred_cap=most)
+            assert (report.status, report.candidates_tried) == ("witnessed", tried)
+            with pytest.raises(CapExceeded) as exc:
+                check_choice_instance_sigma0(1, 1, parse(text), stratum, pred_cap=most - 1)
+            assert (exc.value.needed, exc.value.cap) == (most, most - 1)
+
+
+def test_the_binary_audit_decides_every_payload_at_stratum_3():
+    # every choice-h payload of depth 2 over x1, x2, x3 and a free A0^2, with
+    # nothing else free but x1 and neither bound, decides under the default cap
+    x1, a = ind(1), pred(0, 2)
+    formulas = enumerate_formulas(2, [x1, ind(2), ind(3)], [a], cap=10**6)
+    payloads = [
+        f
+        for f in formulas
+        if a in f.free_vars and f.free_vars <= {x1, a} and not f.bound_vars & {x1, a}
+    ]
+    del formulas
+    statuses = Counter(check_choice_instance_sigma0(1, 2, f, 3).status for f in payloads)
+    assert (len(payloads), statuses) == (2654, {"witnessed": 2159, "vacuous": 495})
 
 
 class TestCandidatePredicates:
