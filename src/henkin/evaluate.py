@@ -70,20 +70,18 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     or ``None`` when the quantifier's range lacks it; the existential binds
     its variable to that value and runs the right conjunct once.
 
-    Any other ``Q V . phi`` with ``V`` in ``phi`` under no predicate
-    quantifier there is flat: ``semantics.flat(g, k, compile)``, given
-    ``V``'s slot and ``compile(full)``, ``phi`` as a closure to an int mask
-    (see ``masked``), returns its closure, or None to search.
-
-    Any other quantifier whose variable is not free in its body, or in the
-    left operand of an ``&``, ``|`` or ``->`` body, evaluates that part
-    once, at the first value drawn, as its search would.  If that decides
-    the body, it is the quantifier's value; otherwise the search runs on
-    the right operand from the value drawn, without calling ``pool``
-    again.  This is exact, since ranges are nonempty and a variable cannot
-    be bound again in its own scope: truth and ``stratified`` are those of
-    the plain search wherever it finishes, and values drawn can only fall.
-    Right operands and ``<->`` are not hoisted, as that would reorder
+    Any other ``Q V`` splits off the operand ``V`` is not free in, the
+    whole body or the left operand of an ``&``, ``|`` or ``->`` body, and
+    reads it once, at the first value drawn, as a search would; if it
+    decides the body, that is the quantifier's value.  The rest, ``phi``,
+    is flat when ``V`` is in it under no predicate quantifier there:
+    ``semantics.flat(Q V . phi, k, compile)``, given ``V``'s slot and
+    ``compile(full)``, ``phi`` as a closure to an int mask (see
+    ``masked``), returns its closure, or None to search ``phi`` from the
+    value already drawn.  This is exact, since ranges are nonempty and a
+    variable cannot be bound again in its own scope: truth and
+    ``stratified`` are those of the plain search wherever it finishes.
+    Right operands and ``<->`` are not split off, as that would reorder
     evaluation and so where a label is set.
     """
     slot = {v: k for k, v in enumerate(params)}
@@ -130,22 +128,21 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
             return one_point
 
-        if g.var in inner.free_vars and g.var not in inner.nested_vars:
-            decide = semantics.flat(g, k, lambda full: masked(inner, g.var, full))
-            if decide:
-                return decide
-        # `fixed`, the part of the body the variable is not free in, and
-        # `rest`, the part it may be; `stop` is the value of `fixed` that
-        # decides the body and is then its value (read `L -> R` as `~L | R`)
-        fixed = rest = None
+        # `fixed` is the operand without the variable and `phi` the rest; `stop`,
+        # the value of `fixed` that decides the body, is then its value (`L -> R` is `~L | R`)
+        fixed, phi, decide = None, inner, None
         if g.var not in inner.free_vars:
-            fixed = scalar(inner)
+            fixed, phi = scalar(inner), None
         elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
-            left, rest = scalar(inner.left), scalar(inner.right)
+            left, phi = scalar(inner.left), inner.right
             fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
             stop = not isinstance(inner, And)
-        else:
-            body = scalar(inner)
+        if phi and g.var not in phi.nested_vars:
+            split = g if phi is inner else type(g)(g.var, phi)
+            decide = semantics.flat(split, k, lambda full: masked(phi, g.var, full))
+            if decide and not fixed:
+                return decide
+        body = scalar(phi) if phi and not decide else None
         pool = semantics.pool(g.var)  # after the body, as a post-order walk would check
         if fixed:
 
@@ -153,10 +150,12 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
                 saved, values = env[k], iter(pool(env))
                 for env[k] in values:  # the first value; `fixed` is the same at all of them
                     truth = fixed(env)
-                    if rest and truth != stop:
+                    if decide and truth != stop:
+                        truth = decide(env)
+                    elif body and truth != stop:
                         truth = universal
                         for env[k] in chain((env[k],), values):
-                            if rest(env) != universal:
+                            if body(env) != universal:
                                 truth = not universal
                                 break
                     env[k] = saved
@@ -505,7 +504,7 @@ def saturate_with_report(
     if depth_bound < 1:
         raise EvalError("depth bound must be >= 1")
     arities = sorted(structure.domains)
-    ind_vocab = [ind(i) for i in range(1, arities[-1] + 2)]
+    ind_vocab = [ind(i) for i in range(1, max(arities, default=0) + 2)]
     pred_vocab = [pred(j, n) for n in arities for j in (0, 1)]
     formulas = corpus.enumerate_formulas(depth_bound, ind_vocab, pred_vocab, cap=formula_cap)
 

@@ -401,11 +401,12 @@ class _SymbolicRun:
         return predicates
 
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
-        """Decides a flat ``Q V . phi`` unless ``phi`` has a predicate
-        quantifier or equates ``V`` with another variable, or ``V`` has arity
-        over 2 or over ``_MASK_TYPES`` types per support: ``phi`` runs once
-        per support of the stratum's size, bit i for the i-th mask over it,
-        the support's atoms in the pools inside (exact, as a pool needs the
+        """Decides a flat ``Q V . phi``, ``phi`` the operand of ``V`` without
+        the invariant one, unless ``phi`` has a predicate quantifier or
+        equates ``V`` with another variable, or ``V`` has arity over 2 or
+        over ``_MASK_TYPES`` types per support: ``phi`` runs once per
+        support of the stratum's size, bit i for the i-th mask over it, the
+        support's atoms in the pools inside (exact, as a pool needs the
         bindings' atoms and one fresh one), until a run decides.  Each run
         first charges the 64-bit words of its mask int."""
         v, phi, b = g.var, g.body, self.support_bound

@@ -1229,11 +1229,21 @@ FALSE_EVAL = (
 )
 
 
+# a structure with no domains saturates to itself: one round, no formula used
+NO_DOMAINS = (
+    {"s.json": json.dumps({"individuals": ["a"], "domains": {}})},
+    ["saturate", "--structure", "s.json"],
+)
+# the error types of a fault in the program rather than in its input
+INTERNAL_ERRORS = ("IndexError", "KeyError", "TypeError", "AttributeError")
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(command_lines())
 @example(FALSE_EVAL)
+@example(NO_DOMAINS)
 def test_every_command_line_keeps_the_exit_contract(tmp_path, monkeypatch, capsys, case):
     files, argv = case
     for name, text in files.items():
@@ -1247,3 +1257,8 @@ def test_every_command_line_keeps_the_exit_contract(tmp_path, monkeypatch, capsy
         assert false_verdict(report["result"])
     if code == 2:
         assert "error" in report["result"]
+        assert not report["result"]["error"].startswith(INTERNAL_ERRORS), report["result"]
+    if case == NO_DOMAINS:
+        assert code == 0
+        assert report["result"]["rounds"] == 1 and report["result"]["formulas_used"] == 0
+        assert report["result"]["added"] == {}

@@ -175,15 +175,16 @@ class TestSymbolicCore:
         # every outcome kind occurred, and so did free-and-bound variables
         assert seen >= {(True, True), (False, True), (True, False), (False, False), True}
         assert compared >= 550
-        # a quantifier both of whose operands mention its variable, and its
-        # twin with an invariant left disjunct: three support runs of 16
-        # words each, where the reference lists over 400 candidates
+        # a quantifier both of whose operands mention its variable takes three
+        # support runs of 16 words each; its twin with an invariant left
+        # disjunct is decided by that disjunct at the first value drawn.  The
+        # reference lists over 400 candidates for either
         searched, hoisted = parse("all A0^2 . A0^2 x1 x1 | ~(A0^2 x1 x1)"), parse(
             "all A0^2 . x1 = x1 | A0^2 x1 x1"
         )
-        for f in (searched, hoisted):
-            assert compiled(f, {x1: "p"}, 2, 48) == (True, True)
-            assert compiled(f, {x1: "p"}, 2, 47) == ("cap", 48, 47)
+        for f, charged in ((searched, 48), (hoisted, 1)):
+            assert compiled(f, {x1: "p"}, 2, charged) == (True, True)
+            assert compiled(f, {x1: "p"}, 2, charged - 1) == ("cap", charged, charged - 1)
             assert reference(f, {x1: "p"}, 2, 400) == ("cap", 401, 400)
 
     # x1 is bound to p outside the quantifier that rebinds it: the
@@ -493,18 +494,69 @@ class TestHoisting:
             seen.add(expected[1])
         assert compared >= 450 and len(seen) == 18
 
+    @pytest.mark.parametrize("atoms", [1, 4, 7, 9])
+    def test_a_true_invariant_disjunct_decides_under_many_bound_atoms(self, atoms):
+        # x1 = x1 is read at the first value drawn, before the right operand's
+        # support runs: 120 runs of 2,048 words with 7 atoms, past the cap
+        f = parse("all A0^2 . (x1 = x1 | A0^2 x1 x1)")
+        binding = {ind(i): f"a{i}" for i in range(1, atoms + 1)}
+        run = _SymbolicRun(f, tuple(binding), 3, DEFAULT_PRED_CAP)
+        assert run(tuple(binding.values()))[:2] == (True, True)
+        assert run.enumerated == 1
+
+    def test_symbolic_agrees_under_many_bound_atoms(self):
+        # each quantifier and connective, 1 to 9 atoms bound at strata 0 to
+        # 3, the quantified predicate flat at arities 1 and 2 and searched
+        # at 3; the package's cap lets every support run of arity 2 finish
+        rng = random.Random(153)
+        shapes = [(q, op) for q in (Forall, Exists) for op in (And, Or, Implies)]
+        others = [pred(1, 1), pred(1, 2)]
+        seen, compared, decided = set(), 0, 0
+        for k in range(216):
+            quantifier, op = shapes[k % 6]
+            atoms, bound = 1 + k // 6 % 9, k // 54
+            v = rng.choice((pred(0, 1), pred(0, 2), pred(0, 3)))
+            ind_vars = [x1, x2, x3][:atoms]
+            fixed = random_formula(
+                rng, rng.randint(0, 2), ind_vars, others, allow_pred_quantifiers=False
+            )
+            while True:
+                rest = random_formula(
+                    rng, rng.randint(1, 2), ind_vars, [v, *others], allow_pred_quantifiers=False
+                )
+                if v in rest.free_vars:
+                    break
+            f = quantifier(v, op(fixed, rest))
+            names = [f"a{i}" for i in range(1, atoms + 1)]
+            binding = {ind(i): name for i, name in enumerate(names, 1)}
+            for w in sorted(f.free_vars - set(binding)):
+                binding[w] = random_symbolic(rng, w.arity, names)
+            expected = reference(f, binding, bound, 5000)
+            if expected[0] != "cap":
+                assert compiled(f, binding, bound, 10**6) == expected, str(f)
+                compared += 1
+                seen.add((quantifier, op, expected[0]))
+            # a true disjunct, a false conjunct or a false antecedent decides
+            # the body, and so the quantifier, at the first value drawn
+            if reference(fixed, binding, bound, 5000)[0] == (op is Or):
+                run = _SymbolicRun(f, tuple(binding), bound, 1)
+                assert run(tuple(binding.values()))[:2] == (op is not And, True), str(f)
+                assert run.enumerated == 1
+                decided += 1
+        assert compared >= 180 and len(seen) == 12 and decided >= 100
+
     def test_an_invariant_left_operand_keeps_the_stratified_label(self):
         # ~(x1 = x1) decides the implication at the first predicate drawn,
-        # which marks the run stratified as the search it replaces would; at
-        # arity 2 the first support run over masks decides it, for 16 words
-        for f, charged in [
-            (parse("ex A0^3 . (~(x1 = x1) -> A0^3 x1 x1 x1)"), 1),
-            (parse("ex A0^2 . (~(x1 = x1) -> A0^2 x1 x1)"), 16),
+        # which marks the run stratified as the search it replaces would, at
+        # a charge of 1 whether the right operand would search or take masks
+        for f in [
+            parse("ex A0^3 . (~(x1 = x1) -> A0^3 x1 x1 x1)"),
+            parse("ex A0^2 . (~(x1 = x1) -> A0^2 x1 x1)"),
         ]:
             expected = reference(f, {x1: "p"}, 2, 5000)
             assert compiled(f, {x1: "p"}, 2, 5000) == (True, True) == expected
             run = _SymbolicRun(f, (x1,), 2, 5000)
-            assert run(("p",)).stratified and run.enumerated == charged
+            assert run(("p",)).stratified and run.enumerated == 1
         # a vacuous predicate quantifier likewise
         g = parse("all A0^2 . x1 = x1")
         assert compiled(g, {x1: "p"}, 2, 5000) == (True, True) == reference(g, {x1: "p"}, 2, 5000)
@@ -524,8 +576,10 @@ class TestHoisting:
     # one (A0^1, A0^2) pair per orbit of the universe's permutations, and
     # the plain product of all 4,096 pairs drew x1 8,704, x2 16,576,
     # x3 4,032, x4 12,096 (ac) and x1 7,360, x2 14,399, x3 1,034, x4 2,806
-    # (ac-star) times.  The witness A1^2 is decided as a mask over its 512
-    # tables and draws none; its search drew A1^2 60,160, x1 72,448,
+    # (ac-star) times.  The witness A1^2 draws one value per check, the one
+    # its invariant domain clause is read at, and its other operand is
+    # decided as a mask over its 512 tables (with the clause inside the
+    # mask it drew none).  Its search drew A1^2 60,160, x1 72,448,
     # x2 200,320, x3 24,192, x4 72,576 (ac) and A1^2 9,644, x1 13,668,
     # x2 31,863, x3 2,204, x4 6,316 (ac-star) times, and before that, the
     # searches that re-evaluated the invariant domain clause drew x1
@@ -534,8 +588,8 @@ class TestHoisting:
     @pytest.mark.parametrize(
         "family, drawn",
         [
-            ("ac", {"x1": 1_376, "x2": 2_969, "x3": 813, "x4": 2_439}),
-            ("ac-star", {"x1": 1_112, "x2": 2_625, "x3": 247, "x4": 693}),
+            ("ac", {"A1^2": 752, "x1": 1_376, "x2": 2_969, "x3": 813, "x4": 2_439}),
+            ("ac-star", {"A1^2": 752, "x1": 1_112, "x2": 2_625, "x3": 247, "x4": 693}),
         ],
     )
     def test_work_on_std3(self, std3, monkeypatch, family, drawn):
@@ -659,13 +713,28 @@ class TestMaskPath:
         cases = {(b, a, d) for b in range(4) for a in (1, 2) for d in (True, False)}
         assert cases == seen
 
-    def test_an_invariant_left_operand_is_read_once_per_support_run(self, mask_paths):
-        # the mask path takes the quantifier a search would hoist: the pool
-        # is p and three fresh atoms, so four runs of 2 ** 17 / 64 words
+    def test_an_invariant_left_operand_is_read_once(self, mask_paths):
+        # the true left disjunct decides the quantifier at the first value
+        # drawn, for a charge of 1: the right operand takes masks, but its
+        # support runs, four of 2 ** 17 / 64 words each here, never start
         f = parse("all A0^2 . x1 = x1 | A0^2 x1 x1")
-        assert masked_run(f, {x1: "p"}, 3, DEFAULT_PRED_CAP) == (True, True, 4 * 2048)
-        assert masked_run(f, {x1: "p"}, 3, 3 * 2048) == ("cap", 3 * 2048 + 1, 3 * 2048)
-        assert mask_paths == ({(3, 2, False), (3, 2, "cap")}, [])
+        assert masked_run(f, {x1: "p"}, 3, DEFAULT_PRED_CAP) == (True, True, 1)
+        assert masked_run(f, {x1: "p"}, 3, 0) == ("cap", 1, 0)
+        assert mask_paths == (set(), [])
+        # a false left disjunct hands the right operand to its support runs
+        g = parse("all A0^2 . ~(x1 = x1) | A0^2 x1 x1")
+        assert masked_run(g, {x1: "p"}, 3, DEFAULT_PRED_CAP) == (False, True, 1 + 2048)
+        assert mask_paths == ({(3, 2, True)}, [])
+
+    def test_a_predicate_quantifier_in_the_invariant_operand_leaves_the_mask_path(
+        self, mask_paths
+    ):
+        # the decline reads the right operand only: the first value drawn,
+        # one one-word run that falsifies the left disjunct, then the four
+        # supports of the pool p and three fresh atoms at 2,048 words each
+        f = parse("all A0^2 . ((all A1^1 . A1^1 x1) | (A0^2 x1 x1 | ~A0^2 x1 x1))")
+        assert masked_run(f, {x1: "p"}, 3, DEFAULT_PRED_CAP) == (True, True, 1 + 1 + 4 * 2048)
+        assert mask_paths == ({(3, 1, True), (3, 2, False)}, [])
 
     @pytest.mark.parametrize(
         "text, binding, bound, expected",
