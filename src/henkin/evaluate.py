@@ -50,10 +50,14 @@ class EvalError(Exception):
 
 
 def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple[Callable, list]:
-    """Compile the formula once into ``(body, env)``: ``env`` is a fresh list
+    """Compile the formula into ``(body, env)``: ``env`` is a fresh list
     with one ``None`` slot per variable, ``params`` first, and ``body(env)``
     is the truth once the caller has written the values of the parameters,
-    which cover the free variables, into their slots.
+    which cover the free variables, into their slots.  Each part is
+    compiled once, the right operand of a binary connective at its first
+    run, by a stub that leaves the compiled closure in its place; every
+    quantified range is checked first, by ``semantics.pool`` for each bound
+    variable in sorted order, whether or not a run reaches it.
 
     The semantics gives ``atom(pred_slot, arg_slots)``, an
     environment-to-truth closure, and ``pool(var)``, a function from the
@@ -74,12 +78,12 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     whole body or the left operand of an ``&``, ``|`` or ``->`` body, and
     reads it once, at the first value drawn, as a search would; if it
     decides the body, that is the quantifier's value.  The rest, ``phi``,
-    is flat when ``V`` is in it under no predicate quantifier there:
-    ``semantics.flat(Q V . phi, k, compile)``, given ``V``'s slot and
-    ``compile(full)``, ``phi`` as a closure to an int mask (see
-    ``masked``), returns its closure, or None to search ``phi`` from the
-    value already drawn.  This is exact, since ranges are nonempty and a
-    variable cannot be bound again in its own scope: truth and
+    is flat when ``V`` is a predicate variable in it under no predicate
+    quantifier there: ``semantics.flat(Q V . phi, k, compile)``, given
+    ``V``'s slot and ``compile(full)``, ``phi`` as a closure to an int mask
+    (see ``masked``), returns its closure, or None to search ``phi`` from
+    the value already drawn.  This is exact, since ranges are nonempty and
+    a variable cannot be bound again in its own scope: truth and
     ``stratified`` are those of the plain search wherever it finishes.
     Right operands and ``<->`` are not split off, as that would reorder
     evaluation and so where a label is set.
@@ -87,6 +91,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     slot = {v: k for k, v in enumerate(params)}
     for v in sorted(all_vars(formula)):
         slot.setdefault(v, len(slot))
+    pools = {v: semantics.pool(v) for v in sorted(formula.bound_vars)}
 
     def scalar(g: Formula) -> Callable:
         if isinstance(g, Atom):
@@ -99,7 +104,13 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             return lambda env: not body(env)
         if isinstance(g, (Forall, Exists)):
             return quantifier(g)
-        left, right = scalar(g.left), scalar(g.right)
+        left = scalar(g.left)
+
+        def right(env: list) -> bool:
+            nonlocal right
+            right = scalar(g.right)
+            return right(env)
+
         if isinstance(g, And):
             return lambda env: left(env) and right(env)
         if isinstance(g, Or):
@@ -110,11 +121,10 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
     def quantifier(g: Forall | Exists) -> Callable:
         k, inner, universal = slot[g.var], g.body, isinstance(g, Forall)
-        bridged = not universal and _bridged_section(g)
+        bridged = not universal and isinstance(inner, And) and _bridged_section(g)
         if bridged:
             s, xs, m = bridged
             rest = scalar(inner.right)
-            semantics.pool(g.var)  # checks the range
             section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
 
             def one_point(env: list) -> bool:
@@ -137,13 +147,13 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             left, phi = scalar(inner.left), inner.right
             fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
             stop = not isinstance(inner, And)
-        if phi and g.var not in phi.nested_vars:
+        if phi and g.var.is_predicate and g.var not in phi.nested_vars:
             split = g if phi is inner else type(g)(g.var, phi)
             decide = semantics.flat(split, k, lambda full: masked(phi, g.var, full))
             if decide and not fixed:
                 return decide
         body = scalar(phi) if phi and not decide else None
-        pool = semantics.pool(g.var)  # after the body, as a post-order walk would check
+        pool = pools[g.var]
         if fixed:
 
             def hoisted(env: list) -> bool:
@@ -193,7 +203,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             return lambda env: full ^ body(env)
         if isinstance(g, (Forall, Exists)):
             body = masked(g.body, v, full)
-            k, pool = slot[g.var], semantics.pool(g.var)
+            k, pool = slot[g.var], pools[g.var]
             flip = 0 if isinstance(g, Forall) else full
 
             def every(env: list) -> int:
@@ -234,14 +244,12 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
 
 def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
-    """``(S, xs, m)`` when ``g`` is ``ex D . (all ys . (D ys <-> S xs ys)) & rest``
-    with ``m`` = len(ys), no y among the xs and ``S`` other than ``D``, else
-    None.  The bridge then holds of exactly one value of ``D``, the section
-    of ``S`` at xs, so ``g`` is ``rest`` at that value if the range of
-    ``D`` holds it, and false otherwise.  The ys are distinct because a
-    variable cannot be quantified inside its own scope."""
-    if not isinstance(g.body, And):
-        return None
+    """For ``g`` with an ``&`` body: ``(S, xs, m)`` when ``g`` is
+    ``ex D . (all ys . (D ys <-> S xs ys)) & rest`` with ``m`` = len(ys), no
+    y among the xs and ``S`` other than ``D``, else None.  The bridge then
+    holds of exactly one value of ``D``, the section of ``S`` at xs, so
+    ``g`` is ``rest`` there if the range of ``D`` holds it, else false.  The
+    ys are distinct because a variable cannot be quantified in its own scope."""
     bridge, ys = g.body.left, []
     while isinstance(bridge, Forall):
         ys.append(bridge.var)
@@ -293,11 +301,9 @@ class FiniteSemantics:
         return point
 
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
-        """One run of the body as a mask with a bit per table of the domain,
-        or None without one (as for an individual): the search reports it."""
+        """One run of the body as a mask with a bit per table of the
+        predicate variable's domain, which ``pool`` has checked is nonempty."""
         full = (1 << len(self.structure.rows(g.var.arity))) - 1
-        if not full:
-            return None
         mask = compile(full)
         if isinstance(g, Forall):
             return lambda env: mask(env) == full

@@ -411,7 +411,7 @@ class _SymbolicRun:
         first charges the 64-bit words of its mask int."""
         v, phi, b = g.var, g.body, self.support_bound
         if (
-            not 1 <= v.arity <= 2
+            v.arity > 2
             or _width(v.arity, min(b, _MASK_TYPES)) > _MASK_TYPES
             or any(u.is_predicate for u in phi.bound_vars)
             or any(w != v and w.arity == v.arity for w in phi.free_vars)  # V = W may occur

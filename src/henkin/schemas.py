@@ -188,24 +188,23 @@ def _build_choice_star(schema: SchemaId) -> Formula:
     m, payload = schema.m, schema.payload
     cvar = pred(0, m)
     _check_payload(payload, {cvar}, "choice-star")
-    base = _max_index(payload)
-    ys = _block(max(base, 0), m)
-    top = _max_index(payload, m)
-    c1, c2, dvar = pred(top + 1, m), pred(top + 2, m), pred(top + 3, m)
-
-    nonempty = Forall(cvar, Implies(payload, exists_many(ys, Atom(cvar, ys))))
+    frame = _choice_star_frame(m, max(_max_index(payload), 0), _max_index(payload, m))
+    c1, c2, dvar, inhabited, distinct, disjoint, unique = frame
+    nonempty = Forall(cvar, Implies(payload, inhabited))
     h1 = substitute(payload, cvar, c1)
     h2 = substitute(payload, cvar, c2)
+    pairwise = forall_many((c1, c2), Implies(And(And(h1, h2), distinct), disjoint))
+    return Implies(And(nonempty, pairwise), Exists(dvar, Forall(cvar, Implies(payload, unique))))
+
+
+@lru_cache(maxsize=64)
+def _choice_star_frame(m: int, base: int, top: int) -> tuple:
+    """The parts of a ``choice-star`` instance that do not read its payload, built once per key."""
+    cvar, ys = pred(0, m), _block(base, m)
+    c1, c2, dvar = pred(top + 1, m), pred(top + 2, m), pred(top + 3, m)
     overlap = exists_many(ys, And(Atom(c1, ys), Atom(c2, ys)))
-    pairwise = forall_many((c1, c2), Implies(And(And(h1, h2), Not(Eq(c1, c2))), Not(overlap)))
-    transversal = Exists(
-        dvar,
-        Forall(
-            cvar,
-            Implies(payload, exists_unique(ys, And(Atom(cvar, ys), Atom(dvar, ys)))),
-        ),
-    )
-    return Implies(And(nonempty, pairwise), transversal)
+    unique = exists_unique(ys, And(Atom(cvar, ys), Atom(dvar, ys)))
+    return c1, c2, dvar, exists_many(ys, Atom(cvar, ys)), Not(Eq(c1, c2)), Not(overlap), unique
 
 
 def _build_comprehension(schema: SchemaId) -> Formula:

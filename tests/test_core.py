@@ -137,12 +137,37 @@ class TestFiniteCore:
             (Assignment({x2: 5}), "x1 = x1 | x1 = x2"),
             (Assignment({}), "x1 = x1 | A0^2 x1 x1"),
             (Assignment({}), "x1 = x1 | (ex A0^2 . A0^2 x1 x1)"),
+            # two levels down, past a left operand that decides: never compiled
+            (Assignment({}), "x1 = x1 | (A0^1 x1 & ex A0^2 . A0^2 x1 x1)"),
+            (Assignment({}), "A0^1 x1 -> (x1 = x1 | all A0^3 . A0^3 x1 x1 x1)"),
         ]
         for assignment, text in bad:
             with pytest.raises(EvalError):
                 evaluate(s, assignment, parse(text))
         # a value for a variable the formula never mentions is not looked at
         assert evaluate(s, Assignment({x3: 5, A: outside}), parse("x1 = x1"))
+
+    def test_a_right_operand_is_compiled_at_its_first_run(self, std2, monkeypatch):
+        # a true left disjunct decides, so the right atom is not compiled; the
+        # first run that reaches it compiles it, and no later run compiles again
+        compiled_atoms = []
+        atom = FiniteSemantics.atom
+
+        def counting(self, p, args):
+            compiled_atoms.append(p)
+            return atom(self, p, args)
+
+        monkeypatch.setattr(FiniteSemantics, "atom", counting)
+        f, params = parse("A0^1 x1 | A1^1 x1"), [x1, A, pred(1, 1)]
+        body, env = compile_formula(f, FiniteSemantics(std2), params)
+        yes, no = std2.by_bits(1)[(True, True)], std2.by_bits(1)[(False, False)]
+        assert compiled_atoms == [1]
+        env[:3] = [0, yes, no]
+        assert body(env) and compiled_atoms == [1]
+        env[:3] = [0, no, yes]
+        assert body(env) and compiled_atoms == [1, 2]
+        env[:3] = [1, no, no]
+        assert not body(env) and compiled_atoms == [1, 2]
 
 
 class TestSymbolicCore:
@@ -219,6 +244,30 @@ class TestSymbolicCore:
             run(("p", "q"))
         assert run(("p", "p")) == symbolic_evaluate(f, {x1: "p", x3: "p"}, 1, pred_cap=6)
         assert run.enumerated == 5
+
+    def test_a_lazy_operand_is_compiled_once_across_calls(self, monkeypatch):
+        # the right conjunct is compiled at the first call, which stops at the
+        # cap inside it; later calls on the same run reuse it, compile nothing
+        # and give a fresh run's verdict
+        columns = []
+        column = _SymbolicRun.column
+
+        def counting(self, p, args):
+            columns.append(p)
+            return column(self, p, args)
+
+        monkeypatch.setattr(_SymbolicRun, "column", counting)
+        f = parse(self.REBOUND)
+        run = _SymbolicRun(f, (x1, x3), 1, 6)
+        assert columns == []
+        with pytest.raises(CapExceeded):
+            run(("p", "q"))
+        assert len(columns) == 2
+        for values in (("p", "p"), ("q", "q")):
+            before = len(columns)
+            got = run(values)
+            assert len(columns) == before
+            assert got == symbolic_evaluate(f, dict(zip((x1, x3), values)), 1, pred_cap=6)
 
     def test_non_minimal_bindings_agree_with_reference(self):
         # a predicate declared over more atoms than it needs is stored over

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from henkin.schemas import (
     WO1,
     _PAYLOAD_FAMILIES,
     SchemaId,
+    _choice_star_frame,
     _shared_parts,
     build,
     check_schema,
@@ -28,6 +30,7 @@ from henkin.structures import Assignment, CapExceeded, Structure, Table, standar
 from henkin.syntax import (
     MAX_DEPTH,
     Formula,
+    FormulaError,
     SignatureError,
     all_vars,
     format_formula,
@@ -179,6 +182,32 @@ class TestBuildShapes:
         assert format_formula(build(SchemaId(CHOICE_H, 1, 1, h))) == format_formula(
             build(SchemaId(CHOICE_H, 1, 1, h))
         )
+        # the text of 3,600 payload builds, a rejected one's error in its
+        # place, pinned by its SHA-256: a change to any built text shows
+        digest = hashlib.sha256()
+        for m in (1, 2, 3):
+            payloads = payload_corpus(7, 150, 1, m, 4)
+            payloads += payload_corpus(9, 150, 1, m, 3, require_choice_var=False)
+            ids = [(CHOICE_STAR, {"m": m}), (CHOICE, {"m": m}), (CHOICE_H, {"m": m})]
+            ids.append((COMPREHENSION, {"n": m}))
+            for payload in payloads:
+                for family, arities in ids:
+                    try:
+                        text = format_formula(build(SchemaId(family, payload=payload, **arities)))
+                    except FormulaError as exc:
+                        text = f"{type(exc).__name__}: {exc}"
+                    digest.update(text.encode() + b"\n")
+        want = "848ee5793e83318ef0f496f0611c042cff8fdc8a5a4d44a047aa78a7b389ff49"
+        assert digest.hexdigest() == want
+
+    def test_choice_star_shares_its_payload_free_frame(self):
+        # payloads with the same arity, top individual index and top index
+        # of arity m share one unique-existence block
+        first, second = parse("ex x1 . A0^1 x1"), parse("all x1 . (A0^1 x1 | x1 = x1)")
+        built = [build(SchemaId(CHOICE_STAR, payload=h)) for h in (first, second)]
+        blocks = [f.right.body.body.right for f in built]
+        assert blocks[0] is blocks[1] is _choice_star_frame(1, 1, 0)[-1]
+        assert format_formula(blocks[0]).startswith("(ex x2 . (A0^1 x2 & A3^1 x2)) & ")
 
 
 class TestWellOrdering:
