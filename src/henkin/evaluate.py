@@ -68,11 +68,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     environment serves many runs, but a run that raises part-way may leave
     quantifier slots set.
 
-    A bridged predicate existential (see ``_bridged_section``) has one
-    candidate.  ``semantics.section(s_slot, xs_slots, m)`` gives a closure
-    from the environment to the section of ``S`` at the values of ``xs``,
-    or ``None`` when the quantifier's range lacks it; the existential binds
-    its variable to that value and runs the right conjunct once.
+    A bridged predicate existential (see ``_bridged_section``) searches
+    the right conjunct over ``semantics.section(s_slot, xs_slots, m)``, a
+    range of at most one value: a closure from the environment to the
+    section of ``S`` at the values of ``xs`` as a 1-tuple, or ``()`` when
+    the quantifier's range lacks it.
 
     Any other ``Q V`` splits off the operand ``V`` is not free in, the
     whole body or the left operand of an ``&``, ``|`` or ``->`` body, and
@@ -82,7 +82,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     quantifier there: ``semantics.flat(Q V . phi, k, compile)``, given
     ``V``'s slot and ``compile(full)``, ``phi`` as a closure to an int mask
     (see ``masked``), returns its closure, or None to search ``phi`` from
-    the value already drawn.  This is exact, since ranges are nonempty and
+    the value already drawn.  This is exact, since pools are nonempty and
     a variable cannot be bound again in its own scope: truth and
     ``stratified`` are those of the plain search wherever it finishes.
     Right operands and ``<->`` are not split off, as that would reorder
@@ -122,38 +122,24 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     def quantifier(g: Forall | Exists) -> Callable:
         k, inner, universal = slot[g.var], g.body, isinstance(g, Forall)
         bridged = not universal and isinstance(inner, And) and _bridged_section(g)
-        if bridged:
-            s, xs, m = bridged
-            rest = scalar(inner.right)
-            section = semantics.section(slot[s], tuple(slot[x] for x in xs), m)
-
-            def one_point(env: list) -> bool:
-                value = section(env)
-                if value is None:
-                    return False
-                saved, env[k] = env[k], value
-                truth = rest(env)
-                env[k] = saved
-                return truth
-
-            return one_point
-
         # `fixed` is the operand without the variable and `phi` the rest; `stop`,
         # the value of `fixed` that decides the body, is then its value (`L -> R` is `~L | R`)
-        fixed, phi, decide = None, inner, None
-        if g.var not in inner.free_vars:
+        fixed, phi, decide, pool = None, inner, None, pools[g.var]
+        if bridged:  # a range of at most one value: the section, if D's range holds it
+            s, xs, m = bridged
+            phi, pool = inner.right, semantics.section(slot[s], tuple(slot[x] for x in xs), m)
+        elif g.var not in inner.free_vars:
             fixed, phi = scalar(inner), None
         elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
             left, phi = scalar(inner.left), inner.right
             fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
             stop = not isinstance(inner, And)
-        if phi and g.var.is_predicate and g.var not in phi.nested_vars:
+        if phi and not bridged and g.var.is_predicate and g.var not in phi.nested_vars:
             split = g if phi is inner else type(g)(g.var, phi)
             decide = semantics.flat(split, k, lambda full: masked(phi, g.var, full))
             if decide and not fixed:
                 return decide
         body = scalar(phi) if phi and not decide else None
-        pool = pools[g.var]
         if fixed:
 
             def hoisted(env: list) -> bool:
@@ -329,18 +315,20 @@ class FiniteSemantics:
         return point
 
     def section(self, s: int, xs: tuple[int, ...], m: int):
-        """A closure from the environment to the position of the table whose
-        bits are the ``m``-ary block of the row of ``env[s]`` at the points
-        ``env[x]``, or None if the arity-m domain lacks it (Henkin's reading)."""
+        """A closure from the environment to a bridged range: the position of
+        the table whose bits are the ``m``-ary block of the row of ``env[s]``
+        at the points ``env[x]``, or ``()`` if the arity-m domain lacks it
+        (Henkin's reading)."""
         by_bits, rows = self.structure.by_bits(m), self.structure.rows(len(xs) + m)
         size, width = self.structure.size, self.structure.size**m
 
-        def section(env: list) -> int | None:
+        def section(env: list) -> tuple[int, ...]:
             start = 0
             for x in xs:
                 start = start * size + env[x]
             start *= width
-            return by_bits.get(rows[env[s]][start : start + width])
+            value = by_bits.get(rows[env[s]][start : start + width])
+            return () if value is None else (value,)
 
         return section
 

@@ -331,10 +331,10 @@ def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
     support (supports by size, then in ``combinations`` order)."""
     new = tuple.__new__
     for size in range(min(support_bound, len(pool)) + 1):
-        skip = _non_minimal_masks(arity, size).__contains__
+        skip, masks = _non_minimal_masks(arity, size).__contains__, 1 << _width(arity, size)
         for sup in combinations(pool, size):
             sup = tuple(sorted(sup))
-            for mask in filterfalse(skip, range(1 << len(enumerate_types(arity, sup)))):
+            for mask in filterfalse(skip, range(masks)):
                 yield new(SymbolicPredicate, (arity, sup, mask))
 
 
@@ -348,8 +348,8 @@ class _SymbolicRun:
     bounds the work each call does: a search charges 1 per candidate it
     draws and ``flat`` the 64-bit words of each mask int it runs, both
     before the work.  Reaching a predicate quantifier marks the call
-    stratified.  A bridged predicate existential takes its one candidate
-    from ``section`` instead, uncharged."""
+    stratified.  A bridged predicate existential searches ``section``
+    instead, at most one candidate, uncharged."""
 
     def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
         self.support_bound = support_bound
@@ -436,14 +436,14 @@ class _SymbolicRun:
         return decide
 
     def section(self, s: int, xs: tuple[int, ...], m: int):
-        """A closure from the environment to the section of the predicate
-        ``env[s]`` at the atoms ``env[x]``, over its minimal support, or
-        None when that support exceeds the stratum.  The answer is exact:
+        """A closure from the environment to a bridged range: the section of
+        the predicate ``env[s]`` at the atoms ``env[x]``, over its minimal
+        support, or ``()`` when that support exceeds the stratum.  It is exact:
         the minimal support lies inside the predicate's support plus the
         atoms, hence inside any quantifier's pool, and every support of the
         section contains it."""
 
-        def section(env: list) -> SymbolicPredicate | None:
+        def section(env: list) -> tuple[SymbolicPredicate, ...]:
             self.stratified = True
             sigma, atoms = env[s], tuple(env[x] for x in xs)
             support = tuple(sorted(set(sigma.support).union(atoms)))
@@ -453,7 +453,7 @@ class _SymbolicRun:
                 ys = tuple(e if isinstance(e, str) else fresh[e] for e in t.entries)
                 mask |= denotes(sigma, atoms + ys) << k
             value = SymbolicPredicate(m, support, mask)
-            return value if len(value.support) <= self.support_bound else None
+            return (value,) if len(value.support) <= self.support_bound else ()
 
         return section
 
@@ -603,7 +603,7 @@ def wellorder_counterexample_sweep(
     for size in range(max_support + 1):
         support = tuple(f"p{i}" for i in range(1, size + 1))
         ctx = _order_context(support)
-        count = 1 << len(enumerate_types(2, support))
+        count = 1 << _width(2, size)
         if total + count > cap:
             raise CapExceeded("sweep predicates", total + count, cap)
         # swap argument: both orientations of the pool's last, fresh pair

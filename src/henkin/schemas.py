@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count, product
+from math import prod
 from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
@@ -356,14 +357,10 @@ def check_schema(
         if v.arity not in structure.domains:
             raise EvalError(f"arity shortfall: {v} needs a domain of arity {v.arity}")
 
-    pools = []
-    total = 1
-    for v in searched:
-        pool = range(structure.size) if v.is_individual else structure.domain(v.arity)
-        pools.append(pool)
-        total *= len(pool)
-        if total > assignment_cap:
-            raise CapExceeded("schema check assignments", total, assignment_cap)
+    # the whole product is counted, a sentence's one empty assignment included
+    pools = [structure.domain(v.arity) if v.arity else range(structure.size) for v in searched]
+    if (total := prod(map(len, pools))) > assignment_cap:
+        raise CapExceeded("schema check assignments", total, assignment_cap)
     symmetries = structure.symmetries(tuple(v.arity for v in searched))
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
     if _falsified(body, env, [range(len(pool)) for pool in pools], symmetries):

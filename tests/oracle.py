@@ -49,6 +49,7 @@ Last are the reference samplers for ``henkin.corpus``: ``random_formula``,
 build every formula they draw.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -238,14 +239,9 @@ def ref_check_schema(structure, schema, *, assignment_cap=DEFAULT_ASSIGNMENT_CAP
         peeled.append(matrix.var)
         matrix = matrix.body
     searched = tuple(peeled) + tuple(sorted(matrix.free_vars - set(peeled)))
-    pools = []
-    total = 1
-    for v in searched:
-        pool = range(structure.size) if v.is_individual else structure.domain(v.arity)
-        pools.append(pool)
-        total *= len(pool)
-        if total > assignment_cap:
-            raise CapExceeded("schema check assignments", total, assignment_cap)
+    pools = [range(structure.size) if v.is_individual else structure.domain(v.arity) for v in searched]
+    if (total := math.prod(map(len, pools))) > assignment_cap:
+        raise CapExceeded("schema check assignments", total, assignment_cap)
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
     k = len(searched)
     for env[:k] in product(*(range(len(pool)) for pool in pools)):

@@ -346,9 +346,9 @@ def random_bridged(rng, rest_depth, pred_quantifiers):
 
 
 class TestOnePointRule:
-    """A bridged predicate existential binds its variable to the section of
-    ``S`` instead of searching the range: the verdicts equal the
-    references', which search."""
+    """A bridged predicate existential searches the section of ``S``, a
+    range of at most one value, instead of its variable's whole range: the
+    verdicts equal the references', which search the whole range."""
 
     def test_symbolic_agrees_with_naive_sym_eval(self):
         rng = random.Random(109)
@@ -403,6 +403,34 @@ class TestOnePointRule:
         binding = {v: binding[v] for v in f.free_vars}
         outcome = compiled(f, binding, bound, 20_000)
         assert outcome == (truth, True) == reference(f, binding, bound, 20_000)
+
+    def test_a_finite_section_is_a_range(self):
+        # the section of A0^2 at x1 is the one value of the range when the
+        # unary domain holds it, and there is none when it does not
+        s = Structure(
+            ("a", "b"),
+            {
+                1: frozenset(Table.from_bitstring(2, 1, b) for b in ("10", "01")),
+                2: frozenset(Table.from_bitstring(2, 2, b) for b in ("0000", "1001")),
+            },
+        )
+        unary, binary = s.by_bits(1), s.by_bits(2)
+        empty, diagonal = binary[(False,) * 4], binary[(True, False, False, True)]
+        section = FiniteSemantics(s).section(0, (1,), 1)
+        assert section([empty, 0]) == section([empty, 1]) == ()
+        assert section([diagonal, 0]) == (unary[(True, False)],)
+        assert section([diagonal, 1]) == (unary[(False, True)],)
+
+    def test_a_symbolic_section_is_a_range(self):
+        # the section {p} of equality at p has the least support [p], and
+        # {p, q}, the section of itself at no atoms, [p, q]: each is the one
+        # value of the range from the stratum of its support size up, and
+        # there is none below it
+        at_p = SymbolicPredicate(1, ("p",), frozenset(enumerate_types(1, ("p",))[:1]))
+        for bound in range(4):
+            run = _SymbolicRun(parse("x1 = x1"), (x1,), bound, 0)
+            assert run.section(0, (1,), 1)([self.EQ, "p"]) == ((at_p,) if bound >= 1 else ())
+            assert run.section(0, (), 1)([self.PQ]) == ((self.PQ,) if bound >= 2 else ())
 
     MATCH = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & A0^1 x2)"
 
@@ -610,14 +638,28 @@ class TestHoisting:
         g = parse("all A0^2 . x1 = x1")
         assert compiled(g, {x1: "p"}, 2, 5000) == (True, True) == reference(g, {x1: "p"}, 2, 5000)
 
-    @pytest.mark.parametrize("body", ["x2 = x2", "x2 = x2 & x1 = x1", "x1 = x1"])
-    def test_an_empty_range_gives_the_search_value(self, std2, body):
-        # no range is empty in either semantics, but every path through a
-        # quantifier answers one alike: true for all, false for ex
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{} x1 . (x2 = x2)",
+            "{} x1 . (x2 = x2 & x1 = x1)",
+            "{} x1 . (x1 = x1)",
+            "{} A0^1 . ((all x3 . (A0^1 x3 <-> A1^2 x2 x3)) & x2 = x2)",
+        ],
+        ids=["x2 = x2", "x2 = x2 & x1 = x1", "x1 = x1", "bridged"],
+    )
+    def test_an_empty_range_gives_the_search_value(self, std2, text):
+        # a bridged range, the section of S when the domain holds it, is
+        # empty when it does not; pools are never empty, but every path
+        # through a quantifier answers an empty range alike: true for all,
+        # false for ex.  The ex of the last text is bridged, and its all is
+        # searched with the mask path declined
         semantics = FiniteSemantics(std2)
         semantics.pool = lambda var: lambda env: ()
+        semantics.section = lambda s, xs, m: lambda env: ()
+        semantics.flat = lambda g, k, compile: None
         for quantifier, truth in (("all", True), ("ex", False)):
-            run, env = compile_formula(parse(f"{quantifier} x1 . ({body})"), semantics, [x2])
+            run, env = compile_formula(parse(text.format(quantifier)), semantics, [x2])
             env[0] = 0
             assert run(env) is truth
 

@@ -288,6 +288,15 @@ class TestCheckSchema:
         with pytest.raises(CapExceeded):
             check_schema(std3, SchemaId(AC, 1, 1), assignment_cap=10)
 
+    def test_a_sentence_counts_its_one_assignment(self, std2):
+        # wo1 searches no variable: its one assignment, the empty one, is
+        # counted against the cap like any other
+        with pytest.raises(CapExceeded) as exc:
+            check_schema(std2, SchemaId(WO1), assignment_cap=0)
+        assert (exc.value.needed, exc.value.cap) == (1, 0)
+        check = check_schema(std2, SchemaId(WO1), assignment_cap=1)
+        assert check.holds and not check.searched
+
     def test_comprehension_schema_with_parameter(self, std2):
         out = check_schema(std2, SchemaId(COMPREHENSION, 1, 1, parse("x1 = x2")))
         assert out.holds  # searched over both values of the parameter
@@ -332,6 +341,21 @@ class TestBridgedAgainstLowered:
                 lowered = check_schema(structure, SchemaId(CHOICE, 1, 1, h)).holds
                 bridged = check_schema(structure, SchemaId(CHOICE_H, 1, 1, h)).holds
                 assert lowered == bridged
+
+    def test_a_section_outside_the_domain_fails_the_bridged_form(self):
+        # no binary table here has a section in the unary domain, so the
+        # bridged witness ranges over nothing, while the lowered form's
+        # witness ranges over the binary domain itself
+        gap = Structure(
+            ("a", "b"),
+            {
+                1: frozenset(Table.from_bitstring(2, 1, b) for b in ("10", "01")),
+                2: frozenset(Table.from_bitstring(2, 2, b) for b in ("0000", "1111")),
+            },
+        )
+        h = parse("A0^1 x1")
+        assert not check_schema(gap, SchemaId(CHOICE_H, 1, 1, h)).holds
+        assert check_schema(gap, SchemaId(CHOICE, 1, 1, h)).holds
 
     def test_wider_chosen_tuple(self):
         # m = 2: the chosen predicate is binary, the witness ternary
