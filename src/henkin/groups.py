@@ -252,11 +252,9 @@ def pointwise_stabilizer(group: Group, points: Iterable[int]) -> Group:
 
 def structure_closed_under(structure: Structure, perm: Permutation) -> bool:
     """Whether every domain is carried into itself by the permutation."""
-    return all(
-        act_on_predicate(perm, t) in tables
-        for tables in structure.domains.values()
-        for t in tables
-    )
+    if perm.degree != structure.size:
+        raise StructureError("permutation degree does not match the structure's universe")
+    return structure.image_maps(perm.mapping) is not None
 
 
 # ---------------------------------------------------------------------------

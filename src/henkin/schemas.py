@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, count, product
-from math import prod
+from math import factorial, prod
 from operator import eq
 from typing import Callable, NamedTuple, Sequence
 
@@ -357,11 +357,16 @@ def check_schema(
         if v.arity not in structure.domains:
             raise EvalError(f"arity shortfall: {v} needs a domain of arity {v.arity}")
 
-    # the whole product is counted, a sentence's one empty assignment included
     pools = [structure.domain(v.arity) if v.arity else range(structure.size) for v in searched]
-    if (total := prod(map(len, pools))) > assignment_cap:
-        raise CapExceeded("schema check assignments", total, assignment_cap)
-    symmetries = structure.symmetries(tuple(v.arity for v in searched))
+    total = prod(map(len, pools))
+    # the group's maps cost half a run of the body per entry: used where the search may pay
+    sizes = sum(map(len, structure.domains.values()), structure.size)
+    use = searched and (factorial(structure.size) - 1) * sizes <= 2 * min(total, assignment_cap)
+    symmetries = [[g[v.arity] for v in searched] for g in structure.automorphisms()] if use else []
+    if total > assignment_cap:  # the orbits the search visits, by Burnside's lemma
+        fixed = (prod(sum(map(eq, count(), m)) for m in g) for g in symmetries)
+        if (needed := (total + sum(fixed)) // (len(symmetries) + 1)) > assignment_cap:
+            raise CapExceeded("schema check assignments", needed, assignment_cap)
     body, env = compile_formula(matrix, FiniteSemantics(structure), searched)
     if _falsified(body, env, [range(len(pool)) for pool in pools], symmetries):
         # the core's values are positions in the pools
@@ -374,8 +379,8 @@ def _falsified(body, env: list, pools: list, symmetries: Sequence, depth: int = 
     """Whether an assignment of ``pools`` to the first slots of ``env``
     makes ``body`` false; if so, ``env`` holds the first in ``product`` order.
 
-    Each of ``symmetries`` maps every pool, as ``Structure.symmetries`` does,
-    and fixes the values chosen so far.  A value that one maps below itself
+    Each of ``symmetries`` maps every pool, as an automorphism does, and
+    fixes the values chosen so far.  A value that one maps below itself
     starts no least assignment of its orbit, and is skipped.  Symmetries
     preserve truth, so the first falsifying assignment is the least of its
     orbit.  Once no symmetry is left, the rest is a plain ``product``."""

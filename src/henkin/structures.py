@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial, prod
+from itertools import islice, permutations, product
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -161,8 +160,7 @@ class Structure:
         self._by_bits = {n: {r: j for j, r in enumerate(rs)} for n, rs in self._rows.items()}
         self._index = {a: i for i, a in enumerate(self.individuals)}
         self._columns: dict[int, tuple[int, ...]] = {}
-        self._symmetries: dict[tuple[int, ...], tuple] = {}
-        self._pool_maps: dict[int, list] = {}
+        self._automorphisms: tuple | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -200,29 +198,28 @@ class Structure:
             columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
         return columns[arity]
 
-    def symmetries(self, arities: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For a search over the pools of ``arities`` (the universe for 0,
-        else the positions of ``domain(n)``), per permutation of the universe
-        but the identity, in ``permutations`` order, a map of each pool to
-        its image, which maps the structure onto itself.  None unless every
-        domain is full and the maps, a value per permutation and distinct
-        pool, cost no more than the search they prune, the product of the
-        pools.  Computed on first use, from each pool's maps, which are
-        built once per structure."""
-        cache, maps = self._symmetries, self._pool_maps
-        if arities not in cache:
-            sizes = {n: len(self.rows(n)) if n else self.size for n in arities}
-            full = all(len(ts) == 1 << self.size**n for n, ts in self.domains.items())
-            cost = (factorial(self.size) - 1) * sum(sizes.values())
-            admitted = arities and full and cost <= prod(map(sizes.get, arities))
-            if admitted and not maps:
-                maps[0] = list(permutations(range(self.size)))[1:]
-            for n in sizes.keys() - maps.keys() if admitted else ():
-                index = self.by_bits(n)
-                picks = [itemgetter(*preimage_points(g, n)) for g in maps[0]]
-                maps[n] = [tuple(index[pick(r)] for r in self.rows(n)) for pick in picks]
-            cache[arities] = tuple(zip(*map(maps.get, arities))) if admitted else ()
-        return cache[arities]
+    def automorphisms(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """The permutations of the universe but the identity, in
+        ``permutations`` order, that map every domain onto itself, each as
+        its ``image_maps``.  Computed on first use."""
+        if self._automorphisms is None:
+            perms = islice(permutations(range(self.size)), 1, None)
+            self._automorphisms = tuple(filter(None, map(self.image_maps, perms)))
+        return self._automorphisms
+
+    def image_maps(self, mapping: tuple[int, ...]) -> dict[int, tuple[int, ...]] | None:
+        """Each value's image under the permutation ``mapping`` of the
+        universe, per pool: 0 for the universe, else the positions of
+        ``domain(n)``.  None at the first table whose image is missing."""
+        maps = {0: tuple(mapping)}
+        try:
+            for n, rows in self._rows.items():
+                points = preimage_points(maps[0], n)
+                pick = itemgetter(*points) if len(points) > 1 else tuple  # one point: identity
+                maps[n] = tuple(map(self._by_bits[n].__getitem__, map(pick, rows)))
+        except KeyError:
+            return None
+        return maps
 
     def label_index(self, label: str) -> int:
         try:

@@ -34,7 +34,7 @@ from henkin.groups import (
     check_stabilizer_bound,
 )
 from henkin.parser import parse
-from henkin.schemas import AC, CHOICE, CHOICE_H, SchemaId, check_schema
+from henkin.schemas import AC, CHOICE, CHOICE_H, COMPREHENSION, SchemaId, check_schema
 from henkin.structures import Assignment, Structure, Table
 from henkin.syntax import format_formula, free_vars, ind, pred
 
@@ -137,6 +137,15 @@ def test_criterion_4_invariant_model_is_closed(a4_model):
         f"200 formulas, {counterexamples} counterexamples",
     )
     assert counterexamples == 0
+
+
+def test_criterion_4_holds_without_individual_parameters(a4_model):
+    # x1 = x2 defines the singleton of x2, which no even permutation but
+    # the identity fixes: the model has no such unary table
+    check = check_schema(a4_model, SchemaId(COMPREHENSION, 1, 1, parse("x1 = x2")))
+    assert not check.holds and check.counterexample.values == {ind(2): 0}
+    assert a4_model.individuals[0] == "1"
+    assert check_schema(a4_model, SchemaId(COMPREHENSION, 1, 1, parse("~A1^1 x1"))).holds
 
 
 def test_criterion_5_stabilizer_lower_bound(a4_model):

@@ -1,8 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
-from henkin import groups
+from henkin import groups, structures
 from henkin.corpus import default_vocabulary, random_formula
 from henkin.groups import (
     AllSubgroups,
@@ -21,6 +22,7 @@ from henkin.groups import (
     perm_from_cycles,
     pointwise_stabilizer,
     principal_core,
+    structure_closed_under,
     symmetry_subgroup,
 )
 from henkin.parser import parse
@@ -380,6 +382,39 @@ class TestTransport:
             p = Permutation(tuple(rng.sample(range(4), 4)))
             rep = check_transport(a4_model, p, g, f)
             assert rep.applicable and rep.truth_preserved
+
+
+class TestStructureAutomorphisms:
+    def test_the_group_is_the_permutations_that_close_the_structure(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            size = rng.randint(1, 3)
+            p = Permutation(tuple(rng.sample(range(size), size)))
+            s = close_structure_under(random_structure(rng, "abc"[:size], (1, 2)), [p])
+            moved = [Permutation(g) for g in permutations(range(size))][1:]
+            closed = [
+                g for g in moved
+                if all({act_on_predicate(g, t) for t in ts} == ts for ts in s.domains.values())
+            ]
+            assert [g for g in moved if structure_closed_under(s, g)] == closed
+            assert structure_closed_under(s, Permutation.identity(size))
+            # each map sends a position to the position of its image
+            assert [maps[0] for maps in s.automorphisms()] == [g.mapping for g in closed]
+            for g, maps in zip(closed, s.automorphisms()):
+                for n in s.domains:
+                    images = [act_on_predicate(g, t) for t in s.domain(n)]
+                    assert maps[n] == tuple(map(s.domain(n).index, images))
+
+    def test_closure_asks_about_one_permutation_only(self, monkeypatch):
+        # listing the universe's permutations fails at once
+        monkeypatch.setattr(structures, "permutations", None)
+        std3 = standard_structure("abc", 2)
+        rotation = Permutation((1, 2, 0))
+        assert structure_closed_under(std3, rotation)
+        rep = check_transport(std3, rotation, Assignment({x1: 0}), parse("x1 = x1"))
+        assert rep.applicable and rep.truth_preserved
+        with pytest.raises(StructureError, match="degree"):
+            structure_closed_under(std3, Permutation.identity(4))
 
 
 class TestStabilizerBound:

@@ -5,9 +5,16 @@ import pytest
 
 from oracle import fresh_build, random_structure, ref_check_schema
 
-from henkin import structures
+from henkin import schemas, structures
 from henkin.corpus import default_vocabulary, payload_corpus, random_formula
-from henkin.evaluate import EvalError, evaluate
+from henkin.evaluate import EvalError, compile_formula, evaluate
+from henkin.groups import (
+    Group,
+    Permutation,
+    PrincipalNormal,
+    act_on_predicate,
+    build_permutation_model,
+)
 from henkin.parser import parse
 from henkin.schemas import (
     AC,
@@ -458,12 +465,78 @@ class TestSharedPayloadFreeSchemas:
         assert _shared_parts.cache_info().currsize == before
 
 
-class TestOrbitSearch:
-    """On a structure whose every domain is full, ``check_schema`` visits
-    one assignment per orbit of the universe's permutations; the verdict
-    and the counterexample are those of the plain ``product`` search."""
+def symmetric_board(rng: random.Random) -> Structure:
+    """A 2-4 point structure whose every domain is a random set of tables
+    closed under a random permutation of its universe."""
+    size = rng.randint(2, 4)
+    perm = Permutation(tuple(rng.sample(range(size), size)))
+    domains = {}
+    for n in (1, 2):
+        tables = {Table(size, n, [rng.random() < 0.5 for _ in range(size**n)])
+                  for _ in range(rng.randint(1, 4))}
+        while (images := {act_on_predicate(perm, t) for t in tables}) - tables:
+            tables |= images
+        domains[n] = tables
+    return Structure("abcd"[:size], domains)
 
-    def test_full_boards_agree_with_the_product_reference(self, std2, std3):
+
+class TestOrbitSearch:
+    """``check_schema`` visits one assignment per orbit of the structure's
+    automorphisms, where their maps cost no more than the search may; the
+    verdict and the counterexample are those of the plain ``product``
+    search, and ``--cap-assignments`` charges the orbits it visits."""
+
+    @pytest.fixture
+    def orbit_searches(self, monkeypatch):
+        """The checks run so far, as whether each searched with the group."""
+        searches = []
+
+        def spy(body, env, pools, symmetries, depth=0):
+            if depth == 0:
+                searches.append(bool(symmetries))
+            return falsified(body, env, pools, symmetries, depth)
+
+        falsified = schemas._falsified
+        monkeypatch.setattr(schemas, "_falsified", spy)
+        return searches
+
+    @staticmethod
+    def agree(structure, case, cap, rerun=100_000):
+        """Compare one check with the product reference at ``cap``.  Where
+        the reference hits the cap, ``check_schema`` hits it too or agrees
+        with the reference at a raised cap; where ``check_schema`` hits it
+        with ``needed`` N, it decides at cap N.  Returns the decided check,
+        or None where that re-run would search more than ``rerun``."""
+        try:
+            want = ref_check_schema(structure, case, assignment_cap=cap)
+        except CapExceeded as e:
+            want = e
+        try:
+            got = check_schema(structure, case, assignment_cap=cap)
+        except CapExceeded as e:
+            # never where the reference decides, and never past its product
+            assert isinstance(want, CapExceeded) and e.needed <= want.needed
+            if want.needed > rerun:
+                return None
+            got = check_schema(structure, case, assignment_cap=e.needed)
+        if isinstance(want, CapExceeded):
+            want = ref_check_schema(structure, case, assignment_cap=want.needed)
+        assert got == want
+        return got
+
+    @staticmethod
+    def cases(rng, structure, count, arity=2):
+        """Schemas and ``count`` random formulas up to ``arity`` that fit
+        the structure."""
+        formulas = [SchemaId(f, strict=strict) for f, strict in READINGS]
+        formulas += [SchemaId(f, n, m) for f in (AC, AC_STAR) for n, m in ARITIES]
+        formulas += [random_formula(rng, 5, *default_vocabulary(arity)) for _ in range(count)]
+        for case in formulas:
+            formula = case if isinstance(case, Formula) else build(case)
+            if {v.arity for v in all_vars(formula)} <= {0, *structure.domains}:
+                yield case
+
+    def test_full_boards_agree_with_the_product_reference(self, std2, std3, orbit_searches):
         rng = random.Random(20240917)
         boards = [
             (standard_structure(("a", "b"), 1), 1),
@@ -474,25 +547,70 @@ class TestOrbitSearch:
         ]
         checks = falsified = 0
         for structure, arity in boards:
-            cases = [SchemaId(f, strict=strict) for f, strict in READINGS]
-            cases += [SchemaId(f, n, m) for f in (AC, AC_STAR) for n, m in ARITIES]
-            cases += [random_formula(rng, 5, *default_vocabulary(arity)) for _ in range(480)]
-            for case in cases:
-                formula = case if isinstance(case, Formula) else build(case)
-                arities = {v.arity for v in all_vars(formula)}
-                if not arities <= {0, *structure.domains}:
-                    continue
-                try:
-                    want = ref_check_schema(structure, case, assignment_cap=5_000)
-                except CapExceeded:
-                    with pytest.raises(CapExceeded):
-                        check_schema(structure, case, assignment_cap=5_000)
-                    continue
-                got = check_schema(structure, case, assignment_cap=5_000)
-                assert got == want
-                checks += 1
-                falsified += not got.holds
-        assert checks >= 2_000 and falsified >= 500
+            for case in self.cases(rng, structure, 480, arity):
+                got = self.agree(structure, case, 5_000)
+                if got is not None:
+                    checks += 1
+                    falsified += not got.holds
+        assert checks >= 2_200 and falsified >= 1_700 and sum(orbit_searches) >= 1_200
+
+    def test_symmetric_boards_agree_with_the_product_reference(self, orbit_searches):
+        rng = random.Random(20241021)
+        checks = falsified = symmetric = 0
+        for _ in range(36):
+            board = symmetric_board(rng)
+            for case in self.cases(rng, board, 60):
+                got = self.agree(board, case, rng.choice((0, 1, 10, 100, 1_000, 5_000)))
+                if got is not None:
+                    checks += 1
+                    falsified += not got.holds
+                    symmetric += bool(board.automorphisms())
+        assert checks >= 2_400 and falsified >= 1_800 and symmetric >= 1_800
+        assert sum(orbit_searches) >= 800
+
+    def test_the_a4_model_agrees_with_the_product_reference(self, a4_model, orbit_searches):
+        # A4 is sharply 2-transitive: up to arity 2 its invariant tables are S4's
+        assert len(a4_model.automorphisms()) == 23
+        rng = random.Random(20241022)
+        checks = [self.agree(a4_model, case, 5_000) for case in self.cases(rng, a4_model, 400)]
+        assert len(checks) >= 400 and sum(not c.holds for c in checks) >= 300
+        assert sum(orbit_searches) >= 100
+
+    def test_choice_holds_on_four_points_under_the_default_cap(self, monkeypatch):
+        # the model of a trivial core is std4, whose 2^16 binary tables
+        # make ac's product 2^20, past the cap; the search visits the
+        # 45,960 orbits of S4 on the pair
+        labels = ("a", "b", "c", "d")
+        group, trivial = Group.symmetric(4), PrincipalNormal((Group.trivial(4),))
+        std4 = build_permutation_model(labels, group, trivial, 2)
+        assert std4 == standard_structure(labels, 2)
+        # below half the maps' 23 x 65,556 = 1,507,788 entries, no
+        # permutation is listed and the cap charges the product
+        with monkeypatch.context() as patched:
+            patched.setattr(structures, "permutations", None)
+            with pytest.raises(CapExceeded) as e:
+                check_schema(std4, SchemaId(AC), assignment_cap=753_893)
+        assert e.value.needed == 2**20
+        assert len(std4.automorphisms()) == 23
+        assert check_schema(std4, SchemaId(AC)).holds
+        assert check_schema(std4, SchemaId(AC_STAR)).holds
+
+    def test_the_cap_charges_the_orbits_the_search_visits(self, std3, monkeypatch):
+        # two binary variables: 512^2 assignments in 44,224 orbits of S3,
+        # whose 5 maps hold 2,615 entries, within twice the cap
+        runs = []
+
+        def counted(matrix, semantics, searched):
+            body, env = compile_formula(matrix, semantics, searched)
+            return lambda env: runs.append(1) or body(env), env
+
+        monkeypatch.setattr(schemas, "compile_formula", counted)
+        f = parse("all A0^2 . all A1^2 . (A0^2 = A1^2 -> all x1 . (A0^2 x1 x1 -> A1^2 x1 x1))")
+        with pytest.raises(CapExceeded) as e:
+            check_schema(std3, f, assignment_cap=10_000)
+        assert not runs and e.value.needed == (512**2 + 3 * 32**2 + 2 * 8**2) // 6 == 44_224
+        assert check_schema(std3, f, assignment_cap=e.value.needed).holds
+        assert len(runs) == e.value.needed
 
     def test_a_domain_that_is_not_full_keeps_every_assignment(self, std2):
         # the swap of a and b maps x1 = b to x1 = a, and {a} to the missing
@@ -505,24 +623,13 @@ class TestOrbitSearch:
         check = check_schema(nearly_full, f)
         assert not check.holds
         assert check.counterexample.values == {x1: 1}
-        assert nearly_full.symmetries((0,)) == ()
+        assert nearly_full.automorphisms() == ()
 
-    def test_the_maps_are_built_only_where_they_cost_less_than_the_search(self):
-        # check_schema asks once, for the arities of its searched variables
-        std8 = standard_structure("abcdefgh", 1)
-        assert check_schema(std8, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
-        assert std8._symmetries == {(0, 1): ()}
-        std2 = standard_structure(("a", "b"), 1)
-        assert check_schema(std2, parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")).holds
-        # the swap of a and b, on the points and on the tables 00 01 10 11
-        assert std2._symmetries == {(0, 1): (((1, 0), (0, 2, 1, 3)),)}
-        # a maps tuple per searched variable, repeats included
-        assert std2.symmetries((1, 0, 1)) == (((0, 2, 1, 3), (1, 0), (0, 2, 1, 3)),)
-
-    def test_each_pools_maps_are_built_once(self):
-        # three prefixes on a fresh std3, each admitted by the cost rule,
-        # share the one map of the 512 binary tables per permutation
+    def test_each_pools_maps_are_built_once(self, monkeypatch):
+        # the group is computed once per structure, on first use
         std3 = standard_structure("abc", 2)
+        image_maps, tried = Structure.image_maps, []
+        monkeypatch.setattr(Structure, "image_maps", lambda s, g: tried.append(g) or image_maps(s, g))
         cases = [
             parse("all A0^1 . all A0^2 . ex x1 . (A0^1 x1 -> ex x2 . A0^2 x1 x2)"),
             parse("all A0^1 . all A0^2 . all x1 . all x2 . (A0^2 x1 x2 -> A0^1 x1)"),
@@ -530,16 +637,29 @@ class TestOrbitSearch:
         ]
         for f in cases:
             assert check_schema(std3, f) == ref_check_schema(std3, f)
-        assert set(std3._symmetries) == {(1, 2), (1, 2, 0, 0), (2, 0, 0)}
-        first, second, third = (std3._symmetries[a] for a in ((1, 2), (1, 2, 0, 0), (2, 0, 0)))
-        assert len(first) == len(second) == len(third) == 5
-        for a, b, c in zip(first, second, third):
-            assert a[1] is b[1] is c[0] and a[0] is b[0] and b[2] is c[1]
+        # the five permutations but the identity, each tried once
+        assert len(tried) == len(std3.automorphisms()) == 5
+
+    def test_the_maps_are_built_only_where_they_cost_less_than_the_search(
+        self, orbit_searches, monkeypatch
+    ):
+        f = parse("all x1 . all A0^1 . (A0^1 x1 | ~A0^1 x1)")
+        # 8! - 1 maps of 264 entries each, against 2 x 2,048 runs: listing
+        # the permutations would fail at once, and none is listed
+        with monkeypatch.context() as patched:
+            patched.setattr(structures, "permutations", None)
+            assert check_schema(standard_structure("abcdefgh", 1), f).holds
+        # one map of 2 + 4 entries, against 2 x 8 runs
+        std2 = standard_structure(("a", "b"), 1)
+        assert check_schema(std2, f).holds
+        assert orbit_searches == [False, True]
+        # the swap of a and b, on the points and on the tables 00 01 10 11
+        assert std2.automorphisms() == ({0: (1, 0), 1: (0, 2, 1, 3)},)
 
     def test_an_empty_prefix_builds_nothing(self, monkeypatch):
-        # a structure without domains is full, and a list of its 16! - 1
-        # permutations would not fit in memory: listing any fails at once
+        # 16! - 1 permutations would not fit in memory: listing any fails
+        # at once, for a sentence and for one variable over 16 points
         monkeypatch.setattr(structures, "permutations", None)
         std16 = Structure(tuple("abcdefghijklmnop"), {})
-        assert std16.symmetries(()) == ()
         assert check_schema(std16, parse("ex x1 . x1 = x1")).holds
+        assert check_schema(std16, parse("all x1 . x1 = x1")).holds
