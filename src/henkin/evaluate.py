@@ -27,17 +27,11 @@ from .structures import (
     Structure,
     Table,
 )
+from .syntax import AND, ATOM, EQ, EXISTS, FORALL, IFF, IMPLIES, NOT, OR  # the node kinds
 from .syntax import (
-    And,
-    Atom,
-    Eq,
     Exists,
     Forall,
     Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
     Var,
     all_vars,
     ind,
@@ -94,15 +88,15 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     pools = {v: semantics.pool(v) for v in sorted(formula.bound_vars)}
 
     def scalar(g: Formula) -> Callable:
-        if isinstance(g, Atom):
+        if (kind := g[0]) == ATOM:
             return semantics.atom(slot[g.predicate], tuple(slot[a] for a in g.args))
-        if isinstance(g, Eq):
+        if kind == EQ:
             l, r = slot[g.left], slot[g.right]
             return lambda env: env[l] == env[r]
-        if isinstance(g, Not):
+        if kind == NOT:
             body = scalar(g.body)
             return lambda env: not body(env)
-        if isinstance(g, (Forall, Exists)):
+        if kind in (FORALL, EXISTS):
             return quantifier(g)
         left = scalar(g.left)
 
@@ -111,17 +105,17 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             right = scalar(g.right)
             return right(env)
 
-        if isinstance(g, And):
+        if kind == AND:
             return lambda env: left(env) and right(env)
-        if isinstance(g, Or):
+        if kind == OR:
             return lambda env: left(env) or right(env)
-        if isinstance(g, Implies):
+        if kind == IMPLIES:
             return lambda env: not left(env) or right(env)
         return lambda env: left(env) == right(env)
 
     def quantifier(g: Forall | Exists) -> Callable:
-        k, inner, universal = slot[g.var], g.body, isinstance(g, Forall)
-        bridged = not universal and isinstance(inner, And) and _bridged_section(g)
+        k, inner, universal = slot[g.var], g.body, g[0] == FORALL
+        bridged = not universal and inner[0] == AND and _bridged_section(g)
         # `fixed` is the operand without the variable and `phi` the rest; `stop`,
         # the value of `fixed` that decides the body, is then its value (`L -> R` is `~L | R`)
         fixed, phi, decide, pool = None, inner, None, pools[g.var]
@@ -130,10 +124,10 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             phi, pool = inner.right, semantics.section(slot[s], tuple(slot[x] for x in xs), m)
         elif g.var not in inner.free_vars:
             fixed, phi = scalar(inner), None
-        elif isinstance(inner, (And, Or, Implies)) and g.var not in inner.left.free_vars:
+        elif inner[0] in (AND, OR, IMPLIES) and g.var not in inner.left.free_vars:
             left, phi = scalar(inner.left), inner.right
-            fixed = (lambda env: not left(env)) if isinstance(inner, Implies) else left
-            stop = not isinstance(inner, And)
+            fixed = (lambda env: not left(env)) if inner[0] == IMPLIES else left
+            stop = inner[0] != AND
         if phi and not bridged and g.var.is_predicate and g.var not in phi.nested_vars:
             split = g if phi is inner else type(g)(g.var, phi)
             decide = semantics.flat(split, k, lambda full: masked(phi, g.var, full))
@@ -177,20 +171,20 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
         has a bit per value, and ``v = w`` is the bit at ``w``'s value.
         Parts without ``v`` stay scalar, and an individual quantifier is an
         AND (``ex`` as ``~all ~``) over its pool that stops at 0."""
-        if isinstance(g, Atom):  # headed by v, as arguments are individuals
+        if (kind := g[0]) == ATOM:  # headed by v, as arguments are individuals
             return semantics.column(slot[v], tuple(slot[a] for a in g.args))
-        if isinstance(g, Eq):
+        if kind == EQ:
             if g.left == g.right:
                 return lambda env: full
             w = slot[g.right if g.left == v else g.left]
             return lambda env: 1 << env[w]
-        if isinstance(g, Not):
+        if kind == NOT:
             body = masked(g.body, v, full)
             return lambda env: full ^ body(env)
-        if isinstance(g, (Forall, Exists)):
+        if kind in (FORALL, EXISTS):
             body = masked(g.body, v, full)
             k, pool = slot[g.var], pools[g.var]
-            flip = 0 if isinstance(g, Forall) else full
+            flip = 0 if kind == FORALL else full
 
             def every(env: list) -> int:
                 saved, acc = env[k], full
@@ -206,11 +200,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
         left = masked(g.left, v, full) if on_left else scalar(g.left)
         right = masked(g.right, v, full) if on_right else scalar(g.right)
         if on_left and on_right:
-            if isinstance(g, And):
+            if kind == AND:
                 return lambda env: (m := left(env)) and m & right(env)
-            if isinstance(g, Or):
+            if kind == OR:
                 return lambda env: m if (m := left(env)) == full else m | right(env)
-            if isinstance(g, Implies):
+            if kind == IMPLIES:
                 return lambda env: full ^ m | right(env) if (m := left(env)) else full
             return lambda env: full ^ left(env) ^ right(env)
         # one scalar operand: its truth picks `(a, b)` from `outcomes` (false,
@@ -218,7 +212,7 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
         scalar_op, mask_op = (right, left) if on_left else (left, right)
         keep, flip, zero, one = (full, 0), (full, full), (0, 0), (0, full)
         implies = (one, keep) if on_right else (flip, one)  # L -> R is ~L | R
-        outcomes = {And: (zero, keep), Or: (keep, one), Iff: (flip, keep)}.get(type(g), implies)
+        outcomes = {AND: (zero, keep), OR: (keep, one), IFF: (flip, keep)}.get(kind, implies)
 
         def mixed(env: list) -> int:
             a, b = outcomes[scalar_op(env)]
@@ -237,12 +231,10 @@ def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
     ``g`` is ``rest`` there if the range of ``D`` holds it, else false.  The
     ys are distinct because a variable cannot be quantified in its own scope."""
     bridge, ys = g.body.left, []
-    while isinstance(bridge, Forall):
+    while bridge[0] == FORALL:
         ys.append(bridge.var)
         bridge = bridge.body
-    if not (
-        isinstance(bridge, Iff) and isinstance(bridge.left, Atom) and isinstance(bridge.right, Atom)
-    ):
+    if not (bridge[0] == IFF and bridge.left[0] == ATOM and bridge.right[0] == ATOM):
         return None
     d, s = bridge.left, bridge.right
     if d.predicate != g.var or s.predicate == g.var or d.args != tuple(ys):
@@ -260,16 +252,19 @@ class FiniteSemantics:
     ``Structure.rows`` at the row-major index of its arguments."""
 
     def __init__(self, structure: Structure):
-        self.structure = structure
+        self.structure, self.size, self.rows = structure, structure.size, structure.rows
+        self.pools: dict[int, Callable] = {}  # one closure per arity
 
     def pool(self, var: Var):
-        values = range(len(self.structure.rows(var.arity)) if var.arity else self.structure.size)
-        if not values:
-            raise EvalError(f"quantifier over {var}: no domain of arity {var.arity}")
-        return lambda env: values
+        if var.arity not in self.pools:
+            values = range(len(self.rows(var.arity)) if var.arity else self.size)
+            if not values:
+                raise EvalError(f"quantifier over {var}: no domain of arity {var.arity}")
+            self.pools[var.arity] = lambda env: values
+        return self.pools[var.arity]
 
     def atom(self, p: int, args: tuple[int, ...]):
-        rows, size = self.structure.rows(len(args)), self.structure.size
+        rows, size = self.rows(len(args)), self.size
         # unrolled for one and two arguments: a quarter off `check ac-star` on std3
         if len(args) == 1:
             (a,) = args
@@ -289,16 +284,16 @@ class FiniteSemantics:
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
         """One run of the body as a mask with a bit per table of the
         predicate variable's domain, which ``pool`` has checked is nonempty."""
-        full = (1 << len(self.structure.rows(g.var.arity))) - 1
+        full = (1 << len(self.rows(g.var.arity))) - 1
         mask = compile(full)
-        if isinstance(g, Forall):
+        if g[0] == FORALL:
             return lambda env: mask(env) == full
         return lambda env: mask(env) != 0
 
     def column(self, p: int, args: tuple[int, ...]):
         """A closure from the environment to the column of the predicate
         variable in slot ``p`` at the point of ``args``: bit j for the j-th table."""
-        columns, size = self.structure.columns(len(args)), self.structure.size
+        columns, size = self.structure.columns(len(args)), self.size
         if len(args) == 1:
             (a,) = args
             return lambda env: columns[env[a]]
@@ -319,8 +314,8 @@ class FiniteSemantics:
         the table whose bits are the ``m``-ary block of the row of ``env[s]``
         at the points ``env[x]``, or ``()`` if the arity-m domain lacks it
         (Henkin's reading)."""
-        by_bits, rows = self.structure.by_bits(m), self.structure.rows(len(xs) + m)
-        size, width = self.structure.size, self.structure.size**m
+        by_bits, rows = self.structure.by_bits(m), self.rows(len(xs) + m)
+        size, width = self.size, self.size**m
 
         def section(env: list) -> tuple[int, ...]:
             start = 0

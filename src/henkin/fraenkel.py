@@ -43,6 +43,7 @@ class FraenkelError(Exception):
 
 _ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9]*\Z")
 _FRESH_TOKEN_RE = re.compile(r"f\d+\Z")
+_FRESH_NAMES = tuple(f"u{i}" for i in range(1, 65))  # the first names fresh_atoms draws
 
 
 def check_atom_name(name: str) -> str:
@@ -54,12 +55,12 @@ def check_atom_name(name: str) -> str:
 
 
 def fresh_atoms(count: int, avoid: Iterable[str] = ()) -> tuple[str, ...]:
-    """Deterministic fresh atoms u1, u2, ... skipping any that collide."""
-    avoid = set(avoid)
+    """Deterministic fresh atoms u1, u2, ... skipping any in ``avoid``, a set read as it is."""
+    avoid = avoid if isinstance(avoid, (set, frozenset)) else set(avoid)
     out: list[str] = []
-    i = 1
+    i = 0
     while len(out) < count:
-        name = f"u{i}"
+        name = _FRESH_NAMES[i] if i < len(_FRESH_NAMES) else f"u{i + 1}"
         if name not in avoid:
             out.append(name)
         i += 1
@@ -269,6 +270,7 @@ def _least(arity: int, support: tuple[str, ...], mask: int) -> tuple[tuple[str, 
     return support, mask
 
 
+@lru_cache(maxsize=256)
 def _width(arity: int, size: int) -> int:
     """The number of equality types of the arity over ``size`` support atoms."""
     return len(enumerate_types(arity, tuple(map(str, range(size)))))
@@ -320,8 +322,7 @@ def _atom_pool(values: Iterable[object], fresh: int) -> list[str]:
             atoms.add(value)
         elif value is not None:
             atoms.update(value.support if isinstance(value, SymbolicPredicate) else value)
-    base = sorted(atoms)
-    return base + list(fresh_atoms(fresh, avoid=base))
+    return [*sorted(atoms), *fresh_atoms(fresh, atoms)]
 
 
 def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
@@ -338,30 +339,23 @@ def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
                 yield new(SymbolicPredicate, (arity, sup, mask))
 
 
-class _SymbolicRun:
-    """A formula compiled over the atom universe, called with the values of
-    its parameters.  Individuals are atom names, predicates
-    ``SymbolicPredicate``s.  A quantifier ranges over the sorted atoms of
-    every binding in scope plus fresh atoms: one for an individual, and for
-    a predicate ``support_bound`` but at most ``pred_cap + 1``, as the
-    support-1 candidates over those already pass the cap.  ``pred_cap``
-    bounds the work each call does: a search charges 1 per candidate it
-    draws and ``flat`` the 64-bit words of each mask int it runs, both
-    before the work.  Reaching a predicate quantifier marks the call
-    stratified.  A bridged predicate existential searches ``section``
-    instead, at most one candidate, uncharged."""
+class _SymbolicSemantics:
+    """The atom universe as ``compile_formula`` reads it, and the charge of one
+    call of a ``_SymbolicRun``: the run's closures hold this, not the run, so
+    a dropped run is freed at once.  Individuals are atom names, predicates
+    ``SymbolicPredicate``s.  A quantifier's pool is the sorted atoms of the
+    bindings in scope, then fresh atoms ``u<k>`` not among them, drawn through
+    ``fresh_atoms``: one for an individual, and for a predicate
+    ``support_bound`` but at most ``pred_cap + 1``, as the support-1
+    candidates over those already pass the cap.  ``pred_cap`` bounds the work
+    each call does: a search charges 1 per candidate it draws and ``flat`` the
+    64-bit words of each mask int it runs, both before the work.  Reaching a
+    predicate quantifier marks the call stratified.  A bridged predicate
+    existential searches ``section`` instead, at most one candidate, uncharged."""
 
-    def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
-        self.support_bound = support_bound
-        self.pred_cap = pred_cap
-        self.body, env = compile_formula(formula, self, params)
-        self.unset = env[len(params) :]
-
-    def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
-        # a fresh environment per call: a cap hit leaves slots set, and pools read every slot
+    def __init__(self, support_bound: int, pred_cap: int):
+        self.support_bound, self.pred_cap = support_bound, pred_cap
         self.enumerated, self.stratified = 0, False
-        truth = bool(self.body([*values, *self.unset]))
-        return SymbolicVerdict(truth, self.stratified, self.support_bound)
 
     @staticmethod
     def atom(p: int, args: tuple[int, ...]):
@@ -456,6 +450,25 @@ class _SymbolicRun:
             return (value,) if len(value.support) <= self.support_bound else ()
 
         return section
+
+
+class _SymbolicRun:
+    """A formula compiled over the atom universe, called with its parameters' values."""
+
+    def __init__(self, formula: Formula, params: Sequence[Var], support_bound: int, pred_cap: int):
+        self.semantics = _SymbolicSemantics(support_bound, pred_cap)
+        self.body, env = compile_formula(formula, self.semantics, params)
+        self.unset = env[len(params) :]
+
+    enumerated = property(lambda self: self.semantics.enumerated)
+    stratified = property(lambda self: self.semantics.stratified)
+
+    def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
+        # a fresh environment per call: a cap hit leaves slots set, and pools read every slot
+        semantics = self.semantics
+        semantics.enumerated, semantics.stratified = 0, False
+        truth = bool(self.body([*values, *self.unset]))
+        return SymbolicVerdict(truth, semantics.stratified, semantics.support_bound)
 
 
 def symbolic_evaluate(

@@ -194,8 +194,9 @@ class Structure:
         of the j-th table of ``domain(arity)``.  Computed on first use."""
         columns = self._columns
         if arity not in columns:
-            rows = self.rows(arity)
-            columns[arity] = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
+            # a point's bits over the tables, last table first, read as a binary numeral
+            digits = ("".join(map("01".__getitem__, reversed(c))) for c in zip(*self.rows(arity)))
+            columns[arity] = tuple(int(d, 2) for d in digits)
         return columns[arity]
 
     def automorphisms(self) -> tuple[dict[int, tuple[int, ...]], ...]:

@@ -106,10 +106,10 @@ class Formula(tuple):
 
     A node is the tuple ``(kind, first, second, free, bound, depth, nested)``:
     its class's kind, its fields, and the caches its constructor computes
-    from its children's.  The kind is a small int, so hashes are the same in
-    every process, and it keeps ``And(a, b)`` apart from ``Or(a, b)``; the
-    caches follow from the fields.  Tuple equality and hashing thus compare
-    formulas structurally, in C.
+    from its children's.  The kind is a small int, ``ATOM`` to ``EXISTS``:
+    hashes are the same in every process, compilers dispatch on it, and it
+    keeps ``And(a, b)`` apart from ``Or(a, b)``; the caches follow from the
+    fields.  Tuple equality and hashing thus compare formulas structurally, in C.
     """
 
     __slots__ = ()
@@ -132,6 +132,7 @@ class Formula(tuple):
 
 _new = tuple.__new__
 _EMPTY: frozenset = frozenset()
+ATOM, EQ, NOT, AND, OR, IMPLIES, IFF, FORALL, EXISTS = range(9)
 
 
 def _operand(f) -> tuple:
@@ -148,7 +149,7 @@ class Atom(Formula):
     """Application of a predicate variable to individual variables."""
 
     __slots__ = ()
-    _kind = 0
+    _kind = ATOM
     _fields = ("predicate", "args")
     predicate = property(itemgetter(1))
     args = property(itemgetter(2))
@@ -173,7 +174,7 @@ class Eq(Formula):
     """
 
     __slots__ = ()
-    _kind = 1
+    _kind = EQ
     _fields = ("left", "right")
     left = property(itemgetter(1))
     right = property(itemgetter(2))
@@ -186,7 +187,7 @@ class Eq(Formula):
 
 class Not(Formula):
     __slots__ = ()
-    _kind = 2
+    _kind = NOT
     _fields = ("body",)
     body = property(itemgetter(1))
 
@@ -211,22 +212,22 @@ class _Binary(Formula):
 
 class And(_Binary):
     __slots__ = ()
-    _kind = 3
+    _kind = AND
 
 
 class Or(_Binary):
     __slots__ = ()
-    _kind = 4
+    _kind = OR
 
 
 class Implies(_Binary):
     __slots__ = ()
-    _kind = 5
+    _kind = IMPLIES
 
 
 class Iff(_Binary):
     __slots__ = ()
-    _kind = 6
+    _kind = IFF
 
 
 class _Quantifier(Formula):
@@ -251,12 +252,12 @@ class _Quantifier(Formula):
 
 class Forall(_Quantifier):
     __slots__ = ()
-    _kind = 7
+    _kind = FORALL
 
 
 class Exists(_Quantifier):
     __slots__ = ()
-    _kind = 8
+    _kind = EXISTS
 
 
 def free_vars(f: Formula) -> frozenset[Var]:

@@ -21,7 +21,10 @@ It shares only the type primitives ``EqType``, ``classify`` and
 ``to_symbolic`` convert at the boundary.  ``ref_order_check`` scans the
 linear-order axioms atom tuple by atom tuple through ``ref_denotes``.
 ``evaluation_pool`` is the finite atom universe on which a truncation to
-a finite structure decides a symbolic formula.
+a finite structure decides a symbolic formula.  ``ref_fresh_atoms`` and
+``ref_atom_pool`` are ``fresh_atoms`` and a symbolic quantifier's pool as
+first written, one name formatted at a time and ``avoid`` always copied;
+the oracle draws its own fresh atoms from the first.
 
 ``naive_saturate`` is the reference for definability saturation: every
 defined table built point by point with ``naive_eval`` and a dict
@@ -66,7 +69,6 @@ from henkin.fraenkel import (
     check_atom_name,
     classify,
     enumerate_types,
-    fresh_atoms,
 )
 from henkin.groups import act_on_predicate, filter_contains, symmetry_subgroup
 from henkin.schemas import _FAMILY_TABLE, DEFAULT_ASSIGNMENT_CAP, SchemaCheck, build
@@ -161,7 +163,34 @@ def evaluation_pool(formula, binding):
         *(g.left.arity for g in subs if isinstance(g, Eq) and g.left.is_predicate),
         0 if atoms else 1,
     )
-    return tuple(atoms) + fresh_atoms(count, avoid=atoms)
+    return tuple(atoms) + ref_fresh_atoms(count, avoid=atoms)
+
+
+def ref_fresh_atoms(count, avoid=()):
+    """Fresh atoms u1, u2, ... skipping any in ``avoid``."""
+    avoid = set(avoid)
+    out = []
+    i = 1
+    while len(out) < count:
+        name = f"u{i}"
+        if name not in avoid:
+            out.append(name)
+        i += 1
+    return tuple(out)
+
+
+def ref_atom_pool(values, fresh):
+    """The sorted atoms of the values in a compiled environment (atom
+    names, ``SymbolicPredicate`` supports and support tuples; ``None`` is a
+    variable out of scope), then ``fresh`` new ones."""
+    atoms = set()
+    for value in values:
+        if isinstance(value, str):
+            atoms.add(value)
+        elif value is not None:
+            atoms.update(value.support if isinstance(value, SymbolicPredicate) else value)
+    base = sorted(atoms)
+    return base + list(ref_fresh_atoms(fresh, avoid=base))
 
 
 def naive_saturate(
@@ -312,7 +341,7 @@ def ref_order_check(sigma):
     witness atoms, or ``(None, None)``: ``ref_denotes`` read over the support
     and three fresh atoms, in the order transitivity, antisymmetry, totality,
     then irreflexivity."""
-    pool = tuple(sigma.support) + fresh_atoms(3, avoid=sigma.support)
+    pool = tuple(sigma.support) + ref_fresh_atoms(3, avoid=sigma.support)
     holds = {(a, b): ref_denotes(sigma, (a, b)) for a, b in product(pool, repeat=2)}
     for a, b, c in product(pool, repeat=3):
         if holds[a, b] and holds[b, c] and not holds[a, c]:
@@ -451,10 +480,10 @@ def naive_sym_eval(formula, env, ctx):
         var = formula.var
         base = sorted(_env_atoms(env, ctx.distinct))
         if var.is_individual:
-            pool = base + list(fresh_atoms(1, avoid=base))
+            pool = base + list(ref_fresh_atoms(1, avoid=base))
             return combine(naive_sym_eval(formula.body, {**env, var: a}, ctx) for a in pool)
         ctx.stratified = True
-        pool = base + list(fresh_atoms(ctx.support_bound, avoid=base))
+        pool = base + list(ref_fresh_atoms(ctx.support_bound, avoid=base))
         return combine(
             naive_sym_eval(formula.body, {**env, var: sigma}, ctx)
             for sigma in _sym_candidates(var.arity, pool, ctx)

@@ -3,7 +3,9 @@ finite semantics against ``naive_eval`` and the symbolic semantics against
 ``naive_sym_eval``, on seeded random formulas and on the binding cases a
 slot environment could get wrong."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from itertools import product
 
@@ -30,6 +32,7 @@ from henkin.fraenkel import (
     ChoiceInstanceReport,
     SymbolicPredicate,
     _SymbolicRun,
+    _SymbolicSemantics,
     _candidate_predicates,
     check_choice_instance_sigma0,
     enumerate_types,
@@ -250,13 +253,13 @@ class TestSymbolicCore:
         # cap inside it; later calls on the same run reuse it, compile nothing
         # and give a fresh run's verdict
         columns = []
-        column = _SymbolicRun.column
+        column = _SymbolicSemantics.column
 
         def counting(self, p, args):
             columns.append(p)
             return column(self, p, args)
 
-        monkeypatch.setattr(_SymbolicRun, "column", counting)
+        monkeypatch.setattr(_SymbolicSemantics, "column", counting)
         f = parse(self.REBOUND)
         run = _SymbolicRun(f, (x1, x3), 1, 6)
         assert columns == []
@@ -268,6 +271,37 @@ class TestSymbolicCore:
             got = run(values)
             assert len(columns) == before
             assert got == symbolic_evaluate(f, dict(zip((x1, x3), values)), 1, pred_cap=6)
+
+    def test_a_run_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        # its closures share the semantics, not the run, so nothing reaches
+        # back to it: not a flat quantifier, a search, a section, nor a right
+        # operand left uncompiled (the stub keeps the compiler alive)
+        runs = []
+
+        class Recorded(_SymbolicRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(weakref.ref(self))
+
+        monkeypatch.setattr(fraenkel, "_SymbolicRun", Recorded)
+        section = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & A0^1 x1)"
+        cases = [
+            ("all A0^1 . ex x2 . (A0^1 x2 | ~(A0^1 x2))", {}),
+            ("ex A0^1 . ex A1^1 . (A0^1 = A1^1 & A1^1 x1)", {x1: "p"}),
+            ("x1 = x1 | ex A0^1 . A0^1 x1", {x1: "p"}),
+            (section, {x1: "p", pred(1, 2): SymbolicPredicate(2, (), 1)}),
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for text, binding in cases:
+                assert symbolic_evaluate(parse(text), binding, 2).truth
+                assert runs.pop()() is None
+            assert check_choice_instance_sigma0(1, 1, parse("A0^1 x1"), 2).status == "witnessed"
+            assert len(runs) == 2 and not any(run() for run in runs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_non_minimal_bindings_agree_with_reference(self):
         # a predicate declared over more atoms than it needs is stored over
@@ -428,9 +462,9 @@ class TestOnePointRule:
         # there is none below it
         at_p = SymbolicPredicate(1, ("p",), frozenset(enumerate_types(1, ("p",))[:1]))
         for bound in range(4):
-            run = _SymbolicRun(parse("x1 = x1"), (x1,), bound, 0)
-            assert run.section(0, (1,), 1)([self.EQ, "p"]) == ((at_p,) if bound >= 1 else ())
-            assert run.section(0, (), 1)([self.PQ]) == ((self.PQ,) if bound >= 2 else ())
+            semantics = _SymbolicSemantics(bound, 0)
+            assert semantics.section(0, (1,), 1)([self.EQ, "p"]) == ((at_p,) if bound >= 1 else ())
+            assert semantics.section(0, (), 1)([self.PQ]) == ((self.PQ,) if bound >= 2 else ())
 
     MATCH = "ex A0^1 . ((all x4 . (A0^1 x4 <-> A1^2 x1 x4)) & A0^1 x2)"
 
@@ -729,7 +763,7 @@ def mask_paths(monkeypatch):
     """Records, per flat quantifier decided over masks, its stratum, arity
     and whether a support run decided it (or "cap"), and the ones searched."""
     seen, searched = set(), []
-    flat = _SymbolicRun.flat
+    flat = _SymbolicSemantics.flat
 
     def spying(self, g, k, compile):
         decide = flat(self, g, k, compile)
@@ -748,7 +782,7 @@ def mask_paths(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(_SymbolicRun, "flat", spying)
+    monkeypatch.setattr(_SymbolicSemantics, "flat", spying)
     return seen, searched
 
 
@@ -900,7 +934,7 @@ class TestMaskPath:
         # supports, each a run of 2 ** 17 / 64 words: each run is charged
         # before it starts, so the one that would pass the cap never does
         runs = []
-        flat = _SymbolicRun.flat
+        flat = _SymbolicSemantics.flat
 
         def counting(self, g, k, compile):
             def counted(full):
@@ -909,7 +943,7 @@ class TestMaskPath:
 
             return flat(self, g, k, counted)
 
-        monkeypatch.setattr(_SymbolicRun, "flat", counting)
+        monkeypatch.setattr(_SymbolicSemantics, "flat", counting)
         f = parse("ex A0^1 . (A0^1 x1 & ~(A0^1 x1))")
         binding = {ind(i): f"a{i}" for i in range(1, 9)}
         with pytest.raises(CapExceeded) as exc:

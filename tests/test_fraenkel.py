@@ -14,6 +14,7 @@ from henkin.fraenkel import (
     EqType,
     FraenkelError,
     SymbolicPredicate,
+    _atom_pool,
     _candidate_predicates,
     check_atom_name,
     check_choice_instance_sigma0,
@@ -46,9 +47,11 @@ from oracle import (
     finite_set,
     inequality_symbolic,
     naive_eval,
+    ref_atom_pool,
     ref_candidates,
     ref_canonicalize,
     ref_denotes,
+    ref_fresh_atoms,
     ref_order_check,
     ref_predicate,
 )
@@ -613,6 +616,45 @@ def test_the_binary_audit_decides_every_payload_at_stratum_3():
     del formulas
     statuses = Counter(check_choice_instance_sigma0(1, 2, f, 3).status for f in payloads)
     assert (len(payloads), statuses) == (2654, {"witnessed": 2159, "vacuous": 495})
+
+
+class TestAtomPools:
+    """``fresh_atoms`` and a quantifier's pool agree with the references,
+    which format every name and copy ``avoid``, on seeded inputs: ``avoid``
+    holds ``u<k>`` names in and past the fixed name table, counts run past
+    that table, and environments mix atoms, predicates, support tuples and
+    unset slots."""
+
+    ATOMS = ("p", "q", "v", "u1", "u2", "u3", "u63", "u64", "u65", "u66", "u70")
+
+    def test_fresh_atoms_match_the_reference(self):
+        rng = random.Random(20261021)
+        for _ in range(400):
+            names = rng.sample(self.ATOMS, rng.randint(0, len(self.ATOMS)))
+            names += [f"u{rng.randint(1, 130)}" for _ in range(rng.randint(0, 40))]
+            count = rng.choice((0, 1, 2, 3, rng.randint(60, 140)))
+            want = ref_fresh_atoms(count, names)
+            assert len(want) == count and not set(want) & set(names)
+            for avoid in (set(names), frozenset(names), names, tuple(names), iter(names)):
+                assert fresh_atoms(count, avoid) == want
+
+    def test_atom_pool_matches_the_reference(self):
+        rng = random.Random(20261022)
+        for _ in range(400):
+            env = []
+            for _ in range(rng.randint(0, 7)):
+                kind = rng.randrange(4)
+                support = rng.sample(self.ATOMS, rng.randint(0, 3))
+                if kind == 0:
+                    env.append(rng.choice(self.ATOMS))
+                elif kind == 1:  # stored over its least support, which the pool reads
+                    env.append(SymbolicPredicate(1, support, rng.randrange(1 << len(support) + 1)))
+                elif kind == 2:  # a flat quantifier's support run
+                    env.append(tuple(sorted(support)))
+                else:
+                    env.append(None)
+            fresh = rng.choice((0, 1, 2, 3, rng.randint(60, 80)))
+            assert _atom_pool(env, fresh) == ref_atom_pool(env, fresh)
 
 
 class TestCandidatePredicates:

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import random
 
 import pytest
 
@@ -134,6 +135,22 @@ class TestStructure:
                 assert s.by_bits(n)[t.bits] == j
                 assert s.rows(n)[j] == t.bits
         assert s.rows(3) == () and s.by_bits(3) == {}
+
+    def test_columns_match_the_bit_by_bit_reference(self):
+        # seeded domains of up to 70 tables, so a column can pass 64 bits;
+        # the reference sets bit j of a point's column from the j-th table
+        rng = random.Random(20261021)
+        for size in range(1, 5):
+            for arity in (1, 2, 3):
+                width = size**arity
+                for _ in range(4):
+                    count = rng.randint(1, min(70, 2**width))
+                    tables = [[rng.random() < 0.5 for _ in range(width)] for _ in range(count)]
+                    s = Structure("abcd"[:size], {arity: [Table(size, arity, b) for b in tables]})
+                    rows = s.rows(arity)
+                    want = tuple(sum(b << j for j, b in enumerate(c)) for c in zip(*rows))
+                    assert s.columns(arity) == want
+                    assert s.columns(arity + 1) == ()
 
     def test_label_index(self):
         s = standard_structure(("a", "b"), 1)

@@ -14,7 +14,16 @@ from henkin.evaluate import evaluate
 from henkin.parser import ParseError, parse, parse_var
 from henkin.structures import Assignment, standard_structure
 from henkin.syntax import (
+    AND,
+    ATOM,
+    EQ,
+    EXISTS,
+    FORALL,
+    IFF,
+    IMPLIES,
     MAX_DEPTH,
+    NOT,
+    OR,
     And,
     ArityError,
     Atom,
@@ -96,11 +105,14 @@ class TestNodes:
             "all x1 . ex A0^2 . ~(A0^2 x1 x2 <-> x1 = x2) | (A0^1 x1 & x1 = x2 -> A0^1 = A1^1)"
         )
         classes = (Atom, Eq, Not, And, Or, Implies, Iff, Forall, Exists)
+        kinds = dict(zip(classes, (ATOM, EQ, NOT, AND, OR, IMPLIES, IFF, FORALL, EXISTS)))
         assert {type(g) for g in subformulas(f)} == set(classes)
+        assert len(set(kinds.values())) == 9
         for cls in classes:
             assert issubclass(cls, tuple)
             assert all(k.__dict__.get("__slots__") == () for k in cls.__mro__[:-2])
         assert not any(hasattr(g, "__dict__") for g in subformulas(f))
+        assert all(g[0] == kinds[type(g)] for g in subformulas(f))
 
     def test_connectives_and_quantifiers_are_told_apart(self):
         a, b = Atom(A, (x1,)), Eq(x1, x2)
