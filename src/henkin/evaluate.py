@@ -33,7 +33,6 @@ from .syntax import (
     Forall,
     Formula,
     Var,
-    all_vars,
     ind,
     pred,
 )
@@ -82,58 +81,72 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     Right operands and ``<->`` are not split off, as that would reorder
     evaluation and so where a label is set.
     """
-    slot = {v: k for k, v in enumerate(params)}
-    for v in sorted(all_vars(formula)):
+    slot, bound, pools = {v: k for k, v in enumerate(params)}, formula.bound_vars, {}
+    for v in sorted(formula.free_vars | bound):  # slots and pools in one pass
         slot.setdefault(v, len(slot))
-    pools = {v: semantics.pool(v) for v in sorted(formula.bound_vars)}
+        if v in bound:
+            pools[v] = semantics.pool(v)
+    return _Compiler(slot, pools, semantics).scalar(formula), [None] * len(slot)
 
-    def scalar(g: Formula) -> Callable:
+
+class _Compiler:
+    """One ``compile_formula`` call's slots, pools and semantics.  No closure
+    holds itself: a right operand's stub holds the compiler and the cell it
+    fills, so a dropped body is freed without the cyclic collector."""
+
+    __slots__ = ("slot", "pools", "semantics")
+
+    def __init__(self, slot: dict[Var, int], pools: dict[Var, Callable], semantics):
+        self.slot, self.pools, self.semantics = slot, pools, semantics
+
+    def scalar(self, g: Formula) -> Callable:
+        slot = self.slot
         if (kind := g[0]) == ATOM:
-            return semantics.atom(slot[g.predicate], tuple(slot[a] for a in g.args))
+            return self.semantics.atom(slot[g.predicate], tuple(slot[a] for a in g.args))
         if kind == EQ:
             l, r = slot[g.left], slot[g.right]
             return lambda env: env[l] == env[r]
         if kind == NOT:
-            body = scalar(g.body)
+            body = self.scalar(g.body)
             return lambda env: not body(env)
         if kind in (FORALL, EXISTS):
-            return quantifier(g)
-        left = scalar(g.left)
+            return self.quantifier(g)
+        left, right = self.scalar(g.left), None
 
-        def right(env: list) -> bool:
+        def first(env: list) -> bool:  # the first run of the right operand compiles it
             nonlocal right
-            right = scalar(g.right)
+            right = self.scalar(g.right)
             return right(env)
 
         if kind == AND:
-            return lambda env: left(env) and right(env)
+            return lambda env: left(env) and (right or first)(env)
         if kind == OR:
-            return lambda env: left(env) or right(env)
+            return lambda env: left(env) or (right or first)(env)
         if kind == IMPLIES:
-            return lambda env: not left(env) or right(env)
-        return lambda env: left(env) == right(env)
+            return lambda env: not left(env) or (right or first)(env)
+        return lambda env: left(env) == (right or first)(env)
 
-    def quantifier(g: Forall | Exists) -> Callable:
-        k, inner, universal = slot[g.var], g.body, g[0] == FORALL
-        bridged = not universal and inner[0] == AND and _bridged_section(g)
+    def quantifier(self, g: Forall | Exists) -> Callable:
+        slot, inner, universal = self.slot, g.body, g[0] == FORALL
+        k, bridged = slot[g.var], not universal and inner[0] == AND and _bridged_section(g)
         # `fixed` is the operand without the variable and `phi` the rest; `stop`,
         # the value of `fixed` that decides the body, is then its value (`L -> R` is `~L | R`)
-        fixed, phi, decide, pool = None, inner, None, pools[g.var]
+        fixed, phi, decide, pool = None, inner, None, self.pools[g.var]
         if bridged:  # a range of at most one value: the section, if D's range holds it
             s, xs, m = bridged
-            phi, pool = inner.right, semantics.section(slot[s], tuple(slot[x] for x in xs), m)
+            phi, pool = inner.right, self.semantics.section(slot[s], tuple(slot[x] for x in xs), m)
         elif g.var not in inner.free_vars:
-            fixed, phi = scalar(inner), None
+            fixed, phi = self.scalar(inner), None
         elif inner[0] in (AND, OR, IMPLIES) and g.var not in inner.left.free_vars:
-            left, phi = scalar(inner.left), inner.right
+            left, phi = self.scalar(inner.left), inner.right
             fixed = (lambda env: not left(env)) if inner[0] == IMPLIES else left
             stop = inner[0] != AND
         if phi and not bridged and g.var.is_predicate and g.var not in phi.nested_vars:
             split = g if phi is inner else type(g)(g.var, phi)
-            decide = semantics.flat(split, k, lambda full: masked(phi, g.var, full))
+            decide = self.semantics.flat(split, k, lambda full: self.masked(phi, g.var, full))
             if decide and not fixed:
                 return decide
-        body = scalar(phi) if phi and not decide else None
+        body = self.scalar(phi) if phi and not decide else None
         if fixed:
 
             def hoisted(env: list) -> bool:
@@ -165,25 +178,26 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
         return quantify
 
-    def masked(g: Formula, v: Var, full: int) -> Callable:
+    def masked(self, g: Formula, v: Var, full: int) -> Callable:
         """``g``, with ``v`` free and under no predicate quantifier, as a
         closure to the mask of the values of ``v`` where it holds; ``full``
         has a bit per value, and ``v = w`` is the bit at ``w``'s value.
         Parts without ``v`` stay scalar, and an individual quantifier is an
         AND (``ex`` as ``~all ~``) over its pool that stops at 0."""
+        slot = self.slot
         if (kind := g[0]) == ATOM:  # headed by v, as arguments are individuals
-            return semantics.column(slot[v], tuple(slot[a] for a in g.args))
+            return self.semantics.column(slot[v], tuple(slot[a] for a in g.args))
         if kind == EQ:
             if g.left == g.right:
                 return lambda env: full
             w = slot[g.right if g.left == v else g.left]
             return lambda env: 1 << env[w]
         if kind == NOT:
-            body = masked(g.body, v, full)
+            body = self.masked(g.body, v, full)
             return lambda env: full ^ body(env)
         if kind in (FORALL, EXISTS):
-            body = masked(g.body, v, full)
-            k, pool = slot[g.var], pools[g.var]
+            body = self.masked(g.body, v, full)
+            k, pool = slot[g.var], self.pools[g.var]
             flip = 0 if kind == FORALL else full
 
             def every(env: list) -> int:
@@ -197,8 +211,8 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
 
             return every
         on_left, on_right = v in g.left.free_vars, v in g.right.free_vars
-        left = masked(g.left, v, full) if on_left else scalar(g.left)
-        right = masked(g.right, v, full) if on_right else scalar(g.right)
+        left = self.masked(g.left, v, full) if on_left else self.scalar(g.left)
+        right = self.masked(g.right, v, full) if on_right else self.scalar(g.right)
         if on_left and on_right:
             if kind == AND:
                 return lambda env: (m := left(env)) and m & right(env)
@@ -207,20 +221,16 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
             if kind == IMPLIES:
                 return lambda env: full ^ m | right(env) if (m := left(env)) else full
             return lambda env: full ^ left(env) ^ right(env)
-        # one scalar operand: its truth picks `(a, b)` from `outcomes` (false,
-        # true), and the value is `m & a ^ b`, the other's mask `m` read if `a`
-        scalar_op, mask_op = (right, left) if on_left else (left, right)
-        keep, flip, zero, one = (full, 0), (full, full), (0, 0), (0, full)
-        implies = (one, keep) if on_right else (flip, one)  # L -> R is ~L | R
-        outcomes = {AND: (zero, keep), OR: (keep, one), IFF: (flip, keep)}.get(kind, implies)
-
-        def mixed(env: list) -> int:
-            a, b = outcomes[scalar_op(env)]
-            return mask_op(env) & a ^ b if a else b
-
-        return mixed
-
-    return scalar(formula), [None] * len(slot)
+        scalar_op, m = (right, left) if on_left else (left, right)  # one scalar operand, read first
+        if kind == AND:
+            return lambda env: m(env) if scalar_op(env) else 0
+        if kind == OR:
+            return lambda env: full if scalar_op(env) else m(env)
+        if kind == IFF:
+            return lambda env: m(env) if scalar_op(env) else full ^ m(env)
+        if on_left:  # `L -> R` is `~L | R`, here with L the mask
+            return lambda env: full if scalar_op(env) else full ^ m(env)
+        return lambda env: m(env) if scalar_op(env) else full
 
 
 def _bridged_section(g: Exists) -> tuple[Var, tuple[Var, ...], int] | None:
@@ -253,15 +263,11 @@ class FiniteSemantics:
 
     def __init__(self, structure: Structure):
         self.structure, self.size, self.rows = structure, structure.size, structure.rows
-        self.pools: dict[int, Callable] = {}  # one closure per arity
 
     def pool(self, var: Var):
-        if var.arity not in self.pools:
-            values = range(len(self.rows(var.arity)) if var.arity else self.size)
-            if not values:
-                raise EvalError(f"quantifier over {var}: no domain of arity {var.arity}")
-            self.pools[var.arity] = lambda env: values
-        return self.pools[var.arity]
+        if not (values := range(len(self.rows(var.arity)) if var.arity else self.size)):
+            raise EvalError(f"quantifier over {var}: no domain of arity {var.arity}")
+        return lambda env: values
 
     def atom(self, p: int, args: tuple[int, ...]):
         rows, size = self.rows(len(args)), self.size
@@ -393,15 +399,17 @@ def att(
     if len(set(variables)) != len(variables):
         raise EvalError("distinguished variables must be distinct")
     for v in variables:
-        if not v.is_individual:
+        if v.arity:
             raise EvalError(f"distinguished variable {v} must be an individual variable")
         if v in formula.bound_vars:
             raise EvalError(f"{v} must occur only free in the formula")
-    params = tuple(v for v in sorted(formula.free_vars) if v not in variables)
+    params = tuple(sorted(formula.free_vars.difference(variables)))
     body, env = compile_formula(formula, FiniteSemantics(structure), variables + params)
-    n = len(variables)
-    env[n : n + len(params)] = [resolve(structure, assignment, v) for v in params]
-    table = Table(structure.size, n, _bit_row(body, env, structure.size, n))
+    n, size = len(variables), structure.size
+    if params:
+        env[n : n + len(params)] = [resolve(structure, assignment, v) for v in params]
+    # `_bit_row` gives `size ** n` bools, so the table is built around the row, unchecked
+    table = tuple.__new__(Table, (size, n, _bit_row(body, env, size, n)))
     return DefinedPredicate(table, formula, variables, assignment)
 
 
@@ -442,13 +450,10 @@ def check_comprehension(
     n = len(variables)
     if n not in structure.domains:
         raise EvalError(f"arity shortfall: structure has no domain of arity {n}")
-    witness_var = Var(0, n)
-    if witness_var in all_vars(formula):
-        raise EvalError(f"{witness_var} must not occur in the comprehension formula")
-    defined = att(structure, formula, variables, assignment)
-    return ComprehensionResult(
-        holds=defined.table in structure.domains[n], arity=n, table=defined.table
-    )
+    if (0, n) in formula.free_vars or (0, n) in formula.bound_vars:  # Var(0, n) is the pair
+        raise EvalError(f"{Var(0, n)} must not occur in the comprehension formula")
+    table = att(structure, formula, variables, assignment).table
+    return ComprehensionResult(holds=table.bits in structure.by_bits(n), arity=n, table=table)
 
 
 # ---------------------------------------------------------------------------

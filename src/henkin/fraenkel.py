@@ -133,21 +133,22 @@ def enumerate_types(arity: int, support: tuple[str, ...]) -> tuple[EqType, ...]:
     order: support atoms first at each position, then existing classes, then
     a new class."""
     out: list[EqType] = []
-
-    def rec(entries: list[str | int], next_class: int) -> None:
-        if len(entries) == arity:
-            if len(out) == MAX_TYPES:
-                raise CapExceeded(f"equality types of arity {arity}", MAX_TYPES + 1, MAX_TYPES)
-            out.append(EqType(tuple(entries)))
-            return
-        for a in support:
-            rec(entries + [a], next_class)
-        for k in range(next_class):
-            rec(entries + [k], next_class)
-        rec(entries + [next_class], next_class + 1)
-
-    rec([], 0)
+    _extend_types(out, arity, support, [], 0)
     return tuple(out)
+
+
+def _extend_types(out: list, arity: int, support: tuple[str, ...], entries: list, next_class: int):
+    """Appends the types extending ``entries`` (not nested, which would make a cycle)."""
+    if len(entries) == arity:
+        if len(out) == MAX_TYPES:
+            raise CapExceeded(f"equality types of arity {arity}", MAX_TYPES + 1, MAX_TYPES)
+        out.append(EqType(tuple(entries)))
+        return
+    for a in support:
+        _extend_types(out, arity, support, entries + [a], next_class)
+    for k in range(next_class):
+        _extend_types(out, arity, support, entries + [k], next_class)
+    _extend_types(out, arity, support, entries + [next_class], next_class + 1)
 
 
 @lru_cache(maxsize=1024)
@@ -339,23 +340,38 @@ def _candidate_predicates(arity: int, pool: Sequence[str], support_bound: int):
                 yield new(SymbolicPredicate, (arity, sup, mask))
 
 
+class _Charge:
+    """The work and label of one call of a ``_SymbolicRun``, held by the run's
+    closures instead of the run or its semantics, so a dropped run is freed at
+    once.  ``pred_cap`` bounds the work: a search charges 1 per candidate it
+    draws and ``flat`` the 64-bit words of each mask int it runs, both before
+    the work.  Reaching a predicate quantifier marks the call stratified."""
+
+    def __init__(self, pred_cap: int):
+        self.pred_cap, self.enumerated, self.stratified = pred_cap, 0, False
+
+    def count(self, units: int) -> None:
+        """Charges work about to run; past ``pred_cap``, needs one more than the cap."""
+        self.enumerated += units
+        if self.enumerated > self.pred_cap:
+            self.enumerated = self.pred_cap + 1
+            what = "symbolic candidates and 64-bit mask words"
+            raise CapExceeded(what, self.enumerated, self.pred_cap)
+
+
 class _SymbolicSemantics:
-    """The atom universe as ``compile_formula`` reads it, and the charge of one
-    call of a ``_SymbolicRun``: the run's closures hold this, not the run, so
-    a dropped run is freed at once.  Individuals are atom names, predicates
-    ``SymbolicPredicate``s.  A quantifier's pool is the sorted atoms of the
-    bindings in scope, then fresh atoms ``u<k>`` not among them, drawn through
-    ``fresh_atoms``: one for an individual, and for a predicate
+    """The atom universe as ``compile_formula`` reads it, with one pool
+    closure and one column table per arity.  Individuals are atom names,
+    predicates ``SymbolicPredicate``s.  A quantifier's pool is the sorted
+    atoms of the bindings in scope, then fresh atoms ``u<k>`` not among them,
+    drawn through ``fresh_atoms``: one for an individual, and for a predicate
     ``support_bound`` but at most ``pred_cap + 1``, as the support-1
-    candidates over those already pass the cap.  ``pred_cap`` bounds the work
-    each call does: a search charges 1 per candidate it draws and ``flat`` the
-    64-bit words of each mask int it runs, both before the work.  Reaching a
-    predicate quantifier marks the call stratified.  A bridged predicate
+    candidates over those already pass the cap.  A bridged predicate
     existential searches ``section`` instead, at most one candidate, uncharged."""
 
     def __init__(self, support_bound: int, pred_cap: int):
-        self.support_bound, self.pred_cap = support_bound, pred_cap
-        self.enumerated, self.stratified = 0, False
+        self.support_bound, self.charge = support_bound, _Charge(pred_cap)
+        self.pools, self.columns = {}, {}
 
     @staticmethod
     def atom(p: int, args: tuple[int, ...]):
@@ -369,30 +385,25 @@ class _SymbolicSemantics:
 
     def column(self, p: int, args: tuple[int, ...]):
         """The masks over the support in slot ``p`` accepting the args, as ``flat`` runs them."""
-        columns = _columns(_width(len(args), self.support_bound))
+        if (arity := len(args)) not in self.columns:
+            self.columns[arity] = _columns(_width(arity, self.support_bound))
+        columns = self.columns[arity]
         point = itemgetter(*args) if len(args) > 1 else lambda env: (env[args[0]],)
         return lambda env: columns[_type_index(env[p], point(env))]
 
-    def count(self, units: int) -> None:
-        """Charges work about to run; past ``pred_cap``, needs one more than the cap."""
-        self.enumerated += units
-        if self.enumerated > self.pred_cap:
-            self.enumerated = self.pred_cap + 1
-            what = "symbolic candidates and 64-bit mask words"
-            raise CapExceeded(what, self.enumerated, self.pred_cap)
-
     def pool(self, var: Var):
-        if var.is_individual:
-            return lambda env: _atom_pool(env, 1)
+        if (arity := var.arity) not in self.pools:
+            charge, bound = self.charge, self.support_bound
+            fresh = min(bound, charge.pred_cap + 1)
 
-        def predicates(env: list):
-            self.stratified = True
-            pool = _atom_pool(env, min(self.support_bound, self.pred_cap + 1))
-            for sigma in _candidate_predicates(var.arity, pool, self.support_bound):
-                self.count(1)
-                yield sigma
+            def predicates(env: list):
+                charge.stratified = True
+                for sigma in _candidate_predicates(arity, _atom_pool(env, fresh), bound):
+                    charge.count(1)
+                    yield sigma
 
-        return predicates
+            self.pools[arity] = predicates if arity else lambda env: _atom_pool(env, 1)
+        return self.pools[arity]
 
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
         """Decides a flat ``Q V . phi``, ``phi`` the operand of ``V`` without
@@ -414,12 +425,13 @@ class _SymbolicSemantics:
             return None
         universal, full = isinstance(g, Forall), (1 << (1 << _width(v.arity, b))) - 1
         body, flip, words = compile(full), full if universal else 0, max(1, full.bit_length() >> 6)
+        charge = self.charge
 
         def decide(env: list) -> bool:
-            self.stratified, saved = True, env[k]
+            charge.stratified, saved = True, env[k]
 
             def run(support: tuple[str, ...]) -> int:
-                self.count(words)
+                charge.count(words)
                 env[k] = tuple(sorted(support))
                 return body(env) ^ flip
 
@@ -436,9 +448,10 @@ class _SymbolicSemantics:
         the minimal support lies inside the predicate's support plus the
         atoms, hence inside any quantifier's pool, and every support of the
         section contains it."""
+        charge, bound = self.charge, self.support_bound
 
         def section(env: list) -> tuple[SymbolicPredicate, ...]:
-            self.stratified = True
+            charge.stratified = True
             sigma, atoms = env[s], tuple(env[x] for x in xs)
             support = tuple(sorted(set(sigma.support).union(atoms)))
             fresh = fresh_atoms(m, avoid=support)
@@ -447,7 +460,7 @@ class _SymbolicSemantics:
                 ys = tuple(e if isinstance(e, str) else fresh[e] for e in t.entries)
                 mask |= denotes(sigma, atoms + ys) << k
             value = SymbolicPredicate(m, support, mask)
-            return (value,) if len(value.support) <= self.support_bound else ()
+            return (value,) if len(value.support) <= bound else ()
 
         return section
 
@@ -460,15 +473,15 @@ class _SymbolicRun:
         self.body, env = compile_formula(formula, self.semantics, params)
         self.unset = env[len(params) :]
 
-    enumerated = property(lambda self: self.semantics.enumerated)
-    stratified = property(lambda self: self.semantics.stratified)
+    enumerated = property(lambda self: self.semantics.charge.enumerated)
+    stratified = property(lambda self: self.semantics.charge.stratified)
 
     def __call__(self, values: Sequence[object]) -> SymbolicVerdict:
         # a fresh environment per call: a cap hit leaves slots set, and pools read every slot
-        semantics = self.semantics
-        semantics.enumerated, semantics.stratified = 0, False
+        charge = self.semantics.charge
+        charge.enumerated, charge.stratified = 0, False
         truth = bool(self.body([*values, *self.unset]))
-        return SymbolicVerdict(truth, semantics.stratified, semantics.support_bound)
+        return SymbolicVerdict(truth, charge.stratified, self.semantics.support_bound)
 
 
 def symbolic_evaluate(

@@ -1,4 +1,6 @@
+import gc
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -8,7 +10,12 @@ import pytest
 
 from oracle import naive_eval, naive_saturate, random_assignment, random_structure
 
-from henkin.corpus import default_vocabulary, enumerate_formulas, random_formula
+from henkin.corpus import (
+    comprehension_corpus,
+    default_vocabulary,
+    enumerate_formulas,
+    random_formula,
+)
 from henkin.evaluate import (
     DEFAULT_FORMULA_CAP,
     EvalError,
@@ -21,6 +28,7 @@ from henkin.evaluate import (
     saturate,
     saturate_with_report,
 )
+from henkin.fraenkel import SymbolicPredicate, _SymbolicRun
 from henkin.parser import parse
 from henkin.schemas import SchemaId, build, check_schema
 from henkin.structures import (
@@ -488,6 +496,82 @@ class TestComprehension:
         s = standard_structure(("a", "b"), 1)
         with pytest.raises(EvalError):
             check_comprehension(s, parse("x1 = x1 & x2 = x2"), (x1, x2))
+
+    def test_tables_are_the_oracles_on_proper_domains(self):
+        # att keeps the core's bit row as its table, and check_comprehension
+        # reads the domain's bit index: both agree with tables built from the
+        # oracle, and proper domains make the check fail as well as hold
+        rng, outcomes = random.Random(433), Counter()
+        for k, (f, xs) in enumerate(comprehension_corpus(433, 240, 3, 3)):
+            structure = proper_domains(rng, 1 + k % 3)
+            size, n = structure.size, len(xs)
+            assignment = random_assignment(rng, structure, f.free_vars - set(xs))
+            env = dict(assignment.values)
+            want = Table(size, n, [
+                naive_eval(structure, {**env, **dict(zip(xs, p))}, f)
+                for p in product(range(size), repeat=n)
+            ])
+            table = att(structure, f, xs, assignment).table
+            assert type(table) is Table and table == want and hash(table) == hash(want)
+            assert all(type(bit) is bool for bit in table.bits)
+            out = check_comprehension(structure, f, xs, assignment)
+            assert out == (want in structure.domains[n], n, want)
+            outcomes[out.holds] += 1
+        assert min(outcomes.values()) > 40, outcomes
+
+    def test_errors_come_in_order(self, std2):
+        # the arity shortfall, then the witness variable, then att's own checks
+        std1 = standard_structure(("a", "b"), 1)
+        witness, repeated = parse("A0^2 x1 x1"), (x1, x1)
+        absent = "must not occur in the comprehension formula"
+        cases = [
+            (std1, witness, repeated, "arity shortfall: structure has no domain of arity 2"),
+            (std2, witness, (), "arity shortfall: structure has no domain of arity 0"),
+            (std2, witness, repeated, f"A0^2 {absent}"),
+            (std2, parse("ex A0^1 . A0^1 x1"), (x1,), f"A0^1 {absent}"),
+            (std2, parse("A1^2 x1 x1"), repeated, "distinguished variables must be distinct"),
+            (std2, parse("A1^2 x1 x2"), (x1, pred(1, 1)),
+             "distinguished variable A1^1 must be an individual variable"),
+            (std2, parse("all x1 . A1^2 x1 x2"), (x1, x2),
+             "x1 must occur only free in the formula"),
+        ]
+        for structure, f, xs, message in cases:
+            with pytest.raises(EvalError, match=f"^{re.escape(message)}$"):
+                check_comprehension(structure, f, xs)
+
+
+class TestCompiledBodies:
+    def test_a_dropped_body_is_freed_without_the_collector(self, std2):
+        # a right operand compiles at its first run; run or not, under either
+        # semantics, a compiled body holds no reference cycle
+        rng = random.Random(71)
+        ind_vars, pred_vars = default_vocabulary(2)
+        formulas = [random_formula(rng, 4, ind_vars, pred_vars) for _ in range(80)]
+        cases = []
+        for f in formulas:
+            params = tuple(sorted(f.free_vars))
+            finite = [resolve(std2, random_assignment(rng, std2, params), v) for v in params]
+            atoms = tuple(
+                rng.choice("pq") if v.is_individual else SymbolicPredicate(v.arity, (), 0)
+                for v in params
+            )
+            cases.append((f, params, finite, atoms))
+        gc.collect()
+        gc.disable()
+        try:
+            for k, (f, params, finite, atoms) in enumerate(cases):
+                body, env = compile_formula(f, FiniteSemantics(std2), params)
+                if k % 3:
+                    env[: len(params)] = finite
+                    body(env)
+                run = _SymbolicRun(f, params, 1, 10**6)
+                if k % 2:
+                    run(atoms)
+                del body, env, run
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestSaturate:
