@@ -28,14 +28,7 @@ from .structures import (
     Table,
 )
 from .syntax import AND, ATOM, EQ, EXISTS, FORALL, IFF, IMPLIES, NOT, OR  # the node kinds
-from .syntax import (
-    Exists,
-    Forall,
-    Formula,
-    Var,
-    ind,
-    pred,
-)
+from .syntax import Exists, Forall, Formula, Var, ind, pred, reaches
 
 
 class EvalError(Exception):
@@ -71,11 +64,11 @@ def compile_formula(formula: Formula, semantics, params: Sequence[Var]) -> tuple
     whole body or the left operand of an ``&``, ``|`` or ``->`` body, and
     reads it once, at the first value drawn, as a search would; if it
     decides the body, that is the quantifier's value.  The rest, ``phi``,
-    is flat when ``V`` is a predicate variable in it under no predicate
-    quantifier there: ``semantics.flat(Q V . phi, k, compile)``, given
-    ``V``'s slot and ``compile(full)``, ``phi`` as a closure to an int mask
-    (see ``masked``), returns its closure, or None to search ``phi`` from
-    the value already drawn.  This is exact, since pools are nonempty and
+    goes to the semantics, which knows the ranges, when ``V`` is a predicate
+    variable: ``semantics.flat(Q V . phi, k, compile)``, given ``V``'s slot
+    and ``compile(full)``, ``phi`` as a closure to an int mask (see
+    ``masked``), returns its closure, or declines with None to search ``phi``
+    from the value already drawn.  This is exact, as pools are nonempty and
     a variable cannot be bound again in its own scope: truth and
     ``stratified`` are those of the plain search wherever it finishes.
     Right operands and ``<->`` are not split off, as that would reorder
@@ -141,7 +134,7 @@ class _Compiler:
             left, phi = self.scalar(inner.left), inner.right
             fixed = (lambda env: not left(env)) if inner[0] == IMPLIES else left
             stop = inner[0] != AND
-        if phi and not bridged and g.var.is_predicate and g.var not in phi.nested_vars:
+        if phi and not bridged and g.var.is_predicate:
             split = g if phi is inner else type(g)(g.var, phi)
             decide = self.semantics.flat(split, k, lambda full: self.masked(phi, g.var, full))
             if decide and not fixed:
@@ -289,7 +282,12 @@ class FiniteSemantics:
 
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
         """One run of the body as a mask with a bit per table of the
-        predicate variable's domain, which ``pool`` has checked is nonempty."""
+        predicate variable's domain, which ``pool`` has checked is nonempty,
+        unless the variable occurs under a predicate quantifier in the body."""
+        if any(u.is_predicate for u in g.body.bound_vars) and reaches(
+            g.var, g.body, lambda h: h[0] >= FORALL and h.var.is_predicate  # FORALL, EXISTS last
+        ):
+            return None
         full = (1 << len(self.rows(g.var.arity))) - 1
         mask = compile(full)
         if g[0] == FORALL:

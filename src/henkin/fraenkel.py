@@ -34,7 +34,7 @@ from .structures import (
     json_var,
     value_tuple,
 )
-from .syntax import Eq, Exists, Forall, Formula, Var, integers, subformulas
+from .syntax import EQ, Exists, Forall, Formula, Var, integers, reaches
 
 
 class FraenkelError(Exception):
@@ -406,10 +406,11 @@ class _SymbolicSemantics:
         return self.pools[arity]
 
     def flat(self, g: Forall | Exists, k: int, compile: Callable):
-        """Decides a flat ``Q V . phi``, ``phi`` the operand of ``V`` without
-        the invariant one, unless ``phi`` has a predicate quantifier or
-        equates ``V`` with another variable, or ``V`` has arity over 2 or
-        over ``_MASK_TYPES`` types per support: ``phi`` runs once per
+        """Decides ``Q V . phi``, ``phi`` the operand of ``V`` without the
+        invariant one; declines with None when ``phi`` has a predicate
+        quantifier, which covers ``V`` under one, or equates ``V`` with
+        another variable, or ``V`` has arity over 2 or over ``_MASK_TYPES``
+        types per support.  ``phi`` runs once per
         support of the stratum's size, bit i for the i-th mask over it, the
         support's atoms in the pools inside (exact, as a pool needs the
         bindings' atoms and one fresh one), until a run decides.  Each run
@@ -420,7 +421,7 @@ class _SymbolicSemantics:
             or _width(v.arity, min(b, _MASK_TYPES)) > _MASK_TYPES
             or any(u.is_predicate for u in phi.bound_vars)
             or any(w != v and w.arity == v.arity for w in phi.free_vars)  # V = W may occur
-            and any(isinstance(f, Eq) and {v} < f.free_vars for f in subformulas(phi))
+            and reaches(v, phi, lambda f: f[0] == EQ and {v} < f.free_vars)
         ):
             return None
         universal, full = isinstance(g, Forall), (1 << (1 << _width(v.arity, b))) - 1

@@ -29,7 +29,7 @@ from .structures import (
     preimage_points,
     value_tuple,
 )
-from .syntax import Formula, Var
+from .syntax import MAX_DEPTH, Formula, Var
 
 
 class Permutation(value_tuple("Permutation", "mapping")):
@@ -381,6 +381,8 @@ def build_permutation_model(
         raise StructureError("group degree does not match the universe")
     if max_arity < 1:
         raise StructureError(f"a model needs max arity >= 1, got {max_arity}")
+    if max_arity > MAX_DEPTH:  # the bound SchemaId puts on the arities it reads
+        raise StructureError(f"a model needs max arity <= {MAX_DEPTH}, got {max_arity}")
     core = filt.core(group)
     fixed = [sum(p(i) == i for i in range(size)) for p in core.elements]
     domains: dict[int, frozenset[Table]] = {}

@@ -11,9 +11,9 @@ rejected rather than silently repaired.
 
 Every node records its depth, and construction rejects a formula deeper than
 :data:`MAX_DEPTH`.  The bound keeps every recursive walk over a formula (the
-traversals here, the parser, both evaluators, and the C-level tuple equality
-and hashing of nodes) well inside Python's default recursion limit, so the
-walks need no explicit stack.
+traversals here, the parser, the compiler that both semantics share, and the
+C-level tuple equality and hashing of nodes) well inside Python's default
+recursion limit, so the walks need no explicit stack.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def pred(index: int, arity: int) -> Var:
 class Formula(tuple):
     """Base class; use the concrete node classes below.
 
-    A node is the tuple ``(kind, first, second, free, bound, depth, nested)``:
-    its class's kind, its fields, and the caches its constructor computes
-    from its children's.  The kind is a small int, ``ATOM`` to ``EXISTS``:
+    A node is the tuple ``(kind, first, second, free, bound, depth)``: its
+    class's kind, its fields, and the free and bound variables and depth its
+    constructor computes.  The kind is a small int, ``ATOM`` to ``EXISTS``:
     hashes are the same in every process, compilers dispatch on it, and it
-    keeps ``And(a, b)`` apart from ``Or(a, b)``; the caches follow from the
+    keeps ``And(a, b)`` apart from ``Or(a, b)``; the rest follows from the
     fields.  Tuple equality and hashing thus compare formulas structurally, in C.
     """
 
@@ -116,8 +116,6 @@ class Formula(tuple):
     _fields: tuple[str, ...] = ()
     free_vars = property(itemgetter(3))
     bound_vars = property(itemgetter(4))
-    # the free variables with an occurrence under a predicate quantifier inside
-    nested_vars = property(itemgetter(6))
 
     def __getnewargs__(self) -> tuple:  # copies and pickles rebuild through __new__
         return self[1 : 1 + len(self._fields)]
@@ -136,13 +134,13 @@ ATOM, EQ, NOT, AND, OR, IMPLIES, IFF, FORALL, EXISTS = range(9)
 
 
 def _operand(f) -> tuple:
-    """The free, bound and nested caches of an operand, and the depth of a node over it."""
+    """The free and bound variables of an operand, and the depth of a node over it."""
     if not isinstance(f, Formula):
         raise FormulaError(f"expected a Formula, got {type(f).__name__}")
-    _, _, _, free, bound, depth, nested = f
+    _, _, _, free, bound, depth = f
     if depth >= MAX_DEPTH:
         raise FormulaError(f"formula depth {depth + 1} exceeds the bound {MAX_DEPTH}")
-    return free, bound, depth + 1, nested
+    return free, bound, depth + 1
 
 
 class Atom(Formula):
@@ -164,7 +162,7 @@ class Atom(Formula):
             if not a.is_individual:
                 raise ArityError(f"application argument {a} must be an individual variable")
         free = frozenset((predicate, *args))
-        return _new(cls, (cls._kind, predicate, args, free, _EMPTY, 0, _EMPTY))
+        return _new(cls, (cls._kind, predicate, args, free, _EMPTY, 0))
 
 
 class Eq(Formula):
@@ -182,7 +180,7 @@ class Eq(Formula):
     def __new__(cls, left: Var, right: Var) -> Eq:
         if left.arity != right.arity:
             raise ArityError(f"equality needs both sides of the same sort: {left} vs {right}")
-        return _new(cls, (cls._kind, left, right, frozenset((left, right)), _EMPTY, 0, _EMPTY))
+        return _new(cls, (cls._kind, left, right, frozenset((left, right)), _EMPTY, 0))
 
 
 class Not(Formula):
@@ -192,8 +190,8 @@ class Not(Formula):
     body = property(itemgetter(1))
 
     def __new__(cls, body: Formula) -> Not:
-        free, bound, depth, nested = _operand(body)
-        return _new(cls, (cls._kind, body, (), free, bound, depth, nested))
+        free, bound, depth = _operand(body)
+        return _new(cls, (cls._kind, body, (), free, bound, depth))
 
 
 class _Binary(Formula):
@@ -203,11 +201,10 @@ class _Binary(Formula):
     right = property(itemgetter(2))
 
     def __new__(cls, left: Formula, right: Formula) -> Formula:
-        free, bound, depth, nested = _operand(left)
-        rfree, rbound, rdepth, rnested = _operand(right)
+        free, bound, depth = _operand(left)
+        rfree, rbound, rdepth = _operand(right)
         depth = depth if depth > rdepth else rdepth
-        nested = nested | rnested if rnested else nested
-        return _new(cls, (cls._kind, left, right, free | rfree, bound | rbound, depth, nested))
+        return _new(cls, (cls._kind, left, right, free | rfree, bound | rbound, depth))
 
 
 class And(_Binary):
@@ -237,17 +234,12 @@ class _Quantifier(Formula):
     body = property(itemgetter(2))
 
     def __new__(cls, var: Var, body: Formula) -> Formula:
-        free, bound, depth, nested = _operand(body)
+        free, bound, depth = _operand(body)
         if var in bound:
             raise CaptureError(
                 f"{var} is already bound inside the body and cannot be quantified again"
             )
-        free = free - {var}
-        if var.is_predicate:  # every free variable occurs under this quantifier
-            nested = free
-        elif var in nested:
-            nested = nested - {var}
-        return _new(cls, (cls._kind, var, body, free, bound | {var}, depth, nested))
+        return _new(cls, (cls._kind, var, body, free - {var}, bound | {var}, depth))
 
 
 class Forall(_Quantifier):
@@ -274,8 +266,8 @@ def depth(f: Formula) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Traversal.  Every walk goes through these three helpers; recursion depth
-# is bounded by MAX_DEPTH.
+# Traversal.  Every walk goes through ``_children``; recursion depth is
+# bounded by MAX_DEPTH.
 # ---------------------------------------------------------------------------
 
 
@@ -288,15 +280,6 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
-def _rebuild(f: Formula, kids: list[Formula]) -> Formula:
-    """A node of the same kind as ``f`` over new immediate subformulas."""
-    if isinstance(f, _Quantifier):
-        return type(f)(f.var, *kids)
-    if isinstance(f, (Not, _Binary)):
-        return type(f)(*kids)
-    return f
-
-
 def fold(f: Formula, fn: Callable[[Formula, list], T]) -> T:
     """Post-order fold: ``fn(node, results for its children)``."""
     kids = _children(f)
@@ -306,6 +289,18 @@ def fold(f: Formula, fn: Callable[[Formula, list], T]) -> T:
 def subformulas(f: Formula) -> list[Formula]:
     """All subformulas, the formula itself included, in post-order."""
     return fold(f, lambda g, kids: [h for kid in kids for h in kid] + [g])
+
+
+def reaches(v: Var, f: Formula, test: Callable[[Formula], bool]) -> bool:
+    """Whether some subformula of ``f`` on a path to a free ``v``, ``f`` included, passes
+    ``test``, walking breadth first (shallow passes end it early) where ``v`` is free."""
+    todo = [f]
+    for g in todo:  # the list grows as the walk goes
+        if v in g.free_vars:
+            if test(g):
+                return True
+            todo += _children(g)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +362,22 @@ def _fmt(f: Formula, kids: list[tuple[str, int]]) -> tuple[str, int]:
 def _rewrite(
     f: Formula, var: Var, leaf: Callable[[Formula], Formula], capture: frozenset[Var]
 ) -> Formula:
-    """Replace each atomic formula in which ``var`` occurs free by ``leaf`` of it.
+    """Replace each atomic formula in which ``var`` occurs free by ``leaf`` of
+    it (recursing at module level: a nested walk would make a cycle).
 
     Raises :class:`CaptureError` when such an occurrence lies under a
     quantifier on a variable in ``capture``.
     """
-
-    def go(g: Formula) -> Formula:
-        if var not in g.free_vars:
-            return g
-        kids = _children(g)
-        if not kids:
-            return leaf(g)
-        if isinstance(g, _Quantifier) and g.var in capture:
-            raise CaptureError(f"rewriting {var} under the quantifier on {g.var} would capture it")
-        return _rebuild(g, [go(k) for k in kids])
-
-    return go(f)
+    if var not in f.free_vars:
+        return f
+    kids = _children(f)
+    if not kids:
+        return leaf(f)
+    if isinstance(f, _Quantifier):
+        if f.var in capture:
+            raise CaptureError(f"rewriting {var} under the quantifier on {f.var} would capture it")
+        return type(f)(f.var, _rewrite(f.body, var, leaf, capture))
+    return type(f)(*(_rewrite(k, var, leaf, capture) for k in kids))
 
 
 def substitute(f: Formula, var: Var, replacement: Var) -> Formula:

@@ -39,6 +39,11 @@ plain-``product`` reference for the orbit search: it visits every
 assignment of the prefix, where the package skips all but the least of
 each orbit of the universe's permutations on a full structure.
 
+``ref_nested_vars`` is the nesting rule written as a ``fold``: the free
+variables with an occurrence under a predicate quantifier inside the
+formula.  A finite predicate quantifier whose variable is among them is
+searched, not run over masks.
+
 ``inequality_symbolic``, ``finite_set`` and ``apply_permutation_symbolic``
 build the symbolic predicates the tests name by hand, and move one by a
 finitary atom permutation.
@@ -81,7 +86,7 @@ from henkin.structures import (
     all_tables,
 )
 from henkin.syntax import (
-    And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, all_vars, ind, pred,
+    And, Atom, Eq, Exists, Forall, Formula, Iff, Implies, Not, Or, Var, all_vars, fold, ind, pred,
     subformulas,
 )
 
@@ -146,6 +151,20 @@ def naive_eval(structure, env, formula):
             results.append(naive_eval(structure, child, formula.body))
         return all(results) if isinstance(formula, Forall) else any(results)
     raise TypeError(f"oracle cannot evaluate {type(formula).__name__}")
+
+
+def ref_nested_vars(formula):
+    """The free variables of the formula with an occurrence under a
+    predicate quantifier inside it."""
+
+    def step(g, kids):
+        inner = frozenset().union(*kids)
+        if isinstance(g, (Forall, Exists)):
+            # a predicate quantifier holds every free occurrence below it
+            return g.free_vars if g.var.is_predicate else inner - {g.var}
+        return inner
+
+    return fold(formula, step)
 
 
 def evaluation_pool(formula, binding):
@@ -541,6 +560,20 @@ def random_assignment(rng, structure, variables):
         else:
             values[v] = rng.choice(structure.domain(v.arity))
     return Assignment(values)
+
+
+def proper_domains(rng, size):
+    """A structure whose domains of arity 1 to 3 each hold a few random
+    tables, never all of them (so just one on a single point)."""
+    domains = {}
+    for n in (1, 2, 3):
+        width = size**n
+        count = min(rng.choice((1, 1, 2, 3, 5, 7)), 2**width - 1)
+        rows = set()
+        while len(rows) < count:
+            rows.add(rng.getrandbits(width))
+        domains[n] = [Table(size, n, tuple(bool(r >> i & 1) for i in range(width))) for r in rows]
+    return Structure(tuple("abc"[:size]), domains)
 
 
 # ---------------------------------------------------------------------------

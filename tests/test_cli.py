@@ -848,6 +848,10 @@ MALFORMED = {
         "build-model", "--max-arity", "0",
         "--structure", write(d, "spec.json", json.dumps({"individuals": ["a", "b"]})),
     ],
+    "huge-max-arity": lambda d: [
+        "build-model", "--max-arity", "101",
+        "--structure", write(d, "spec.json", json.dumps({"individuals": ["a"]})),
+    ],
     # flags must be spelled out: a prefix of --help is not --help
     "abbreviated-help-h": lambda d: ["parse", "--text", "x1 = x1", "--h"],
     "abbreviated-help-he": lambda d: ["parse", "--text", "x1 = x1", "--he"],

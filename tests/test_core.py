@@ -16,10 +16,12 @@ from oracle import (
     SymContext,
     naive_eval,
     naive_sym_eval,
+    proper_domains,
     ref_canonicalize,
     ref_denotes,
     random_assignment,
     random_structure,
+    ref_nested_vars,
     ref_predicate,
     to_symbolic,
 )
@@ -42,7 +44,9 @@ from henkin.fraenkel import (
 from henkin.parser import parse
 from henkin.schemas import SchemaId, check_schema
 from henkin.structures import Assignment, CapExceeded, Structure, Table, all_tables
-from henkin.syntax import And, Atom, Exists, Forall, Iff, Implies, Or, forall_many, ind, pred
+from henkin.syntax import (
+    And, Atom, Eq, Exists, Forall, Iff, Implies, Or, forall_many, ind, pred, subformulas,
+)
 
 x1, x2, x3 = ind(1), ind(2), ind(3)
 A = pred(0, 1)
@@ -976,6 +980,113 @@ class TestMaskPath:
         )
         report = check_choice_instance_sigma0(1, 2, payload, 2, pred_cap=66_000)
         assert report == ChoiceInstanceReport("inconclusive", None, 2, 66_000, True)
+
+
+@pytest.fixture
+def offers(monkeypatch):
+    """Records each quantifier the compiler offers either semantics'
+    ``flat``, with the semantics and whether ``flat`` returned a closure."""
+    seen = []
+    for cls in (FiniteSemantics, _SymbolicSemantics):
+
+        def spying(self, g, k, compile, flat=cls.flat):
+            decide = flat(self, g, k, compile)
+            seen.append((self, g, decide is not None))
+            return decide
+
+        monkeypatch.setattr(cls, "flat", spying)
+    return seen
+
+
+def masked_by_rule(semantics, g):
+    """Whether ``g`` = ``Q V . phi`` runs over masks by the reference rule:
+    ``V`` under no predicate quantifier in ``phi`` and, over the atom
+    universe, no predicate quantifier in ``phi`` at all, no ``V = W``, and
+    at most two arguments and ``_MASK_TYPES`` types per support."""
+    v, phi = g.var, g.body
+    if v in ref_nested_vars(phi):
+        return False
+    if isinstance(semantics, FiniteSemantics):
+        return True
+    stratum = tuple(map(str, range(min(semantics.support_bound, fraenkel._MASK_TYPES))))
+    equated = any(
+        isinstance(h, Eq) and v in (h.left, h.right) and h.left != h.right for h in subformulas(phi)
+    )
+    return (
+        v.arity <= 2
+        and len(enumerate_types(v.arity, stratum)) <= fraenkel._MASK_TYPES
+        and not any(u.is_predicate for u in phi.bound_vars)
+        and not equated
+    )
+
+
+class TestEachSemanticsDecides:
+    """The compiler offers every unbridged predicate quantifier to its
+    semantics' ``flat``, and each semantics declines what it does not run
+    over masks: the quantifiers that take masks are those ``masked_by_rule``
+    names, and verdicts and labels are the references'."""
+
+    def sentence(self, rng, k):
+        """A formula with one to three predicate quantifiers: every fifth a
+        bridged existential over the predicate arities of ``proper_domains``,
+        every fifth ``Q V`` with ``V`` free under ``Q W`` in its body, the
+        rest at random; returns it with the bridged quantifier, or None."""
+        while True:
+            bridged = None
+            if k % 5 == 0:
+                f, d, s = random_bridged(rng, rng.randint(1, 3), pred_quantifiers=True)
+                if s.arity > 3:
+                    continue
+                bridged = next(h for h in subformulas(f) if isinstance(h, Exists) and h.var == d)
+            elif k % 5 == 1:
+                v, w = rng.choice((pred(0, 1), pred(0, 2))), pred(1, 1)
+                inner = random_formula(rng, 2, [x1, x2], [v, w], allow_pred_quantifiers=False)
+                if v not in inner.free_vars:
+                    continue
+                f = rng.choice((Forall, Exists))(w, inner)
+                if rng.random() < 0.5:
+                    left = random_formula(rng, 1, [x1, x2], [v], allow_pred_quantifiers=False)
+                    f = rng.choice((And, Or, Implies, Iff))(left, f)
+                f = rng.choice((Forall, Exists))(v, f)
+            else:
+                preds = [pred(0, 1), pred(1, 1), pred(0, 2), pred(1, 2)]
+                f = random_formula(rng, rng.randint(2, 4), [x1, x2, x3], preds)
+            if 1 <= sum(v.is_predicate for v in f.bound_vars) <= 3:
+                return f, bridged
+
+    def test_flat_returns_a_closure_exactly_by_the_rule(self, offers):
+        rng = random.Random(137)
+        tally, compared = Counter(), 0
+        for k in range(300):
+            f, bridged = self.sentence(rng, k)
+            structure = proper_domains(rng, 1 + k % 3)
+            assignment = random_assignment(rng, structure, f.free_vars)
+            assert evaluate(structure, assignment, f) == naive_eval(
+                structure, dict(assignment.values), f
+            )
+            binding = {
+                v: rng.choice(("p", "q", "u1"))
+                if v.is_individual
+                else random_symbolic(rng, v.arity, ["p", "q"])
+                for v in sorted(f.free_vars)
+            }
+            bound = 1 + k % 3
+            expected = reference(f, binding, bound, 5000)
+            if expected[0] != "cap":
+                assert compiled(f, binding, bound, DEFAULT_PRED_CAP) == expected, str(f)
+                compared += 1
+            for semantics, g, decided in offers:
+                assert g.var.is_predicate and g != bridged
+                assert decided == masked_by_rule(semantics, g), str(g)
+                nested = g.var in ref_nested_vars(g.body)
+                tally[type(semantics).__name__, decided, nested] += 1
+            offers.clear()
+        assert compared >= 240
+        # both semantics run some quantifiers over masks and decline nested
+        # ones, and the symbolic one declines some that are not nested
+        for name in ("FiniteSemantics", "_SymbolicSemantics"):
+            assert tally[name, True, False] >= 40 and tally[name, False, True] >= 50
+        assert tally["_SymbolicSemantics", False, False] >= 15
 
 
 @pytest.fixture

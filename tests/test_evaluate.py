@@ -8,7 +8,14 @@ from itertools import product
 
 import pytest
 
-from oracle import naive_eval, naive_saturate, random_assignment, random_structure
+from oracle import (
+    naive_eval,
+    naive_saturate,
+    proper_domains,
+    random_assignment,
+    random_structure,
+    ref_nested_vars,
+)
 
 from henkin.corpus import (
     comprehension_corpus,
@@ -186,20 +193,6 @@ class TestPredicateIdentity:
         assert defined > 50
 
 
-def proper_domains(rng, size):
-    """A structure whose domains of arity 1 to 3 each hold a few random
-    tables, never all of them (so just one on a single point)."""
-    domains = {}
-    for n in (1, 2, 3):
-        width = size**n
-        count = min(rng.choice((1, 1, 2, 3, 5, 7)), 2**width - 1)
-        rows = set()
-        while len(rows) < count:
-            rows.add(rng.getrandbits(width))
-        domains[n] = [Table(size, n, tuple(bool(r >> i & 1) for i in range(width))) for r in rows]
-    return Structure(tuple("abc"[:size]), domains)
-
-
 def first_falsifier(structure, matrix, searched):
     """The first assignment of ``searched``, in ``check_schema``'s order,
     under which the oracle finds the matrix false, or None."""
@@ -235,7 +228,7 @@ class TestDomainMasks:
         outer = rng.choice((None, Forall, Exists)) if w not in f.bound_vars else None
         if outer:
             f = outer(w, f)
-        flat = v not in body.nested_vars
+        flat = v not in ref_nested_vars(body)
         shapes.add((n, type(f if not outer else f.body).__name__, flat))
         kinds = {
             frozenset((g.left, g.right)) for g in subformulas(body) if isinstance(g, Eq)
@@ -246,7 +239,7 @@ class TestDomainMasks:
             shapes.add(("V = W", outer.__name__ if outer else "free"))
         if flat and any(
             isinstance(g, (Forall, Exists)) and g.var.is_predicate and v not in g.free_vars
-            and g.var not in g.body.nested_vars and g.var in g.body.free_vars
+            and g.var not in ref_nested_vars(g.body) and g.var in g.body.free_vars
             for g in subformulas(body)
         ):
             shapes.add("independent")

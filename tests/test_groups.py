@@ -33,7 +33,7 @@ from oracle import (
     random_structure,
 )
 from henkin.structures import Assignment, StructureError, Table, equality_table, standard_structure
-from henkin.syntax import free_vars, ind, pred
+from henkin.syntax import MAX_DEPTH, free_vars, ind, pred
 
 x1, x2 = ind(1), ind(2)
 A = pred(0, 1)
@@ -287,10 +287,22 @@ class TestBuildModel:
             raise AssertionError(f"orbit map built at arity {arity}")
 
         monkeypatch.setattr(groups, "_orbits", unneeded)
-        out = build_permutation_model(("a",), Group.symmetric(1), AllSubgroups(), 400)
-        assert all(len(out.domains[n]) == 2 for n in range(1, 401))
+        out = build_permutation_model(("a",), Group.symmetric(1), AllSubgroups(), MAX_DEPTH)
+        assert all(len(out.domains[n]) == 2 for n in range(1, MAX_DEPTH + 1))
         full = build_permutation_model(("a", "b", "c"), Group.symmetric(3), FiniteSupports(), 2)
         assert full == standard_structure(("a", "b", "c"), 2)
+
+    def test_max_arity_is_bounded_as_schema_arities_are(self):
+        # arities past MAX_DEPTH are rejected as SchemaId rejects them, so a
+        # huge --max-arity fails at once instead of writing tables per arity
+        one = ("a",), Group.symmetric(1), AllSubgroups()
+        out = build_permutation_model(*one, 100)
+        assert sorted(out.domains) == list(range(1, 101))
+        assert sum(map(len, out.domains.values())) == 200
+        for too_big in (101, 8000):
+            bound = f"^a model needs max arity <= 100, got {too_big}$"
+            with pytest.raises(StructureError, match=bound):
+                build_permutation_model(*one, too_big)
 
     def test_all_filter_gives_standard(self):
         s2 = Group.symmetric(2)

@@ -1,17 +1,21 @@
 import copy
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 from oracle import naive_eval
 
 import henkin
+from henkin.corpus import random_formula
 from henkin.evaluate import evaluate
 from henkin.parser import ParseError, parse, parse_var
+from henkin.schemas import FAMILIES, SchemaId, build
 from henkin.structures import Assignment, standard_structure
 from henkin.syntax import (
     AND,
@@ -41,10 +45,12 @@ from henkin.syntax import (
     depth,
     derivation,
     exists_unique,
+    fold,
     format_formula,
     ind,
     lower_predicate_application,
     pred,
+    reaches,
     subformulas,
     substitute,
 )
@@ -131,9 +137,10 @@ class TestNodes:
         for twin in twins:
             assert twin == f and hash(twin) == hash(f)
             assert [type(g) for g in subformulas(twin)] == [type(g) for g in subformulas(f)]
-            assert (twin.free_vars, twin.bound_vars, twin.nested_vars, depth(twin)) == (
-                f.free_vars, f.bound_vars, f.nested_vars, depth(f)
+            assert (twin.free_vars, twin.bound_vars, depth(twin)) == (
+                f.free_vars, f.bound_vars, depth(f)
             )
+            assert all(len(g) == 6 for g in subformulas(twin))
 
     def test_repr_names_the_fields(self):
         assert repr(parse("ex A0^1 . ~(A0^1 x1 & x1 = x2)")) == (
@@ -288,6 +295,76 @@ class TestLowering:
             lower_predicate_application(
                 Forall(x1, Atom(dvar, (x2,))), dvar, pred(1, 2), (x1,)
             )
+
+
+class TestReaches:
+    TESTS = {
+        "predicate binder": lambda g: g[0] in (FORALL, EXISTS) and g.var.is_predicate,
+        "equality": lambda g: g[0] == EQ,
+        "binary atom": lambda g: g[0] == ATOM and len(g.args) == 2,
+    }
+
+    @staticmethod
+    def on_paths(f, v):
+        """The subformulas of ``f`` on a path to an occurrence of ``v`` free
+        in ``f``: those with ``v`` free under no quantifier on ``v``."""
+
+        def step(g, kids):
+            if isinstance(g, (Forall, Exists)) and g.var == v:
+                return []
+            return [h for kid in kids for h in kid] + ([g] if v in g.free_vars else [])
+
+        return fold(f, step)
+
+    def test_agrees_with_subformulas_and_visits_only_where_the_variable_is_free(self):
+        rng = random.Random(139)
+        outcomes = set()
+        for _ in range(300):
+            f = random_formula(rng, rng.randint(0, 4), [x1, x2, x3], [A, B, R])
+            for v in sorted(all_vars(f) | {x0}):
+                paths = self.on_paths(f, v)
+                if v not in f.bound_vars:  # as in a quantifier's body, where v is not bound again
+                    assert paths == [g for g in subformulas(f) if v in g.free_vars]
+                for name, test in self.TESTS.items():
+                    visited = []
+                    got = reaches(v, f, lambda g: visited.append(g) or test(g))
+                    assert got == any(map(test, paths))
+                    assert all(g in paths for g in visited)
+                    outcomes.add((name, v.is_predicate, v in f.bound_vars, got))
+        kinds = product(self.TESTS, (False, True), (False, True), (False, True))
+        assert outcomes == set(kinds)
+
+
+class TestNoReferenceCycles:
+    PAYLOADS = {
+        "choice": "A0^1 x1", "choice-h": "A0^1 x1", "choice-star": "ex x1 . A0^1 x1",
+        "comprehension": "A1^1 x1",
+    }
+
+    def test_rewrites_and_builds_leave_nothing_for_the_collector(self):
+        f = parse("all x2 . (A0^1 x1 | x1 = x2)")
+        calls = {
+            "substitute": lambda: substitute(f, x1, x3),
+            "lower": lambda: lower_predicate_application(f, A, pred(1, 2), (x3,)),
+            "ex!!": lambda: parse("ex!! x1 . A0^1 x1"),
+        }
+        for family in FAMILIES:
+            text = self.PAYLOADS.get(family)
+            schema = SchemaId(family, payload=text and parse(text))
+            calls[family] = lambda schema=schema: build(schema)
+        for call in calls.values():  # fills the builders' caches before counting
+            call()
+        unreachable = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                for _ in range(20):
+                    call()
+                unreachable[name] = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == dict.fromkeys(calls, 0)
 
 
 class TestDerivation:
